@@ -20,7 +20,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from fluxlab.gauge import GaugeUnitary
-from fluxlab.projpair import HermitianProjection
+from fluxlab.projpair import (AngularBlockProjection, HermitianProjection,
+                              conjugate_blocks, rotation_character)
 
 logger = logging.getLogger(__name__)
 
@@ -286,17 +287,24 @@ def shift_index(M: np.ndarray, zero_tol: float = 1e-8) -> int:
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Quadrature nodes and weights covering a disk around the origin."""
+    """Quadrature nodes and weights covering a disk around the origin.
+
+    radial_nodes and angular_nodes record a polar layout: node i*A + a sits
+    at radius r_i and angle 2 pi a / A (A = angular_nodes), and its weight
+    depends on i alone.  A grid built without them has no layout.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     radius: float
+    radial_nodes: int = None
+    angular_nodes: int = None
 
 
 def polar_disk_grid(radius: float = 8.0, radial_nodes: int = 40,
                     angular_nodes: int = 72) -> DiskGrid:
     """Gauss-Legendre radii times equal angles; weights include the area
-    element."""
+    element.  The grid records its radial-major polar layout."""
     xs, ws = leggauss(radial_nodes)
     r = 0.5 * radius * (xs + 1.0)
     wr = 0.5 * radius * ws * r
@@ -304,7 +312,8 @@ def polar_disk_grid(radius: float = 8.0, radial_nodes: int = 40,
     rr, tt = np.meshgrid(r, theta, indexing="ij")
     nodes = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
     weights = np.repeat(wr, angular_nodes) * (2.0 * np.pi / angular_nodes)
-    return DiskGrid(nodes=nodes, weights=weights, radius=radius)
+    return DiskGrid(nodes=nodes, weights=weights, radius=radius,
+                    radial_nodes=radial_nodes, angular_nodes=angular_nodes)
 
 
 def level_disk_radius(m: int) -> float:
@@ -341,31 +350,51 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
     residual is attached to the returned projections; a residual above
     residual_threshold means the truncation is too coarse and is an error.
 
+    When the grid records a polar layout (R radii x A angles) and u on the
+    nodes is a rotation character c_i exp(2 pi i N a / A), as (z/|z|)^N is,
+    the pair is built as projpair.AngularBlockProjection: the kernel is
+    rotation invariant, so P is block-circulant in the angle index and is
+    kept as A blocks of size R x R, one per angular mode, computed from the
+    R x N kernel entries of the first angular column; Q has the blocks
+    C B_{k-N} C*.  Any other grid or unitary (a translated flux, a grid
+    without layout) gives dense N x N projections.  Both engines give the
+    same nodal entries and residuals.
+
     Without a grid the disk is level_disk_grid(m), a larger disk for higher
     levels, since a larger disk, not a finer grid, is what brings the odd
     trace Tr (Q - P)^3 to the index.  Measured with flux_unitary(1) on
     2 cores (OpenBLAS), time and peak memory of the pair plus its odd trace
-    in a fresh process:
+    in a fresh process on the block engine (dense engine in brackets; the
+    peak includes the 27 MB of the numpy import):
 
-    - m = 0: radius 8, 40 x 72 nodes (N = 2880), -0.99578, 7 s, 0.7 GB;
-    - m = 1: radius 11, 48 x 90 nodes (N = 4320), -0.99215, 19 s, 1.5 GB;
-    - m = 2: radius 14, 56 x 108 nodes (N = 6048), -0.99148, 49 s, 2.8 GB.
+    - m = 0: radius 8, 40 x 72 nodes (N = 2880), -0.99578,
+      0.04 s, 43 MB (7 s, 0.7 GB);
+    - m = 1: radius 11, 48 x 90 nodes (N = 4320), -0.99215,
+      0.07 s, 50 MB (19 s, 1.5 GB);
+    - m = 2: radius 14, 56 x 108 nodes (N = 6048), -0.99148,
+      0.1 s, 62 MB (49 s, 2.8 GB).
 
-    Every value is within 1e-2 of -1.  Dense memory grows as N^2 and time
-    as N^3; no test covers the default disk above m = 2.
+    Every value is within 1e-2 of -1.  Block time grows as R^3 A and memory
+    as R^2 A; the dense engine's as N^3 and N^2.  No test covers the default
+    disk above m = 2.
     """
     if grid is None:
         grid = level_disk_grid(m)
     kern = landau_kernel(m)
     nodes, w = grid.nodes, grid.weights
+    uvals = u.evaluate(nodes)
+    if np.any(~np.isfinite(uvals)):
+        raise ValueError("gauge unitary is singular on a grid node")
+    char = None
+    if _has_polar_layout(grid):
+        char = rotation_character(uvals, grid.angular_nodes)
+    if char is not None:
+        return _block_pair(kern, grid, char, residual_threshold)
     sw = np.sqrt(w)
     P = kern.pair_matrix(nodes, nodes)
     P *= sw[:, None]
     P *= sw[None, :]
     P = 0.5 * (P + P.conj().T)
-    uvals = u.evaluate(nodes)
-    if np.any(~np.isfinite(uvals)):
-        raise ValueError("gauge unitary is singular on a grid node")
     try:
         proj_p = HermitianProjection(P, idempotency_tol=residual_threshold)
     except ValueError as exc:
@@ -373,4 +402,44 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
     Q = (uvals[:, None] * P) * uvals.conj()[None, :]
     Q = 0.5 * (Q + Q.conj().T)
     proj_q = HermitianProjection(Q, idempotency_tol=residual_threshold)
+    return proj_p, proj_q
+
+
+def _has_polar_layout(grid: DiskGrid) -> bool:
+    """Whether the grid records a polar layout; a recorded layout that its
+    nodes and weights do not follow is an error."""
+    if grid.radial_nodes is None or grid.angular_nodes is None:
+        return False
+    shape = (grid.radial_nodes, grid.angular_nodes)
+    nodes = grid.nodes.reshape(shape + (2,))
+    weights = grid.weights.reshape(shape)
+    theta = 2.0 * np.pi * np.arange(grid.angular_nodes) / grid.angular_nodes
+    first = nodes[:, 0, 0] + 1j * nodes[:, 0, 1]
+    rotated = first[:, None] * np.exp(1j * theta)[None, :]
+    off = np.max(np.abs(nodes[..., 0] + 1j * nodes[..., 1] - rotated))
+    if off > 1e-12 * max(1.0, grid.radius) or np.any(weights != weights[:, :1]):
+        raise ValueError(
+            "grid nodes or weights do not follow the recorded polar layout")
+    return True
+
+
+def _block_pair(kern: CovariantKernel, grid: DiskGrid, char, residual_threshold: float):
+    """(P, Q) as angular-mode blocks; see truncated_projection_pair."""
+    c, winding = char
+    R, A = grid.radial_nodes, grid.angular_nodes
+    first = grid.nodes[::A]
+    sw = np.sqrt(grid.weights[::A])
+    # K[i, j, d] = p(x_{i,0}, x_{j,d}), the entry P[(i,a),(j,a+d)] before weighting
+    K = kern.pair_matrix(first, grid.nodes).reshape(R, R, A)
+    K *= sw[:, None, None]
+    K *= sw[None, :, None]
+    B = A * np.moveaxis(np.fft.ifft(K, axis=2), 2, 0)
+    B = 0.5 * (B + B.conj().swapaxes(1, 2))
+    try:
+        proj_p = AngularBlockProjection(B, idempotency_tol=residual_threshold)
+    except ValueError as exc:
+        raise ValueError(f"truncation too coarse: {exc}") from None
+    Qb = conjugate_blocks(B, c, winding)
+    Qb = 0.5 * (Qb + Qb.conj().swapaxes(1, 2))
+    proj_q = AngularBlockProjection(Qb, idempotency_tol=residual_threshold)
     return proj_p, proj_q

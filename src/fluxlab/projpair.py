@@ -7,6 +7,11 @@ exact finite-dimensional projections all three agree (and reduce to rank
 arithmetic); for truncations of infinite-dimensional pairs the odd traces
 converge to the index of the underlying operators while the raw value's
 distance to the nearest integer measures the truncation quality.
+
+A projection that commutes with the rotations of a polar grid is kept as
+its angular-mode blocks (AngularBlockProjection).  Every route reduces a
+pair of such projections, and the Fedosov route a unitary that shifts the
+angular mode, block by block; any other input takes the dense route.
 """
 
 from __future__ import annotations
@@ -34,15 +39,9 @@ class HermitianProjection:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"projection matrix must be square, got {m.shape}")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > self.idempotency_tol:
-            raise ValueError(f"matrix is not Hermitian: max |M - M*| = {herm:.3e}")
-        resid = float(np.max(np.abs(m @ m - m)))
-        if resid > self.idempotency_tol:
-            raise ValueError(
-                f"matrix is not idempotent within {self.idempotency_tol:.1e}: "
-                f"max |M^2 - M| = {resid:.3e}"
-            )
+        resid = _checked_residual(np.max(np.abs(m - m.conj().T)),
+                                  float(np.max(np.abs(m @ m - m))),
+                                  self.idempotency_tol)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "idempotency_residual", resid)
 
@@ -54,8 +53,116 @@ class HermitianProjection:
         return int(round(float(np.trace(self.matrix).real)))
 
 
+def _checked_residual(herm: float, resid: float, tol: float) -> float:
+    """The idempotency residual, once both max-entry residuals are within tol."""
+    if herm > tol:
+        raise ValueError(f"matrix is not Hermitian: max |M - M*| = {herm:.3e}")
+    if resid > tol:
+        raise ValueError(
+            f"matrix is not idempotent within {tol:.1e}: max |M^2 - M| = {resid:.3e}"
+        )
+    return resid
+
+
+class AngularBlockProjection(HermitianProjection):
+    """Hermitian projection that commutes with rotations of a polar grid.
+
+    On nodes ordered radial-major (index i*A + a for radius i and angle a)
+    a rotation-invariant matrix is block-circulant in the angle index:
+    M[(i,a),(j,b)] depends on i, j and (b - a) mod A only.  The DFT over the
+    angle index turns it into A blocks B_k of size R x R, one per angular
+    mode k, with
+
+        M[(i,a),(j,b)] = (1/A) sum_k B_k[i,j] exp(-2 pi i k (b - a) / A).
+
+    blocks is the (A, R, R) stack of the B_k.  Validation keeps the meaning
+    of HermitianProjection: the max-entry residuals of M - M* and M^2 - M on
+    the nodes, read off the R*R*A distinct entries of the block-circulant
+    matrices B_k - B_k* and B_k^2 - B_k.  The nodal matrix is built on first
+    access to .matrix and cached; pickling keeps only the blocks.
+    """
+
+    def __init__(self, blocks: np.ndarray, idempotency_tol: float = 1e-10):
+        b = np.asarray(blocks)
+        if b.ndim != 3 or b.shape[1] != b.shape[2]:
+            raise ValueError(
+                f"mode blocks must have shape (A, R, R), got {b.shape}")
+        object.__setattr__(self, "blocks", b)
+        object.__setattr__(self, "idempotency_tol", idempotency_tol)
+        object.__setattr__(self, "_matrix", None)
+        resid = _checked_residual(_nodal_max(b - b.conj().swapaxes(-1, -2)),
+                                  _nodal_max(b @ b - b), idempotency_tol)
+        object.__setattr__(self, "idempotency_residual", resid)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            a_count, r_count, _ = self.blocks.shape
+            nodal = np.fft.fft(self.blocks, axis=0) / a_count
+            angle = np.arange(a_count)
+            shift = (angle[None, :] - angle[:, None]) % a_count
+            # nodal[shift] is indexed [a, b, i, j]; the nodes are i*A + a
+            full = nodal[shift].transpose(2, 0, 3, 1).reshape(
+                r_count * a_count, r_count * a_count)
+            object.__setattr__(self, "_matrix", full)
+        return self._matrix
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[1]
+
+    def __repr__(self) -> str:
+        a_count, r_count, _ = self.blocks.shape
+        return (f"AngularBlockProjection(modes={a_count}, radial={r_count}, "
+                f"idempotency_residual={self.idempotency_residual:.3e})")
+
+    def __getstate__(self):
+        return dict(self.__dict__, _matrix=None)
+
+
+def _nodal_max(blocks: np.ndarray) -> float:
+    """Max |entry| of the block-circulant matrix with the given mode blocks."""
+    return float(np.max(np.abs(np.fft.fft(blocks, axis=0)))) / blocks.shape[0]
+
+
+def rotation_character(values: np.ndarray, angular_nodes: int, tol: float = 1e-12):
+    """(c, N) when values[i*A + a] = c[i] exp(2 pi i N a / A) within tol.
+
+    values are samples on a radial-major polar layout with A = angular_nodes
+    angles.  A diagonal matrix with such a diagonal shifts the angular mode
+    by N (mod A), so it maps mode blocks to mode blocks.  Returns None when
+    the samples are not a rotation character.
+    """
+    v = np.asarray(values).reshape(-1, angular_nodes)
+    c = v[:, 0]
+    winding = 0
+    if angular_nodes > 1:
+        step = np.angle(v[0, 1] * np.conj(v[0, 0]))
+        winding = int(round(step * angular_nodes / (2.0 * np.pi))) % angular_nodes
+    phase = np.exp(2j * np.pi * winding * np.arange(angular_nodes) / angular_nodes)
+    if np.max(np.abs(v - c[:, None] * phase[None, :])) > tol:
+        return None
+    return c, winding
+
+
+def conjugate_blocks(blocks: np.ndarray, c: np.ndarray, winding: int) -> np.ndarray:
+    """Mode blocks of D M D* for D = diag(c[i] exp(2 pi i N a / A)).
+
+    D shifts mode k - N to mode k, so block k is C B_{k-N} C* with
+    C = diag(c).
+    """
+    shifted = np.roll(blocks, winding, axis=0)
+    return (c[:, None] * shifted) * c.conj()[None, :]
+
+
 @dataclass(frozen=True)
 class UnitaryMatrix:
+    """Square complex matrix validated to be unitary.
+
+    The residual is the max-entry deviation of UU* from the identity.  A
+    diagonal U gives it as max_i ||d_i|^2 - 1| without a matrix product.
+    """
+
     matrix: np.ndarray
     unitarity_tol: float = 1e-10
 
@@ -63,7 +170,11 @@ class UnitaryMatrix:
         u = np.asarray(self.matrix)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"unitary matrix must be square, got {u.shape}")
-        resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+        d = _diagonal(u)
+        if d is not None:
+            resid = np.max(np.abs(np.abs(d) ** 2 - 1.0))
+        else:
+            resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
         if resid > self.unitarity_tol:
             raise ValueError(f"matrix is not unitary: max |UU* - 1| = {resid:.3e}")
         object.__setattr__(self, "matrix", u)
@@ -71,6 +182,12 @@ class UnitaryMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _diagonal(u: np.ndarray):
+    """The diagonal of u when every off-diagonal entry is zero, else None."""
+    d = np.diagonal(u)
+    return d if np.count_nonzero(u) == np.count_nonzero(d) else None
 
 
 @dataclass(frozen=True)
@@ -93,10 +210,34 @@ class IndexReport:
         return int(round(self.value))
 
 
-def _check_same_dim(*mats: np.ndarray):
-    dims = {m.shape[0] for m in mats}
+def _check_same_dim(*ops):
+    dims = {op.dim for op in ops}
     if len(dims) != 1:
         raise ValueError(f"dimension mismatch: {sorted(dims)}")
+
+
+def _difference(P: HermitianProjection, Q: HermitianProjection) -> np.ndarray:
+    """P − Q as a stack (k, n, n): its mode blocks when P and Q share a
+    block layout, else the dense matrix as a stack of one."""
+    _check_same_dim(P, Q)
+    if (isinstance(P, AngularBlockProjection) and isinstance(Q, AngularBlockProjection)
+            and P.blocks.shape == Q.blocks.shape):
+        return P.blocks - Q.blocks
+    return (P.matrix - Q.matrix)[None]
+
+
+def _power_traces(A: np.ndarray, step: np.ndarray, count: int) -> list:
+    """[Tr A S^j for j = 0..count-1] for S = step, each summed over the stack.
+
+    A and step are stacks (k, n, n) of matrices; the last power is never
+    formed, its trace is read off the product of the previous one with A.
+    """
+    out = [complex(np.trace(A, axis1=-2, axis2=-1).sum())]
+    X = None
+    for _ in range(count - 1):
+        X = step if X is None else X @ step
+        out.append(complex(np.einsum("kij,kji->", X, A)))
+    return out
 
 
 def index_by_spectral_count(P: HermitianProjection, Q: HermitianProjection,
@@ -108,10 +249,10 @@ def index_by_spectral_count(P: HermitianProjection, Q: HermitianProjection,
     eigenvalues by proximity; the default 0.5 assigns every eigenvalue to the
     nearest of {−1, 0, +1}, which is the right notion for truncated pairs,
     while a strict tolerance like 1e−6 is appropriate for exact
-    finite-dimensional tests.
+    finite-dimensional tests.  A pair of mode-block projections is
+    diagonalized block by block.
     """
-    _check_same_dim(P.matrix, Q.matrix)
-    evals = np.linalg.eigvalsh(P.matrix - Q.matrix)
+    evals = np.linalg.eigvalsh(_difference(P, Q)).ravel()
     near_plus = np.abs(evals - 1.0) <= eig_tol
     near_minus = np.abs(evals + 1.0) <= eig_tol
     both = near_plus & near_minus
@@ -123,15 +264,10 @@ def index_by_spectral_count(P: HermitianProjection, Q: HermitianProjection,
     return IndexReport(value=value, method="spectral-count", trace_power=0, residual=0.0)
 
 
-def _trace_of_power(M: np.ndarray, M2: np.ndarray, n: int) -> complex:
-    """Tr M^(2n+1) given M and M² without forming the odd power explicitly."""
-    if n == 0:
-        return complex(np.trace(M))
-    X = M2
-    for _ in range(n - 1):
-        X = X @ M2
-    # Tr(X @ M) without the final product
-    return complex(np.sum(X * M.T))
+def _odd_traces(P: HermitianProjection, Q: HermitianProjection, n_max: int) -> list:
+    """Tr (P − Q)^(2n+1) for n = 0..n_max."""
+    M = _difference(P, Q)
+    return _power_traces(M, M @ M if n_max >= 1 else None, n_max + 1)
 
 
 def index_by_odd_trace(P: HermitianProjection, Q: HermitianProjection,
@@ -140,13 +276,11 @@ def index_by_odd_trace(P: HermitianProjection, Q: HermitianProjection,
     is trace class of order 2n+1.
 
     In finite dimension the value is exactly rank P − rank Q for every n.
+    A pair of mode-block projections is reduced block by block.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_same_dim(P.matrix, Q.matrix)
-    M = P.matrix - Q.matrix
-    M2 = M @ M if n >= 1 else None
-    t = _trace_of_power(M, M2, n)
+    t = _odd_traces(P, Q, n)[-1]
     value = float(t.real)
     return IndexReport(
         value=value,
@@ -167,29 +301,7 @@ def odd_trace_stability(P: HermitianProjection, Q: HermitianProjection,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    _check_same_dim(P.matrix, Q.matrix)
-    M = P.matrix - Q.matrix
-    M2 = M @ M
-    out = [(0, float(np.trace(M).real))]
-    X = M2
-    out.append((1, float(np.sum(X * M.T).real)))
-    for n in range(2, n_max + 1):
-        X = X @ M2
-        out.append((n, float(np.sum(X * M.T).real)))
-    return out
-
-
-def _conjugate_by(U: np.ndarray, P: np.ndarray, adjoint_on_right: bool) -> np.ndarray:
-    """U P U† (or U† P U), using broadcasting when U is diagonal."""
-    offdiag = U - np.diag(np.diagonal(U))
-    if not np.any(offdiag):
-        d = np.diagonal(U)
-        if adjoint_on_right:
-            return (d[:, None] * P) * d.conj()[None, :]
-        return (d.conj()[:, None] * P) * d[None, :]
-    if adjoint_on_right:
-        return U @ P @ U.conj().T
-    return U.conj().T @ P @ U
+    return [(n, t.real) for n, t in enumerate(_odd_traces(P, Q, n_max))]
 
 
 def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> IndexReport:
@@ -201,19 +313,35 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     to non-idempotency of a truncated P: the compression picks up an O(1)
     boundary contribution that does not vanish with the truncation radius, so
     its value on truncated pairs is reported raw, never rounded silently.
+
+    A mode-block P with a diagonal U whose diagonal is a rotation character
+    on P's layout is reduced block by block: U shifts the mode, so U P U* has
+    the blocks C B_{k-N} C*.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_same_dim(P.matrix, U.matrix)
-    p = P.matrix
-    upu = _conjugate_by(U.matrix, p, adjoint_on_right=True)
+    _check_same_dim(P, U)
+    d = _diagonal(U.matrix)
+    char = None
+    if d is not None and isinstance(P, AngularBlockProjection):
+        char = rotation_character(d, P.blocks.shape[0])
+    if char is not None:
+        c, winding = char
+        p = P.blocks
+        upu = conjugate_blocks(p, c, winding)
+        u_pu = conjugate_blocks(p, c.conj(), -winding)
+    elif d is not None:
+        p = P.matrix[None]
+        upu = (d[:, None] * p) * d.conj()[None, :]
+        u_pu = (d.conj()[:, None] * p) * d[None, :]
+    else:
+        u = U.matrix
+        upu = (u @ P.matrix @ u.conj().T)[None]
+        u_pu = (u.conj().T @ P.matrix @ u)[None]
+        p = P.matrix[None]
     X = p - p @ upu @ p
-    upu = _conjugate_by(U.matrix, p, adjoint_on_right=False)
-    Y = p - p @ upu @ p
-    k = n + 1
-    tx = _power_trace(X, k)
-    ty = _power_trace(Y, k)
-    t = tx - ty
+    Y = p - p @ u_pu @ p
+    t = _power_traces(X, X, n + 1)[-1] - _power_traces(Y, Y, n + 1)[-1]
     value = float(t.real)
     return IndexReport(
         value=value,
@@ -224,20 +352,10 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     )
 
 
-def _power_trace(A: np.ndarray, k: int) -> complex:
-    """Tr A^k for k ≥ 1 without forming the final power."""
-    if k == 1:
-        return complex(np.trace(A))
-    X = A
-    for _ in range(k - 2):
-        X = X @ A
-    return complex(np.sum(X * A.T))
-
-
 def additivity_check(P: HermitianProjection, Q: HermitianProjection,
                      R: HermitianProjection) -> tuple:
     """Index(P,R) against Index(P,Q) + Index(Q,R) by spectral counting."""
-    _check_same_dim(P.matrix, Q.matrix, R.matrix)
+    _check_same_dim(P, Q, R)
     lhs = index_by_spectral_count(P, R).value
     rhs = index_by_spectral_count(P, Q).value + index_by_spectral_count(Q, R).value
     return int(lhs), int(rhs)

@@ -1,13 +1,15 @@
 """Landau-level states, kernels, flux matrices, and truncated pairs."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from fluxlab import gauge, projpair
-from fluxlab.landau import (CovariantKernel, LandauBasis, basis_wavefunction,
-                            flux_matrix, gram_matrix, landau_kernel,
+from fluxlab.landau import (CovariantKernel, DiskGrid, LandauBasis,
+                            basis_wavefunction, flux_matrix, gram_matrix,
+                            landau_kernel,
                             level_disk_grid, polar_disk_grid,
                             real_surrogate_kernel,
                             shift_index, truncated_projection_pair)
@@ -190,11 +192,89 @@ def test_truncated_pair_odd_trace(truncated_pair_m0):
     assert rep.imag_part <= 1e-10
 
 
+def _without_layout(grid):
+    # the same nodes and weights without a recorded layout: the dense engine
+    return DiskGrid(nodes=grid.nodes, weights=grid.weights, radius=grid.radius)
+
+
 def test_truncation_too_coarse_rejected():
     u = gauge.flux_unitary(1)
     tiny = polar_disk_grid(8.0, radial_nodes=4, angular_nodes=6)
-    with pytest.raises(ValueError, match="truncation too coarse"):
-        truncated_projection_pair(0, u, tiny)
+    for grid in (tiny, _without_layout(tiny)):
+        with pytest.raises(ValueError, match="truncation too coarse"):
+            truncated_projection_pair(0, u, grid)
+
+
+@pytest.mark.parametrize("angular", [24, 25])
+@pytest.mark.parametrize("winding", [-1, 0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_block_pair_matches_dense_oracle(m, winding, angular):
+    grid = polar_disk_grid(4.0, radial_nodes=16, angular_nodes=angular)
+    u = gauge.flux_unitary(winding)
+    P, Q = truncated_projection_pair(m, u, grid)
+    Pd, Qd = truncated_projection_pair(m, u, _without_layout(grid))
+    assert isinstance(P, projpair.AngularBlockProjection)
+    assert type(Pd) is projpair.HermitianProjection
+    for blk, dense in ((P, Pd), (Q, Qd)):
+        assert abs(blk.idempotency_residual - dense.idempotency_residual) <= 1e-14
+        assert np.max(np.abs(blk.matrix - dense.matrix)) <= 1e-14
+    for n in range(3):
+        want = projpair.index_by_odd_trace(Qd, Pd, n=n).value
+        assert abs(projpair.index_by_odd_trace(Q, P, n=n).value - want) <= 1e-12
+        # a block and a dense argument reduce densely
+        assert abs(projpair.index_by_odd_trace(Q, Pd, n=n).value - want) <= 1e-12
+    assert (projpair.index_by_spectral_count(Q, P).value
+            == projpair.index_by_spectral_count(Qd, Pd).value)
+    U = projpair.UnitaryMatrix(np.diag(u(grid.nodes)))
+    for n in (1, 2):
+        assert abs(projpair.index_by_fedosov(P, U, n=n).value
+                   - projpair.index_by_fedosov(Pd, U, n=n).value) <= 1e-10
+
+
+# odd traces and Fedosov value of the dense engine on the radius-4, 16 x 25
+# disk, recorded before the block engine existed
+SHIFTED_ODD = -0.9789267509342651
+CENTRED_ODD = -0.9800756161585503
+SHIFTED_FEDOSOV = 0.6595749795483694
+
+
+def test_symmetry_breaking_inputs_take_dense_path():
+    grid = polar_disk_grid(4.0, radial_nodes=16, angular_nodes=25)
+    shifted = gauge.translate_unitary(gauge.flux_unitary(1), (0.5, -0.25))
+    P, Q = truncated_projection_pair(0, shifted, grid)
+    assert type(P) is projpair.HermitianProjection
+    odd = projpair.index_by_odd_trace(Q, P).value
+    assert odd == pytest.approx(SHIFTED_ODD, abs=1e-12)
+    Pd, Qd = truncated_projection_pair(0, gauge.flux_unitary(1), _without_layout(grid))
+    assert type(Pd) is projpair.HermitianProjection
+    odd = projpair.index_by_odd_trace(Qd, Pd).value
+    assert odd == pytest.approx(CENTRED_ODD, abs=1e-12)
+    # a diagonal unitary that is no rotation character on the block layout
+    Pb, _ = truncated_projection_pair(0, gauge.flux_unitary(1), grid)
+    U = projpair.UnitaryMatrix(np.diag(shifted(grid.nodes)))
+    fed = projpair.index_by_fedosov(Pb, U).value
+    assert fed == pytest.approx(SHIFTED_FEDOSOV, abs=1e-10)
+
+
+def test_block_pair_pickle_round_trip():
+    grid = polar_disk_grid(4.0, radial_nodes=16, angular_nodes=25)
+    P, Q = truncated_projection_pair(0, gauge.flux_unitary(1), grid)
+    P.matrix  # the cached nodal matrix is not pickled
+    P2, Q2 = pickle.loads(pickle.dumps((P, Q)))
+    assert isinstance(P2, projpair.AngularBlockProjection)
+    assert P2._matrix is None
+    assert np.array_equal(P2.blocks, P.blocks)
+    assert P2.idempotency_residual == P.idempotency_residual
+    assert projpair.index_by_odd_trace(Q2, P2).value == pytest.approx(
+        projpair.index_by_odd_trace(Q, P).value, abs=1e-14)
+
+
+def test_recorded_layout_must_match_nodes():
+    grid = polar_disk_grid(4.0, radial_nodes=8, angular_nodes=12)
+    bad = DiskGrid(nodes=grid.nodes[::-1], weights=grid.weights, radius=grid.radius,
+                   radial_nodes=8, angular_nodes=12)
+    with pytest.raises(ValueError, match="polar layout"):
+        truncated_projection_pair(0, gauge.flux_unitary(1), bad)
 
 
 def test_fedosov_boundary_defect(truncated_pair_m0, grid_flux_unitary):
@@ -238,13 +318,14 @@ def test_odd_trace_power_gap_on_truncated_pair(truncated_pair_m0):
     assert abs(traces[1] - traces[2]) <= 6e-3
 
 
-def test_odd_trace_power_agreement_pinned_tolerance(truncated_pair_m0):
-    # tighter power-independence asserted for the truncated pair; fails at
-    # R = 8 (4.2e-3) because the boundary cloud still moves the traces: the
-    # spread falls as about 0.26 / R^2 and holds 1e-3 from R = 16 (9.9e-4;
-    # 7.8e-4 at R = 18), a disk the dense engine cannot hold in memory
-    # (README "Known failures")
-    P, Q = truncated_pair_m0
+def test_odd_trace_power_agreement_pinned_tolerance():
+    # tighter power-independence asserted for the truncated pair.  At R = 8
+    # the boundary cloud still moves the traces (4.2e-3, pinned above); the
+    # spread falls as about 0.26 / R^2 and holds 1e-3 on a radius-18 disk
+    # (7.7e-4), with nodes growing with the radius: 40 x 72 nodes at R = 18
+    # leave 1.24e-3 (README "Known failures")
+    grid = polar_disk_grid(18.0, radial_nodes=90, angular_nodes=162)
+    P, Q = truncated_projection_pair(0, gauge.flux_unitary(1), grid)
     traces = dict(projpair.odd_trace_stability(Q, P, n_max=2))
     assert abs(traces[1] - traces[2]) <= 1e-3
 

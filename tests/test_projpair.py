@@ -186,3 +186,15 @@ def test_property_odd_trace_n_independent(seed, dim):
     traces = odd_trace_stability(P, Q, n_max=3)
     vals = [v for _, v in traces]
     assert max(vals) - min(vals) <= 1e-8
+
+
+@pytest.mark.parametrize("offdiag", [0.0, 1e-300])
+def test_unitary_residual_same_on_diagonal_and_dense_paths(offdiag):
+    # a zero off-diagonal takes the diagonal path, a tiny one the dense
+    # product; both report the max-entry residual of UU* - 1
+    u = np.diag(np.exp(1j * np.arange(4)) * np.array([1.0, 1.0 + 1e-6, 1.0, 1.0]))
+    u[0, 3] = offdiag
+    want = np.max(np.abs(u @ u.conj().T - np.eye(4)))
+    with pytest.raises(ValueError, match=f"{want:.3e}"):
+        UnitaryMatrix(u, unitarity_tol=1e-12)
+    assert UnitaryMatrix(u, unitarity_tol=1e-5).dim == 4
