@@ -411,6 +411,10 @@ def _has_polar_layout(grid: DiskGrid) -> bool:
     if grid.radial_nodes is None or grid.angular_nodes is None:
         return False
     shape = (grid.radial_nodes, grid.angular_nodes)
+    count = grid.radial_nodes * grid.angular_nodes
+    if grid.nodes.shape != (count, 2) or grid.weights.shape != (count,):
+        raise ValueError(
+            "grid nodes or weights do not follow the recorded polar layout")
     nodes = grid.nodes.reshape(shape + (2,))
     weights = grid.weights.reshape(shape)
     theta = 2.0 * np.pi * np.arange(grid.angular_nodes) / grid.angular_nodes

@@ -111,6 +111,18 @@ class AngularBlockProjection(HermitianProjection):
     def dim(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
 
+    def rank(self) -> int:
+        return int(round(float(np.trace(self.blocks, axis1=1, axis2=2).sum().real)))
+
+    def __eq__(self, other):
+        if not isinstance(other, AngularBlockProjection):
+            return NotImplemented
+        return (self.idempotency_tol == other.idempotency_tol
+                and self.blocks.shape == other.blocks.shape
+                and bool(np.array_equal(self.blocks, other.blocks)))
+
+    __hash__ = None
+
     def __repr__(self) -> str:
         a_count, r_count, _ = self.blocks.shape
         return (f"AngularBlockProjection(modes={a_count}, radial={r_count}, "
@@ -125,8 +137,11 @@ def _nodal_max(blocks: np.ndarray) -> float:
     return float(np.max(np.abs(np.fft.fft(blocks, axis=0)))) / blocks.shape[0]
 
 
-def rotation_character(values: np.ndarray, angular_nodes: int, tol: float = 1e-12):
-    """(c, N) when values[i*A + a] = c[i] exp(2 pi i N a / A) within tol.
+_CHARACTER_TOL = 1e-12
+
+
+def rotation_character(values: np.ndarray, angular_nodes: int):
+    """(c, N) when values[i*A + a] = c[i] exp(2 pi i N a / A) within 1e-12.
 
     values are samples on a radial-major polar layout with A = angular_nodes
     angles.  A diagonal matrix with such a diagonal shifts the angular mode
@@ -140,7 +155,7 @@ def rotation_character(values: np.ndarray, angular_nodes: int, tol: float = 1e-1
         step = np.angle(v[0, 1] * np.conj(v[0, 0]))
         winding = int(round(step * angular_nodes / (2.0 * np.pi))) % angular_nodes
     phase = np.exp(2j * np.pi * winding * np.arange(angular_nodes) / angular_nodes)
-    if np.max(np.abs(v - c[:, None] * phase[None, :])) > tol:
+    if np.max(np.abs(v - c[:, None] * phase[None, :])) > _CHARACTER_TOL:
         return None
     return c, winding
 
@@ -322,18 +337,13 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
         raise ValueError("n must be nonnegative")
     _check_same_dim(P, U)
     d = _diagonal(U.matrix)
-    char = None
-    if d is not None and isinstance(P, AngularBlockProjection):
-        char = rotation_character(d, P.blocks.shape[0])
-    if char is not None:
-        c, winding = char
-        p = P.blocks
+    if d is not None:
+        char = None
+        if isinstance(P, AngularBlockProjection):
+            char = rotation_character(d, P.blocks.shape[0])
+        p, c, winding = (P.blocks, *char) if char else (P.matrix[None], d, 0)
         upu = conjugate_blocks(p, c, winding)
         u_pu = conjugate_blocks(p, c.conj(), -winding)
-    elif d is not None:
-        p = P.matrix[None]
-        upu = (d[:, None] * p) * d.conj()[None, :]
-        u_pu = (d.conj()[:, None] * p) * d[None, :]
     else:
         u = U.matrix
         upu = (u @ P.matrix @ u.conj().T)[None]

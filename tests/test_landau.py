@@ -215,6 +215,7 @@ def test_block_pair_matches_dense_oracle(m, winding, angular):
     Pd, Qd = truncated_projection_pair(m, u, _without_layout(grid))
     assert isinstance(P, projpair.AngularBlockProjection)
     assert type(Pd) is projpair.HermitianProjection
+    assert P.rank() == Pd.rank()
     for blk, dense in ((P, Pd), (Q, Qd)):
         assert abs(blk.idempotency_residual - dense.idempotency_residual) <= 1e-14
         assert np.max(np.abs(blk.matrix - dense.matrix)) <= 1e-14
@@ -263,7 +264,8 @@ def test_block_pair_pickle_round_trip():
     P2, Q2 = pickle.loads(pickle.dumps((P, Q)))
     assert isinstance(P2, projpair.AngularBlockProjection)
     assert P2._matrix is None
-    assert np.array_equal(P2.blocks, P.blocks)
+    assert P2 == P and P2 != Q  # compares blocks, builds no nodal matrix
+    assert P2._matrix is None
     assert P2.idempotency_residual == P.idempotency_residual
     assert projpair.index_by_odd_trace(Q2, P2).value == pytest.approx(
         projpair.index_by_odd_trace(Q, P).value, abs=1e-14)
@@ -275,6 +277,11 @@ def test_recorded_layout_must_match_nodes():
                    radial_nodes=8, angular_nodes=12)
     with pytest.raises(ValueError, match="polar layout"):
         truncated_projection_pair(0, gauge.flux_unitary(1), bad)
+    # a layout whose node count differs from the grid's
+    short = DiskGrid(nodes=grid.nodes[:-12], weights=grid.weights[:-12],
+                     radius=grid.radius, radial_nodes=8, angular_nodes=12)
+    with pytest.raises(ValueError, match="polar layout"):
+        truncated_projection_pair(0, gauge.flux_unitary(1), short)
 
 
 def test_fedosov_boundary_defect(truncated_pair_m0, grid_flux_unitary):
