@@ -218,15 +218,27 @@ def run_hall_transport(cfg) -> list:
                      1.0 / (2.0 * np.pi), 0.05 / (2.0 * np.pi), timer=t))
     rows.append(_row("hall-transport/kubo-vs-box", {"m": m, "L": ls[-1]},
                      2.0 * np.pi * kubo, boxes[-1][1], 1e-2 * abs(boxes[-1][1])))
+    # shape independence holds in the box limit: the scale-2 tail closes the
+    # gap by exp(-2 / scale) = e^-1 per unit L, within 1% from L ~ 6.3 on
+    shape_ls = [ls[-1], ls[-1] + 1.0, ls[-1] + 2.0]
     with _Timer() as t:
-        qa = hall.hall_transport_box(
+        qa = [q for _, q in hall.hall_transport_box(
             kern, hall.SwitchPair(gauge.tanh_switch(0.5), gauge.tanh_switch(0.5)),
-            [ls[-1]])[0][1]
-        qb = hall.hall_transport_box(
+            shape_ls)]
+        qb = [q for _, q in hall.hall_transport_box(
             kern, hall.SwitchPair(gauge.tanh_switch(2.0), gauge.tanh_switch(2.0)),
-            [ls[-1]])[0][1]
-    rows.append(_row("hall-transport/switch-shape", {"m": m, "L": ls[-1],
-                     "scales": [0.5, 2.0]}, qa, qb, 1e-2 * abs(qb), timer=t))
+            shape_ls)]
+    gaps = [abs(a - b) for a, b in zip(qa, qb)]
+    rate = float(np.exp(-1.0))
+    for L, before, after in zip(shape_ls, gaps, gaps[1:]):
+        rows.append(_row("hall-transport/switch-shape",
+                         {"m": m, "L": [L, L + 1.0], "scales": [0.5, 2.0],
+                          "check": "gap-ratio"},
+                         after / before, rate, 5e-2 * rate, timer=t))
+    for L, a, b in zip(shape_ls[1:], qa[1:], qb[1:]):
+        rows.append(_row("hall-transport/switch-shape",
+                         {"m": m, "L": L, "scales": [0.5, 2.0], "check": "gap"},
+                         a, b, 1e-2 * abs(b), timer=t))
     return rows
 
 

@@ -3,9 +3,10 @@
 The transported charge is the box limit of -2 pi times the trace of the
 adiabatic curvature omega = -i [P L1 P, P L2 P] built from two switch
 profiles.  For a covariant kernel everything reduces to bilinear forms
-against the cyclic triple-product matrix of the kernel, which this module
-shares with the index integrals: transport equals charge deficiency, and the
-code asserts that identity across modules rather than assuming it.
+against the cyclic triple product of the kernel, computed by the core this
+module shares with the index integrals (quadrature.triple_forms and
+triple_wedge): transport equals charge deficiency, and the code asserts that
+identity across modules rather than assuming it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from numpy.polynomial.legendre import leggauss
 
 from fluxlab.gauge import Switch
 from fluxlab.landau import CovariantKernel
-from fluxlab.quadrature import (QuadratureSpec, _square_grid, index_integral_4d,
-                                weighted_triple_kernel)
+from fluxlab.quadrature import (QuadratureSpec, TensorGrid, _square_grid,
+                                index_integral_4d, triple_forms, triple_wedge)
 
 logger = logging.getLogger(__name__)
 
@@ -96,7 +97,7 @@ def switch_integral_2d(pair: SwitchPair, a, b) -> float:
             * switch_integral_1d(pair.lambda2, float(a[1])))
 
 
-def _transport_grid(p: CovariantKernel, spec: Optional[QuadratureSpec]):
+def _transport_grid(p: CovariantKernel, spec: Optional[QuadratureSpec]) -> TensorGrid:
     level = getattr(p, "level", 0)
     R = 7.5 + 1.5 * level
     n = 52 + 8 * level
@@ -113,21 +114,17 @@ def curvature_diagonal(p: CovariantKernel, pair: SwitchPair, x,
     """Diagonal value omega(x, x) of the adiabatic curvature -i [PL1P, PL2P].
 
     Using P^2 = P, each commutator ordering is a double kernel integral
-    p(x,y) L(y) p(y,z) L(z) p(z,x); the quadrature nodes are recentered on x
-    so the gaussian support of the kernel products is always covered.
-    Switches are evaluated at absolute coordinates, exactly as given.
+    p(x,y) L(y) p(y,z) L(z) p(z,x): a triple_forms pair with base point x.
+    The quadrature nodes are recentered on x so the gaussian support of the
+    kernel products is always covered.  Switches are evaluated at absolute
+    coordinates, exactly as given.
     """
-    x = np.asarray(x, dtype=float).reshape(1, 2)
-    nodes, W = _transport_grid(p, spec)
-    Y = nodes + x
-    tx = p.pair_matrix(x, Y)[0]
-    Ta = p.pair_matrix(Y, Y)
-    Ta *= (tx * W)[:, None]
-    Ta *= (np.conj(tx) * W)[None, :]
+    x = np.asarray(x, dtype=float).reshape(2)
+    grid = _transport_grid(p, spec).shifted(x)
+    Y = grid.nodes
     l1 = np.asarray(pair.lambda1.evaluate(Y[:, pair.axes[0]]), dtype=float)
     l2 = np.asarray(pair.lambda2.evaluate(Y[:, pair.axes[1]]), dtype=float)
-    s12 = l1 @ (Ta @ l2)
-    s21 = l2 @ (Ta @ l1)
+    s12, s21 = triple_forms(p, grid, [l1, l2], [l2, l1], x0=x)
     return -1j * (s12 - s21)
 
 
@@ -148,9 +145,10 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
 
     Computes Q(L) = -2 pi * integral over the box [-L, L]^2 of the curvature
     diagonal.  Covariance turns the box integral of the recentered node frame
-    into closed switch integrals A(c) = int_box s(t + c) dt, leaving a single
-    bilinear form per L; the sequence converges to the closed-form transport
-    at the switch tail rate exp(-2L/scale).
+    into closed switch integrals A(c) = int_box s(t + c) dt, leaving two
+    bilinear forms per L, all computed as one triple_forms batch; the
+    sequence converges to the closed-form transport at the switch tail rate
+    exp(-2L/scale).
 
     Independence of the switch shape is a property of the box limit.  At a
     fixed L the widest switch sets the error: for the level-0 kernel the
@@ -160,37 +158,35 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     Ls = [float(L) for L in L_values]
     if any(b <= a for a, b in zip(Ls, Ls[1:])):
         raise ValueError(f"L values must be strictly increasing, got {Ls}")
-    nodes, W = _transport_grid(p, spec)
-    Tw = weighted_triple_kernel(p, nodes, W)
-    out = []
+    grid = _transport_grid(p, spec)
+    nodes = grid.nodes
+    V, W = [], []
     for L in Ls:
         BoxRegion(L)
         a1 = _box_switch_integrals(pair.lambda1, nodes[:, pair.axes[0]], L)
         a2 = _box_switch_integrals(pair.lambda2, nodes[:, pair.axes[1]], L)
-        q = 2.0j * np.pi * (a1 @ (Tw @ a2) - a2 @ (Tw @ a1))
+        V += [a1, a2]
+        W += [a2, a1]
+    forms = triple_forms(p, grid, V, W)
+    out = []
+    for L, (f12, f21) in zip(Ls, forms.reshape(-1, 2)):
+        q = 2.0j * np.pi * (f12 - f21)
         logger.debug("box transport L=%.2f: %.8f (imag %.1e)", L, q.real, q.imag)
         out.append((L, float(q.real)))
     return out
-
-
-def _triple_wedge_sum(Tw: np.ndarray, nodes: np.ndarray) -> complex:
-    wedge = np.einsum("i,j->ij", nodes[:, 0], nodes[:, 1])
-    wedge -= wedge.T
-    return complex(np.einsum("ij,ij->", Tw, wedge))
 
 
 def hall_transport_closed_form(p: CovariantKernel, spec: QuadratureSpec = None,
                                identity_tol: float = 1e-6) -> float:
     """Closed-form transport Q = 2 pi i * triple-product wedge integral.
 
-    The box limit collapses to the 4D integral of p(0,y) p(y,z) p(z,0) (y^z);
-    the same integral with opposite prefactor is the charge deficiency, so
-    before returning, the transport/deficiency identity Q = -Index is checked
-    against the index engine on its own (different) grid.
+    The box limit collapses to the 4D integral of p(0,y) p(y,z) p(z,0) (y^z),
+    triple_wedge on the transport grid; the same integral with opposite
+    prefactor is the charge deficiency, so before returning, the
+    transport/deficiency identity Q = -Index is checked against the index
+    engine on its own (different) grid.
     """
-    nodes, W = _transport_grid(p, spec)
-    Tw = weighted_triple_kernel(p, nodes, W)
-    q = 2.0j * np.pi * _triple_wedge_sum(Tw, nodes)
+    q = 2.0j * np.pi * triple_wedge(p, _transport_grid(p, spec))
     tol = 1e-8
     if spec is not None and spec.target_tol is not None:
         tol = spec.target_tol
@@ -213,12 +209,11 @@ def kubo_box(p: CovariantKernel, L: float, spec: QuadratureSpec = None) -> float
 
     The antisymmetrized P x1 Pperp x2 P average reduces, for a covariant
     kernel over the symmetric box, to i times the triple-product wedge
-    integral: the x-dependent part of the integrand is odd and the box
-    average kills it exactly, so L affects the result only through that
-    exact cancellation.
+    integral (triple_wedge on the transport grid, the closed form's core):
+    the x-dependent part of the integrand is odd and the box average kills
+    it exactly, so L affects the result only through that exact
+    cancellation.
     """
     BoxRegion(L)
-    nodes, W = _transport_grid(p, spec)
-    Tw = weighted_triple_kernel(p, nodes, W)
-    val = 1j * _triple_wedge_sum(Tw, nodes)
+    val = 1j * triple_wedge(p, _transport_grid(p, spec))
     return float(val.real)

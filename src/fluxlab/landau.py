@@ -128,15 +128,34 @@ class LandauBasis:
 class CovariantKernel:
     """Projection kernel p(x, y), translation invariant up to a gauge phase.
 
-    evaluate broadcasts over trailing-dimension-2 point arrays.  The envelope
-    metadata records the gaussian decay p ~ exp(-gaussian_rate |x-y|^2);
-    integration engines use it to size their grids and proposals.
+    evaluate broadcasts over trailing-dimension-2 point arrays.  A kernel may
+    record its closed form instead of an evaluate callable:
+
+        p(x, y) = exp(-i x^y) sum_k radial[k] t^k exp(-t/2),  t = |y - x|^2,
+
+    with the magnetic phase exp(-i x^y) only when ``magnetic`` is set.  Such
+    a kernel builds evaluate from the record, and axis_factors splits the
+    same record along the two axes of a tensor grid, so the dense and the
+    separable engines read one formula.  A kernel given as a bare evaluate
+    callable has no record (radial is None) and is only ever evaluated.
     """
 
     level: int
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gaussian_rate: float = 0.5
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray] = None
     diagonal_value: float = 1.0 / math.pi
+    radial: tuple = None
+    magnetic: bool = False
+
+    def __post_init__(self):
+        if self.radial is None:
+            if self.evaluate is None:
+                raise ValueError("a kernel needs an evaluate callable or a closed form")
+            return
+        if self.evaluate is not None:
+            raise ValueError("a kernel with a recorded closed form builds its own evaluate")
+        radial = tuple(float(c) for c in self.radial)
+        object.__setattr__(self, "radial", radial)
+        object.__setattr__(self, "evaluate", _closed_form_evaluate(radial, self.magnetic))
 
     def __call__(self, x, y) -> np.ndarray:
         return self.evaluate(x, y)
@@ -145,31 +164,77 @@ class CovariantKernel:
         """All-pairs kernel matrix for node sets X (N,2) and Y (K,2)."""
         return self.evaluate(X[:, None, :], Y[None, :, :])
 
+    def axis_factors(self, u: np.ndarray, v: np.ndarray):
+        """The recorded closed form split along the axes of the grid (u, v).
 
-def landau_kernel(m: int, n_max: int = 40) -> CovariantKernel:
-    """Closed-form level-m projection kernel.
+        For x = (u_a, v_b) and y = (u_c, v_d),
 
-    The closed form comes from the cached coefficient tables; n_max is the
-    angular cutoff at which the basis-sum oracle reproduces it (the omitted
-    tail is below 1e-12 inside the working radius for n_max = 40).
-    """
-    if m < 0:
-        raise ValueError(f"level must be nonnegative, got {m}")
-    radial = np.array(_kernel_radial_coeffs(m))
+            p(x, y) = ph_uv[a, d] ph_vu[b, c] sum_i F_i[a, c] G_i[b, d]
+
+        with the phases ph_uv = exp(-i u_a v_d) and ph_vu = exp(i v_b u_c)
+        (ones without the magnetic phase), F_i = s^(2i) exp(-s^2/2) for
+        s = u_a - u_c, and G_i = sum_{k >= i} radial[k] C(k, i) s^(2(k-i))
+        exp(-s^2/2) for s = v_b - v_d: the binomial expansion of
+        t^k = (s_u^2 + s_v^2)^k with the coefficients folded into G.
+        Returns (ph_uv, ph_vu, [(F_0, G_0), ..., (F_m, G_m)]).
+        """
+        if self.radial is None:
+            raise ValueError("kernel records no closed form")
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        su = (u[:, None] - u[None, :]) ** 2
+        sv = (v[:, None] - v[None, :]) ** 2
+        eu = np.exp(-su / 2.0)
+        ev = np.exp(-sv / 2.0)
+        top = len(self.radial)
+        terms = []
+        for i in range(top):
+            F = eu * su ** i
+            G = sum(self.radial[k] * math.comb(k, i) * sv ** (k - i)
+                    for k in range(i, top)) * ev
+            terms.append((F, G))
+        if self.magnetic:
+            ph_uv = np.exp(-1j * np.outer(u, v))
+            ph_vu = np.exp(1j * np.outer(v, u))
+        else:
+            ph_uv = np.ones((len(u), len(v)))
+            ph_vu = np.ones((len(v), len(u)))
+        return ph_uv, ph_vu, terms
+
+
+def _closed_form_evaluate(radial: tuple, magnetic: bool):
+    """evaluate for the closed form recorded on CovariantKernel."""
+    coeffs = np.array(radial)
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        wedge = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
         d1 = y[..., 0] - x[..., 0]
         d2 = y[..., 1] - x[..., 1]
         t = d1 * d1 + d2 * d2
         poly = np.zeros_like(t)
-        for c in radial[::-1]:
+        for c in coeffs[::-1]:
             poly = poly * t + c
+        if not magnetic:
+            return poly * np.exp(-t / 2.0)
+        wedge = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
         return np.exp(-1j * wedge) * poly * np.exp(-t / 2.0)
 
-    return CovariantKernel(level=m, evaluate=evaluate, gaussian_rate=0.5,
+    return evaluate
+
+
+def landau_kernel(m: int, n_max: int = 40) -> CovariantKernel:
+    """Closed-form level-m projection kernel.
+
+    The kernel records the radial coefficients of the cached coefficient
+    tables with the magnetic phase; n_max is the angular cutoff at which the
+    basis-sum oracle reproduces it (the omitted tail is below 1e-12 inside
+    the working radius for n_max = 40).
+    """
+    if m < 0:
+        raise ValueError(f"level must be nonnegative, got {m}")
+    radial = _kernel_radial_coeffs(m)
+    return CovariantKernel(level=m, radial=radial, magnetic=True,
                            diagonal_value=float(radial[0]))
 
 
@@ -178,18 +243,10 @@ def real_surrogate_kernel() -> CovariantKernel:
 
     Time-reversal invariant (real symmetric), so every index quantity built
     from it must vanish.  It is not a reproducing projection kernel; it
-    exists purely as the symmetry control.
+    exists purely as the symmetry control.  It records the closed form
+    radial = (1/pi,) without the magnetic phase.
     """
-
-    def evaluate(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d1 = y[..., 0] - x[..., 0]
-        d2 = y[..., 1] - x[..., 1]
-        t = d1 * d1 + d2 * d2
-        return (1.0 / math.pi) * np.exp(-t / 2.0)
-
-    return CovariantKernel(level=0, evaluate=evaluate, gaussian_rate=0.5)
+    return CovariantKernel(level=0, radial=(1.0 / math.pi,))
 
 
 def _radial_angular_grid(t_max: float, radial_nodes: int, angular_nodes: int):

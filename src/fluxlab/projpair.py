@@ -54,10 +54,13 @@ class HermitianProjection:
 
 
 def _checked_residual(herm: float, resid: float, tol: float) -> float:
-    """The idempotency residual, once both max-entry residuals are within tol."""
-    if herm > tol:
+    """The idempotency residual, once both max-entry residuals are within tol.
+
+    A residual that is not <= tol fails, so a NaN residual fails too.
+    """
+    if not herm <= tol:
         raise ValueError(f"matrix is not Hermitian: max |M - M*| = {herm:.3e}")
-    if resid > tol:
+    if not resid <= tol:
         raise ValueError(
             f"matrix is not idempotent within {tol:.1e}: max |M^2 - M| = {resid:.3e}"
         )
@@ -190,7 +193,7 @@ class UnitaryMatrix:
             resid = np.max(np.abs(np.abs(d) ** 2 - 1.0))
         else:
             resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-        if resid > self.unitarity_tol:
+        if not resid <= self.unitarity_tol:
             raise ValueError(f"matrix is not unitary: max |UU* - 1| = {resid:.3e}")
         object.__setattr__(self, "matrix", u)
 

@@ -5,6 +5,12 @@ formula), the reduced 4D covariant index integral, a 6D Monte Carlo
 cross-check of the unreduced triple integral, and plain diagonal traces.
 All deterministic engines use fixed node sets; the Monte Carlo engine uses
 chunked, index-ordered reduction so a given seed reproduces bitwise.
+
+The index and transport integrals share one core, triple_forms: bilinear
+forms against the weighted cyclic triple product of the kernel on a tensor
+Gauss-Legendre grid.  A kernel that records its closed form is contracted
+axis by axis; any other kernel gets the dense weighted_triple_kernel, which
+is also the oracle the tests compare the separable engine against.
 """
 
 from __future__ import annotations
@@ -212,30 +218,102 @@ def connes_area(u: GaugeUnitary, tri: Triangle, spec: QuadratureSpec = None) -> 
     return complex(total)
 
 
-def _square_grid(half_side: float, nodes_per_axis: int):
+@dataclass(frozen=True)
+class TensorGrid:
+    """Tensor product of two Gauss-Legendre axes.
+
+    Node a * len(v) + b sits at (u[a], v[b]) and carries the weight
+    wu[a] * wv[b].
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    wu: np.ndarray
+    wv: np.ndarray
+
+    @property
+    def nodes(self) -> np.ndarray:
+        X1, X2 = np.meshgrid(self.u, self.v, indexing="ij")
+        return np.column_stack([X1.ravel(), X2.ravel()])
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.outer(self.wu, self.wv).ravel()
+
+    def shifted(self, x) -> "TensorGrid":
+        """The same grid with every node moved by the planar point x."""
+        return TensorGrid(self.u + x[0], self.v + x[1], self.wu, self.wv)
+
+
+def _square_grid(half_side: float, nodes_per_axis: int) -> TensorGrid:
     """Tensorized Gauss-Legendre nodes on [-L, L]^2 with product weights."""
     x, w = leggauss(nodes_per_axis)
     x = x * half_side
     w = w * half_side
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    nodes = np.column_stack([X1.ravel(), X2.ravel()])
-    return nodes, np.outer(w, w).ravel()
+    return TensorGrid(x, x, w, w)
 
 
 def weighted_triple_kernel(p: CovariantKernel, nodes: np.ndarray,
-                           weights: np.ndarray) -> np.ndarray:
-    """Matrix T_jk = w_j w_k p(0, x_j) p(x_j, x_k) p(x_k, 0).
+                           weights: np.ndarray, x0=(0.0, 0.0)) -> np.ndarray:
+    """Matrix T_jk = w_j w_k p(x0, x_j) p(x_j, x_k) conj p(x0, x_k).
 
-    Bilinear forms against this matrix evaluate 4D integrals of the cyclic
-    kernel triple product; it is the common core of the index and transport
-    integrals.  Assembled in place to hold one N x N complex buffer.
+    The dense form of the core of triple_forms: the engine for kernels
+    without a recorded closed form, and the oracle the separable engine is
+    tested against.  Assembled in place to hold one N x N complex buffer.
     """
-    origin = np.zeros((1, 2))
-    t0 = p.pair_matrix(origin, nodes)[0]
+    base = np.asarray(x0, dtype=float).reshape(1, 2)
+    t0 = p.pair_matrix(base, nodes)[0]
     T = p.pair_matrix(nodes, nodes)
     T *= (t0 * weights)[:, None]
     T *= (np.conj(t0) * weights)[None, :]
     return T
+
+
+def triple_forms(p: CovariantKernel, grid: TensorGrid, V, W,
+                 x0=(0.0, 0.0)) -> np.ndarray:
+    """The bilinear forms V_k T W_k against T = weighted_triple_kernel.
+
+    V and W are (K, N) stacks of vectors on the grid nodes; T carries the
+    cyclic triple product p(x0, x_j) p(x_j, x_l) p(x_l, x0) with the
+    weights, the integrand that the index and transport integrals share.
+    When p records its closed form the kernel is contracted axis by axis
+    (CovariantKernel.axis_factors): for each term, Z[a, b, c] =
+    ph_vu[b, c] F[a, c] and N = Z @ W_k cost n^4 flops and n^3 memory
+    instead of the n^4 kernel entries of T.  Otherwise T is built once.
+    Each form is computed on its own, so its value does not depend on the
+    other rows of the batch.
+    """
+    V = np.atleast_2d(V)
+    W = np.atleast_2d(W)
+    nodes, weights = grid.nodes, grid.weights
+    if p.radial is None:
+        T = weighted_triple_kernel(p, nodes, weights, x0)
+        return np.array([v @ (T @ w) for v, w in zip(V, W)])
+    base = np.asarray(x0, dtype=float).reshape(1, 2)
+    t0 = p.pair_matrix(base, nodes)[0] * weights
+    nu, nv = len(grid.u), len(grid.v)
+    ph_uv, ph_vu, terms = p.axis_factors(grid.u, grid.v)
+    Z = [(ph_vu[None, :, :] * F[:, None, :]).reshape(nu * nv, nu) for F, _ in terms]
+    out = np.zeros(len(V), dtype=complex)
+    for k in range(len(V)):
+        left = (V[k] * t0).reshape(nu, nv)
+        right = (W[k] * np.conj(t0)).reshape(nu, nv)
+        for Zi, (_, G) in zip(Z, terms):
+            N = (Zi @ right).reshape(nu, nv, nv)
+            out[k] += np.einsum("ab,bd,abd,ad->", left, G, N, ph_uv)
+    return out
+
+
+def triple_wedge(p: CovariantKernel, grid: TensorGrid) -> complex:
+    """Sum over node pairs of T_jl (x_j ^ x_l) with base point 0.
+
+    The wedge integral of the cyclic triple product: minus the level index
+    up to the factor 2 pi i, and the closed-form transport.  It is the form
+    difference x1 T x2 - x2 T x1.
+    """
+    x1, x2 = grid.nodes.T
+    f = triple_forms(p, grid, [x1, x2], [x2, x1])
+    return complex(f[0] - f[1])
 
 
 def index_integral_4d(p: CovariantKernel, winding: int,
@@ -243,9 +321,11 @@ def index_integral_4d(p: CovariantKernel, winding: int,
     """-2 pi i * winding * integral of p(0,x) p(x,y) p(y,0) x^y over the plane.
 
     The covariance of the kernel reduces the index integral to this 4D form;
-    winding enters only as the prefactor.  The exact value is real for a
-    Hermitian kernel, so the imaginary part of the result is a pure residual
-    and is checked against target_tol.
+    winding enters only as the prefactor.  The integral is triple_wedge on
+    a square Gauss-Legendre grid, by default of half side 7 + 1.5 m with
+    46 + 8 m nodes per axis.  The exact value is real for a Hermitian
+    kernel, so the imaginary part of the result is a pure residual and is
+    checked against target_tol.
     """
     if int(winding) != winding:
         raise ValueError(f"winding must be an integer, got {winding}")
@@ -258,11 +338,7 @@ def index_integral_4d(p: CovariantKernel, winding: int,
     tol = spec.target_tol if spec.target_tol is not None else 1e-8
     if winding == 0:
         return 0.0 + 0.0j
-    nodes, W = _square_grid(R, n)
-    T = weighted_triple_kernel(p, nodes, W)
-    wedge = np.einsum("i,j->ij", nodes[:, 0], nodes[:, 1])
-    wedge -= wedge.T
-    J = np.einsum("ij,ij->", T, wedge)
+    J = triple_wedge(p, _square_grid(R, n))
     value = -2.0j * np.pi * winding * J
     resid = abs(value.imag)
     if resid > tol:

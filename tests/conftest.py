@@ -61,6 +61,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 green=True)
 
 
+@pytest.fixture(params=["m0", "m1", "m2", "surrogate"])
+def closed_form_kernel(request):
+    """A kernel that records its closed form, contracted axis by axis by the
+    separable triple-form engine: Landau levels 0-2 and the real surrogate."""
+    if request.param == "surrogate":
+        return landau.real_surrogate_kernel()
+    return landau.landau_kernel(int(request.param[1:]))
+
+
 @pytest.fixture(scope="session")
 def disk_grid():
     return landau.polar_disk_grid(8.0)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from fluxlab.gauge import Switch, tanh_switch
-from fluxlab.hall import (SwitchPair, curvature_diagonal,
+from fluxlab.hall import (SwitchPair, _box_switch_integrals, curvature_diagonal,
                           hall_transport_box, hall_transport_closed_form,
                           kubo_box, switch_integral_1d, switch_integral_2d)
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
+from fluxlab.quadrature import QuadratureSpec, _square_grid, weighted_triple_kernel
+
+# a small transport grid with an odd node count keeps the dense oracle cheap
+ORACLE_SPEC = QuadratureSpec(outer_radius=7.0, radial_nodes=31)
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +188,33 @@ def test_switch_shape_independence_documented_level(kernel_m0):
         qb = hall_transport_box(
             kernel_m0, SwitchPair(tanh_switch(2.0), tanh_switch(2.0)), [L])[0][1]
         assert abs(qa - qb) <= bound * abs(qb)
+
+
+def _oracle_matrix(p, x0=(0.0, 0.0)):
+    grid = _square_grid(ORACLE_SPEC.outer_radius, ORACLE_SPEC.radial_nodes).shifted(x0)
+    return grid.nodes, weighted_triple_kernel(p, grid.nodes, grid.weights, x0)
+
+
+@pytest.mark.parametrize("x", [(0.0, 0.0), (0.4, -0.1)], ids=["origin", "shifted"])
+def test_curvature_diagonal_matches_dense_oracle(closed_form_kernel, x, unit_pair):
+    p = closed_form_kernel
+    nodes, T = _oracle_matrix(p, x)
+    l1 = unit_pair.lambda1.evaluate(nodes[:, 0])
+    l2 = unit_pair.lambda2.evaluate(nodes[:, 1])
+    want = -1j * (l1 @ T @ l2 - l2 @ T @ l1)
+    assert abs(curvature_diagonal(p, unit_pair, x, ORACLE_SPEC) - want) <= 1e-13
+
+
+def test_box_and_kubo_match_dense_oracle(closed_form_kernel, unit_pair):
+    # the box forms run as one batch; kubo runs the wedge form
+    p = closed_form_kernel
+    nodes, T = _oracle_matrix(p)
+    boxes = hall_transport_box(p, unit_pair, (2.0, 4.5), ORACLE_SPEC)
+    for L, q in boxes:
+        a1 = _box_switch_integrals(unit_pair.lambda1, nodes[:, 0], L)
+        a2 = _box_switch_integrals(unit_pair.lambda2, nodes[:, 1], L)
+        want = 2j * np.pi * (a1 @ T @ a2 - a2 @ T @ a1)
+        assert abs(q - want.real) <= 1e-13
+    x1, x2 = nodes.T
+    want = 1j * (x1 @ T @ x2 - x2 @ T @ x1)
+    assert abs(kubo_box(p, 6.0, ORACLE_SPEC) - want.real) <= 1e-13

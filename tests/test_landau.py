@@ -301,14 +301,17 @@ def test_fedosov_agrees_with_odd_trace_on_truncated_pair(
     # docstring); on the non-idempotent truncation the compression carries
     # the boundary term pinned in test_fedosov_boundary_defect.  So cut the
     # exact projection 1[P >= 1/2] from the truncated pair on the same disk
-    # and conjugate it by the same grid unitary (README "Known failures")
+    # and conjugate it by the same grid unitary (README "Known failures").
+    # P commutes with the grid rotations, so the cut is taken block by
+    # block: each mode block is eigh-cut to V V*
     P, _ = truncated_pair_m0
-    evals, vecs = np.linalg.eigh(P.matrix)
-    kept = vecs[:, evals >= 0.5]
-    exact = projpair.HermitianProjection(kept @ kept.conj().T)
-    d = np.diagonal(grid_flux_unitary.matrix)
-    conj = (d[:, None] * exact.matrix) * d.conj()[None, :]
-    conj = projpair.HermitianProjection(0.5 * (conj + conj.conj().T))
+    evals, vecs = np.linalg.eigh(P.blocks)
+    kept = vecs * (evals >= 0.5)[:, None, :]
+    exact = projpair.AngularBlockProjection(kept @ kept.conj().swapaxes(1, 2))
+    char = projpair.rotation_character(np.diagonal(grid_flux_unitary.matrix),
+                                       P.blocks.shape[0])
+    conj = projpair.conjugate_blocks(exact.blocks, *char)
+    conj = projpair.AngularBlockProjection(0.5 * (conj + conj.conj().swapaxes(1, 2)))
     assert exact.rank() == 64
     fed = projpair.index_by_fedosov(exact, grid_flux_unitary, n=1)
     odd = projpair.index_by_odd_trace(exact, conj, n=1)

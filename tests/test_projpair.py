@@ -145,6 +145,20 @@ def test_unitary_validation():
     assert U.dim == 4
 
 
+NAN_PAIR = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HermitianProjection(NAN_PAIR), "not Hermitian"),
+    (lambda: projpair.AngularBlockProjection(NAN_PAIR[None]), "not Hermitian"),
+    (lambda: UnitaryMatrix(np.diag([np.nan, 1.0])), "not unitary"),
+], ids=["hermitian", "angular-block", "unitary"])
+def test_nan_entries_fail_validation(build, message):
+    # a NaN residual is not within any tolerance
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_random_projection_rank_bounds():
     rng = np.random.default_rng(8)
     with pytest.raises(ValueError, match="outside"):

@@ -5,9 +5,10 @@ import pytest
 
 from fluxlab import gauge
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
-from fluxlab.quadrature import (QuadratureSpec, Triangle, connes_area,
-                                index_integral_4d, index_integral_6d_mc,
-                                trace_from_diagonal)
+from fluxlab.quadrature import (QuadratureSpec, Triangle, _square_grid,
+                                connes_area, index_integral_4d,
+                                index_integral_6d_mc, trace_from_diagonal,
+                                triple_forms, weighted_triple_kernel)
 
 TRI = Triangle((0.5, 0.3), (-1.2, 0.8), (0.4, -1.5))
 
@@ -207,3 +208,59 @@ def test_trace_from_diagonal_rank_one():
     kern = CovariantKernel(level=0, evaluate=rank_one)
     assert trace_from_diagonal(kern, radius=10.0).real == pytest.approx(
         1.0, rel=1e-8)
+
+
+def _dense_forms(p, grid, V, W, x0=(0.0, 0.0)):
+    T = weighted_triple_kernel(p, grid.nodes, grid.weights, x0)
+    return np.array([v @ (T @ w) for v, w in zip(V, W)])
+
+
+def _random_vectors(rng, count, size):
+    return (rng.standard_normal((count, size))
+            + 1j * rng.standard_normal((count, size)))
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.4, -0.1)], ids=["origin", "shifted"])
+def test_triple_forms_match_dense_oracle(closed_form_kernel, x0):
+    # odd node count; the grid is centred on the base point as in
+    # curvature_diagonal
+    p = closed_form_kernel
+    grid = _square_grid(6.0, 21).shifted(x0)
+    rng = np.random.default_rng(4)
+    V, W = _random_vectors(rng, 3, 441), _random_vectors(rng, 3, 441)
+    got = triple_forms(p, grid, V, W, x0=x0)
+    want = _dense_forms(p, grid, V, W, x0)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_triple_forms_batch_matches_one_at_a_time():
+    p = landau_kernel(1)
+    grid = _square_grid(6.0, 20)
+    rng = np.random.default_rng(5)
+    V, W = _random_vectors(rng, 4, 400), _random_vectors(rng, 4, 400)
+    batch = triple_forms(p, grid, V, W)
+    for k in range(4):
+        assert abs(batch[k] - triple_forms(p, grid, V[k], W[k])[0]) <= 1e-13
+
+
+def test_index_integral_4d_matches_dense_oracle(closed_form_kernel):
+    p = closed_form_kernel
+    spec = QuadratureSpec(outer_radius=6.5, radial_nodes=31)
+    grid = _square_grid(6.5, 31)
+    x1, x2 = grid.nodes.T
+    T = weighted_triple_kernel(p, grid.nodes, grid.weights)
+    want = -2j * np.pi * (x1 @ T @ x2 - x2 @ T @ x1)
+    assert abs(index_integral_4d(p, winding=1, spec=spec) - want) <= 1e-13
+
+
+def test_bare_callable_kernel_takes_dense_path():
+    # the same values given as a bare callable carry no closed form: the
+    # forms are the dense oracle's, bit for bit
+    bare = CovariantKernel(level=0, evaluate=landau_kernel(0).evaluate)
+    assert bare.radial is None
+    with pytest.raises(ValueError, match="no closed form"):
+        bare.axis_factors(np.zeros(2), np.zeros(2))
+    grid = _square_grid(5.0, 15)
+    rng = np.random.default_rng(6)
+    V, W = _random_vectors(rng, 2, 225), _random_vectors(rng, 2, 225)
+    assert np.array_equal(triple_forms(bare, grid, V, W), _dense_forms(bare, grid, V, W))
