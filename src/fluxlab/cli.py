@@ -230,11 +230,13 @@ def run_hall_transport(cfg) -> list:
             shape_ls)]
     gaps = [abs(a - b) for a, b in zip(qa, qb)]
     rate = float(np.exp(-1.0))
+    # the ratio check as gap(L + 1) against e^-1 gap(L) within 5%, which
+    # stays defined when a gap vanishes
     for L, before, after in zip(shape_ls, gaps, gaps[1:]):
         rows.append(_row("hall-transport/switch-shape",
                          {"m": m, "L": [L, L + 1.0], "scales": [0.5, 2.0],
                           "check": "gap-ratio"},
-                         after / before, rate, 5e-2 * rate, timer=t))
+                         after, rate * before, 5e-2 * rate * before, timer=t))
     for L, a, b in zip(shape_ls[1:], qa[1:], qb[1:]):
         rows.append(_row("hall-transport/switch-shape",
                          {"m": m, "L": L, "scales": [0.5, 2.0], "check": "gap"},

@@ -209,6 +209,8 @@ def _closed_form_evaluate(radial: tuple, magnetic: bool):
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if magnetic:
+            wedge = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
         d1 = y[..., 0] - x[..., 0]
         d2 = y[..., 1] - x[..., 1]
         t = d1 * d1 + d2 * d2
@@ -217,7 +219,6 @@ def _closed_form_evaluate(radial: tuple, magnetic: bool):
             poly = poly * t + c
         if not magnetic:
             return poly * np.exp(-t / 2.0)
-        wedge = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
         return np.exp(-1j * wedge) * poly * np.exp(-t / 2.0)
 
     return evaluate
