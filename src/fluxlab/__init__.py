@@ -29,7 +29,6 @@ from fluxlab.gauge import (
     tanh_switch,
 )
 from fluxlab.landau import (
-    LandauBasis,
     CovariantKernel,
     basis_wavefunction,
     landau_kernel,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fluxlab import gauge, hall, landau, lattice, projpair, quadrature
+from fluxlab import gauge, grids, hall, landau, lattice, projpair, quadrature
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ["experiment", "parameters", "value", "residual", "oracle",
@@ -181,7 +181,7 @@ def run_landau_index(cfg) -> list:
     rows.append(_row("landau-index/integral-4d", {"m": m, "winding": 1},
                      val4.real, -1.0, 2e-2, timer=t))
     with _Timer() as t:
-        grid = landau.level_disk_grid(m, cfg["pair_radius"])
+        grid = grids.level_disk_grid(m, cfg["pair_radius"])
         P, Q = landau.truncated_projection_pair(m, gauge.flux_unitary(1), grid)
         # charge-deficiency orientation: the flux-conjugated projection leads
         rep = projpair.index_by_odd_trace(Q, P, n=1)
@@ -222,12 +222,9 @@ def run_hall_transport(cfg) -> list:
     # gap by exp(-2 / scale) = e^-1 per unit L, within 1% from L ~ 6.3 on
     shape_ls = [ls[-1], ls[-1] + 1.0, ls[-1] + 2.0]
     with _Timer() as t:
-        qa = [q for _, q in hall.hall_transport_box(
-            kern, hall.SwitchPair(gauge.tanh_switch(0.5), gauge.tanh_switch(0.5)),
-            shape_ls)]
-        qb = [q for _, q in hall.hall_transport_box(
-            kern, hall.SwitchPair(gauge.tanh_switch(2.0), gauge.tanh_switch(2.0)),
-            shape_ls)]
+        qa, qb = ([q for _, q in hall.hall_transport_box(
+            kern, hall.SwitchPair(gauge.tanh_switch(s), gauge.tanh_switch(s)), shape_ls)]
+            for s in (0.5, 2.0))
     gaps = [abs(a - b) for a, b in zip(qa, qb)]
     rate = float(np.exp(-1.0))
     # the ratio check as gap(L + 1) against e^-1 gap(L) within 5%, which
@@ -283,10 +280,10 @@ def _lattice_pipeline(cfg, mask=None, center=None):
 
 
 def run_lattice_index(cfg) -> list:
+    _, gp, U = _lattice_pipeline(cfg)
     rows = []
     for n in cfg["powers"]:
         with _Timer() as t:
-            _, gp, U = _lattice_pipeline(cfg)
             rep = lattice.lattice_index(gp, U, n=n)
         rows.append(_row("lattice-index/windowed",
                          {"size": cfg["size"], "flux": cfg["flux"],
@@ -369,7 +366,7 @@ def run_decay_fit(cfg) -> list:
 _DEFAULTS = {
     "proj-suite": {"trials": 50, "dim_max": 64, "seed": 0, "tol": 1e-8},
     "connes-area": {"trials": 20, "seed": 7, "winding": 1, "tol": 1e-3},
-    # pair_radius None follows the level: landau.level_disk_radius(m)
+    # pair_radius None follows the level: grids.level_disk_radius(m)
     "landau-index": {"m": 0, "n_max": 20, "pair_radius": None, "seed": 0,
                      "tol": 1e-2},
     "hall-transport": {"m": 0, "scale": 1.0, "L_values": [2.0, 3.0, 4.5, 6.0],
@@ -450,7 +447,7 @@ def _resolve_config(args) -> dict:
         if key in cfg:
             cfg[key] = value
     if args.command == "landau-index" and cfg["pair_radius"] is None:
-        cfg["pair_radius"] = landau.level_disk_radius(cfg["m"])
+        cfg["pair_radius"] = grids.level_disk_radius(cfg["m"])
     if "L_values" in cfg:
         cfg["L_values"] = _parse_floats(cfg["L_values"])
     if "powers" in cfg:

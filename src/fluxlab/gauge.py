@@ -4,7 +4,7 @@ A flux unitary is a unimodular function on the punctured plane with integer
 winding around its singularity; multiplying a projection kernel by it models
 threading flux quanta through one point.  Switches are monotone profiles
 rising from 0 to 1 across a wall; they enter the Hall-transport module as the
-voltage-drop gauge functions.
+voltage-drop gauge functions.  Windings are read on a fluxlab.grids ring.
 """
 
 from __future__ import annotations
@@ -14,15 +14,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from fluxlab.grids import ring
+
 
 @dataclass(frozen=True)
 class GaugeUnitary:
     """Unimodular function with an integer winding around one singularity.
 
     evaluate maps an (..., 2) array of points to unit-modulus complex values;
-    it is undefined (nan) at the singularity itself.  lipschitz_c1 and
-    lipschitz_c2 are the constants of the ratio bound
-    |u(x+y) - u(y)| <= c1 |x| / |y| valid for |x| <= c2 |y|.
+    it is undefined (nan) at the singularity itself.  lipschitz_c1 is the
+    constant c1 of the ratio bound |u(x+y) - u(y)| <= c1 |x| / |y|, valid
+    for |x| <= |y| / 2, that sizes the connes_area far field.
 
     flux_power is set for the pure power form (z/|z|)^alpha and lets
     downstream code evaluate phase differences of u by stable planar
@@ -33,7 +35,6 @@ class GaugeUnitary:
     winding: int
     singularity: tuple = (0.0, 0.0)
     lipschitz_c1: float = 2.0
-    lipschitz_c2: float = 0.5
     flux_power: Optional[int] = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -67,7 +68,6 @@ def flux_unitary(alpha: int) -> GaugeUnitary:
         winding=alpha,
         singularity=(0.0, 0.0),
         lipschitz_c1=2.0 * abs(alpha),
-        lipschitz_c2=0.5,
         flux_power=alpha,
     )
 
@@ -85,7 +85,6 @@ def translate_unitary(u: GaugeUnitary, t) -> GaugeUnitary:
         winding=u.winding,
         singularity=(sx + float(t[0]), sy + float(t[1])),
         lipschitz_c1=u.lipschitz_c1,
-        lipschitz_c2=u.lipschitz_c2,
         flux_power=u.flux_power,
     )
 
@@ -104,7 +103,6 @@ def product_unitary(u: GaugeUnitary, v: GaugeUnitary) -> GaugeUnitary:
         winding=u.winding + v.winding,
         singularity=u.singularity,
         lipschitz_c1=u.lipschitz_c1 + v.lipschitz_c1,
-        lipschitz_c2=min(u.lipschitz_c2, v.lipschitz_c2),
         flux_power=(u.flux_power + v.flux_power) if same_power_form else None,
     )
 
@@ -116,7 +114,7 @@ def numerical_winding(u: GaugeUnitary, radius: float = 1.0, nodes: int = 4096) -
     branch, which is exact as long as each increment stays below pi; 4096
     nodes give increments ~ winding/650 for the built-in unitaries.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
+    theta, _ = ring(nodes)
     cx, cy = u.singularity
     pts = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
     vals = u.evaluate(pts)

@@ -7,21 +7,23 @@ against the cyclic triple product of the kernel, computed by the core this
 module shares with the index integrals (quadrature.triple_forms and
 triple_wedge): transport equals charge deficiency, and the code asserts that
 identity across modules rather than assuming it.
+Every route runs on the level-sized transport square of fluxlab.grids, and
+the switch integrals take their Gauss-Legendre rules from the same module.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from fluxlab.gauge import Switch
+from fluxlab.grids import gauss_legendre, level_square_grid
 from fluxlab.landau import CovariantKernel
-from fluxlab.quadrature import (QuadratureSpec, TensorGrid, _square_grid,
-                                index_integral_4d, triple_forms, triple_wedge)
+from fluxlab.quadrature import (QuadratureSpec, index_integral_4d, triple_forms,
+                                triple_wedge)
 
 logger = logging.getLogger(__name__)
 
@@ -35,10 +37,6 @@ class BoxRegion:
     def __post_init__(self):
         if self.half_side <= 0:
             raise ValueError(f"box half side must be positive, got {self.half_side}")
-
-    @property
-    def area(self) -> float:
-        return 4.0 * self.half_side ** 2
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,8 @@ def switch_integral_1d(s: Switch, a: float, nodes: int = 800) -> float:
     checked.
     """
     T = 50.0 * s.scale + abs(a) + abs(s.center)
-    x, w = leggauss(nodes)
-    x = x * T
-    value = float(np.sum(w * T * (s.evaluate(x + a) - s.evaluate(x))))
+    x, w = gauss_legendre(-T, T, nodes)
+    value = float(np.sum(w * (s.evaluate(x + a) - s.evaluate(x))))
     tail = abs(a) * float((1.0 - s.evaluate(T - abs(a))) + s.evaluate(-T + abs(a)))
     if tail > 1e-10 * max(1.0, abs(a)):
         raise ValueError(f"tail truncation {tail:.2e} above tolerance; window too small")
@@ -97,18 +94,6 @@ def switch_integral_2d(pair: SwitchPair, a, b) -> float:
             * switch_integral_1d(pair.lambda2, float(a[1])))
 
 
-def _transport_grid(p: CovariantKernel, spec: Optional[QuadratureSpec]) -> TensorGrid:
-    level = getattr(p, "level", 0)
-    R = 7.5 + 1.5 * level
-    n = 52 + 8 * level
-    if spec is not None:
-        if spec.outer_radius is not None:
-            R = spec.outer_radius
-        if spec.radial_nodes is not None:
-            n = spec.radial_nodes
-    return _square_grid(R, n)
-
-
 def curvature_diagonal(p: CovariantKernel, pair: SwitchPair, x,
                        spec: QuadratureSpec = None) -> complex:
     """Diagonal value omega(x, x) of the adiabatic curvature -i [PL1P, PL2P].
@@ -120,7 +105,7 @@ def curvature_diagonal(p: CovariantKernel, pair: SwitchPair, x,
     coordinates, exactly as given.
     """
     x = np.asarray(x, dtype=float).reshape(2)
-    grid = _transport_grid(p, spec).shifted(x)
+    grid = level_square_grid(p.level, "transport", spec).shifted(x)
     Y = grid.nodes
     l1 = np.asarray(pair.lambda1.evaluate(Y[:, pair.axes[0]]), dtype=float)
     l2 = np.asarray(pair.lambda2.evaluate(Y[:, pair.axes[1]]), dtype=float)
@@ -133,9 +118,8 @@ def _box_switch_integrals(s: Switch, coords: np.ndarray, L: float) -> np.ndarray
     if s.antiderivative is not None:
         F = s.antiderivative
         return np.asarray(F(coords + L) - F(coords - L), dtype=float)
-    t, w = leggauss(400)
-    t = t * L
-    return (s.evaluate(coords[:, None] + t[None, :]) @ (w * L)).astype(float)
+    t, w = gauss_legendre(-L, L, 400)
+    return (s.evaluate(coords[:, None] + t[None, :]) @ w).astype(float)
 
 
 def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
@@ -158,7 +142,7 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     Ls = [float(L) for L in L_values]
     if any(b <= a for a, b in zip(Ls, Ls[1:])):
         raise ValueError(f"L values must be strictly increasing, got {Ls}")
-    grid = _transport_grid(p, spec)
+    grid = level_square_grid(p.level, "transport", spec)
     nodes = grid.nodes
     V, W = [], []
     for L in Ls:
@@ -186,7 +170,7 @@ def hall_transport_closed_form(p: CovariantKernel, spec: QuadratureSpec = None,
     transport/deficiency identity Q = -Index is checked against the index
     engine on its own (different) grid.
     """
-    q = 2.0j * np.pi * triple_wedge(p, _transport_grid(p, spec))
+    q = 2.0j * np.pi * triple_wedge(p, level_square_grid(p.level, "transport", spec))
     tol = 1e-8
     if spec is not None and spec.target_tol is not None:
         tol = spec.target_tol
@@ -215,5 +199,5 @@ def kubo_box(p: CovariantKernel, L: float, spec: QuadratureSpec = None) -> float
     cancellation.
     """
     BoxRegion(L)
-    val = 1j * triple_wedge(p, _transport_grid(p, spec))
+    val = 1j * triple_wedge(p, level_square_grid(p.level, "transport", spec))
     return float(val.real)

@@ -6,20 +6,23 @@ p_m(x, y) = exp(-i x^y) q_m(|y-x|^2) exp(-|y-x|^2 / 2) with x^y the planar
 cross product, q_m a degree-m polynomial with q_m(0) = 1/pi, and the density
 of states per unit area is 1/pi.  Raising operators are applied symbolically
 once and the resulting monomial coefficient tables are cached.
+Every plane integral runs on a polar grid of fluxlab.grids, whose disk
+builders (DiskGrid, polar_disk_grid, level_disk_*) this module re-exports.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from fluxlab.gauge import GaugeUnitary
+from fluxlab.grids import (DiskGrid, gauss_legendre, level_disk_grid,  # noqa: F401
+                           level_disk_radius, polar_disk_grid, polar_nodes)
 from fluxlab.projpair import (AngularBlockProjection, HermitianProjection,
                               conjugate_blocks, rotation_character)
 
@@ -108,23 +111,6 @@ def _kernel_radial_coeffs(m: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class LandauBasis:
-    """Level-m basis truncated at angular momentum max_angular.
-
-    The field strength is fixed to 2 by the internal coordinate scaling;
-    physical field values are handled by rescaling coordinates at the
-    command-line layer.
-    """
-
-    level: int
-    max_angular: int
-    field_b: float = field(default=2.0, init=False)
-
-    def states(self) -> list:
-        return [(n, self.level) for n in range(self.max_angular + 1)]
-
-
-@dataclass(frozen=True)
 class CovariantKernel:
     """Projection kernel p(x, y), translation invariant up to a gauge phase.
 
@@ -142,7 +128,6 @@ class CovariantKernel:
 
     level: int
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray] = None
-    diagonal_value: float = 1.0 / math.pi
     radial: tuple = None
     magnetic: bool = False
 
@@ -235,8 +220,7 @@ def landau_kernel(m: int, n_max: int = 40) -> CovariantKernel:
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
     radial = _kernel_radial_coeffs(m)
-    return CovariantKernel(level=m, radial=radial, magnetic=True,
-                           diagonal_value=float(radial[0]))
+    return CovariantKernel(level=m, radial=radial, magnetic=True)
 
 
 def real_surrogate_kernel() -> CovariantKernel:
@@ -250,22 +234,6 @@ def real_surrogate_kernel() -> CovariantKernel:
     return CovariantKernel(level=0, radial=(1.0 / math.pi,))
 
 
-def _radial_angular_grid(t_max: float, radial_nodes: int, angular_nodes: int):
-    """Quadrature for plane integrals of gaussian-weighted trig polynomials.
-
-    Radial direction substitutes t = r^2 (area element becomes dt/2) with
-    Gauss-Legendre nodes on [0, t_max]; the angular direction is a uniform
-    trapezoid, exact for trigonometric polynomials below the node count.
-    """
-    xs, ws = leggauss(radial_nodes)
-    t = 0.5 * t_max * (xs + 1.0)
-    wt = 0.5 * t_max * ws
-    theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    w = np.repeat(wt * 0.5, angular_nodes) * (2.0 * np.pi / angular_nodes)
-    return z.ravel(), w
-
-
 def gram_matrix(m1: int, m2: int, n_max: int,
                 radial_nodes: int = 0, angular_nodes: int = 256) -> np.ndarray:
     """Quadrature Gram matrix between levels m1 and m2, angular momenta
@@ -273,7 +241,11 @@ def gram_matrix(m1: int, m2: int, n_max: int,
     t_max = 2.0 * (n_max + m1 + m2) + 60.0
     if radial_nodes == 0:
         radial_nodes = max(160, int(1.5 * t_max))
-    z, w = _radial_angular_grid(t_max, radial_nodes, angular_nodes)
+    # summed over the ring, the integrand is a polynomial in t = r^2 times
+    # exp(-t), so the radial rule runs in t, where the area element is dt/2
+    t, wt = gauss_legendre(0.0, t_max, radial_nodes)
+    z, w = polar_nodes(0.0, np.sqrt(t), 0.5 * wt, angular_nodes)
+    z, w = z.ravel(), w.ravel()
     psi1 = np.column_stack([basis_wavefunction(n, m1, z) for n in range(n_max + 1)])
     psi2 = np.column_stack([basis_wavefunction(n, m2, z) for n in range(n_max + 1)])
     return psi1.conj().T @ (w[:, None] * psi2)
@@ -293,16 +265,11 @@ def flux_matrix(m: int, n_max: int, angular_nodes: int = 256,
     radial_nodes = max(160, int(1.5 * t_max))
     # the unitary brings odd powers of r into the integrand, so integrate in
     # r itself (entire integrand, spectral convergence) rather than t = r^2
-    r_max = np.sqrt(t_max)
-    xs, ws = leggauss(radial_nodes)
-    r = 0.5 * r_max * (xs + 1.0)
-    wr = 0.5 * r_max * ws
-    theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    w = np.repeat(wr * r, angular_nodes) * (2.0 * np.pi / angular_nodes)
+    grid = polar_disk_grid(np.sqrt(t_max), radial_nodes, angular_nodes)
+    z = _as_complex_points(grid.nodes)
     u = z / np.abs(z)
     psi = np.column_stack([basis_wavefunction(n, m, z) for n in range(n_max + 1)])
-    mat = psi.conj().T @ ((w * u)[:, None] * psi)
+    mat = psi.conj().T @ ((grid.weights * u)[:, None] * psi)
     # admissible entries sit at (n, n') = (k+1, k)
     pattern = np.eye(n_max + 1, k=-1, dtype=bool)
     resid = float(np.max(np.abs(np.where(pattern, 0.0, mat))))
@@ -341,58 +308,6 @@ def shift_index(M: np.ndarray, zero_tol: float = 1e-8) -> int:
             "(matrix is numerically zero)"
         )
     return admissible[0]
-
-
-@dataclass(frozen=True)
-class DiskGrid:
-    """Quadrature nodes and weights covering a disk around the origin.
-
-    radial_nodes and angular_nodes record a polar layout: node i*A + a sits
-    at radius r_i and angle 2 pi a / A (A = angular_nodes), and its weight
-    depends on i alone.  A grid built without them has no layout.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    radius: float
-    radial_nodes: int = None
-    angular_nodes: int = None
-
-
-def polar_disk_grid(radius: float = 8.0, radial_nodes: int = 40,
-                    angular_nodes: int = 72) -> DiskGrid:
-    """Gauss-Legendre radii times equal angles; weights include the area
-    element.  The grid records its radial-major polar layout."""
-    xs, ws = leggauss(radial_nodes)
-    r = 0.5 * radius * (xs + 1.0)
-    wr = 0.5 * radius * ws * r
-    theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-    rr, tt = np.meshgrid(r, theta, indexing="ij")
-    nodes = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
-    weights = np.repeat(wr, angular_nodes) * (2.0 * np.pi / angular_nodes)
-    return DiskGrid(nodes=nodes, weights=weights, radius=radius,
-                    radial_nodes=radial_nodes, angular_nodes=angular_nodes)
-
-
-def level_disk_radius(m: int) -> float:
-    """Default truncation radius 8 + 3m for the level-m pair."""
-    return 8.0 + 3.0 * m
-
-
-def level_disk_grid(m: int, radius: float = None) -> DiskGrid:
-    """Truncation disk sized to Landau level m.
-
-    The boundary deficit of the truncated pair grows with the level and
-    falls roughly as 1/R^2, so the disk grows with the level: radius
-    level_disk_radius(m), with 40 + 8m radial and 72 + 18m angular nodes.
-    Level 0 is the radius-8, 40 x 72 disk of polar_disk_grid().  An explicit
-    radius replaces the default one; the node counts still follow the level.
-    """
-    if m < 0:
-        raise ValueError(f"level must be nonnegative, got {m}")
-    if radius is None:
-        radius = level_disk_radius(m)
-    return polar_disk_grid(radius, 40 + 8 * m, 72 + 18 * m)
 
 
 def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
@@ -444,7 +359,7 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
     if np.any(~np.isfinite(uvals)):
         raise ValueError("gauge unitary is singular on a grid node")
     char = None
-    if _has_polar_layout(grid):
+    if grid.has_polar_layout():
         char = rotation_character(uvals, grid.angular_nodes)
     if char is not None:
         return _block_pair(kern, grid, char, residual_threshold)
@@ -461,28 +376,6 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
     Q = 0.5 * (Q + Q.conj().T)
     proj_q = HermitianProjection(Q, idempotency_tol=residual_threshold)
     return proj_p, proj_q
-
-
-def _has_polar_layout(grid: DiskGrid) -> bool:
-    """Whether the grid records a polar layout; a recorded layout that its
-    nodes and weights do not follow is an error."""
-    if grid.radial_nodes is None or grid.angular_nodes is None:
-        return False
-    shape = (grid.radial_nodes, grid.angular_nodes)
-    count = grid.radial_nodes * grid.angular_nodes
-    if grid.nodes.shape != (count, 2) or grid.weights.shape != (count,):
-        raise ValueError(
-            "grid nodes or weights do not follow the recorded polar layout")
-    nodes = grid.nodes.reshape(shape + (2,))
-    weights = grid.weights.reshape(shape)
-    theta = 2.0 * np.pi * np.arange(grid.angular_nodes) / grid.angular_nodes
-    first = nodes[:, 0, 0] + 1j * nodes[:, 0, 1]
-    rotated = first[:, None] * np.exp(1j * theta)[None, :]
-    off = np.max(np.abs(nodes[..., 0] + 1j * nodes[..., 1] - rotated))
-    if off > 1e-12 * max(1.0, grid.radius) or np.any(weights != weights[:, :1]):
-        raise ValueError(
-            "grid nodes or weights do not follow the recorded polar layout")
-    return True
 
 
 def _block_pair(kern: CovariantKernel, grid: DiskGrid, char, residual_threshold: float):

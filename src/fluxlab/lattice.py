@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fluxlab.projpair import HermitianProjection, IndexReport, UnitaryMatrix
+from fluxlab.projpair import HermitianProjection, IndexReport, check_unitary
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +39,6 @@ class MagneticLatticeModel:
     flux_per_plaquette: float
     potential: Optional[np.ndarray] = None
     domain_mask: Optional[np.ndarray] = None
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -48,8 +47,6 @@ class MagneticLatticeModel:
             raise ValueError(
                 f"flux per plaquette must lie in [0, 1), got {self.flux_per_plaquette}"
             )
-        if self.boundary != "open":
-            raise ValueError(f"only open boundaries are supported, got {self.boundary}")
         for name, arr in (("potential", self.potential), ("domain_mask", self.domain_mask)):
             if arr is not None and np.shape(arr) != (self.width, self.height):
                 raise ValueError(
@@ -179,16 +176,21 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
 
 
 @dataclass(frozen=True, eq=False)
-class LatticeFluxUnitary(UnitaryMatrix):
+class LatticeFluxUnitary:
     """Diagonal flux-insertion unitary that remembers its site geometry.
 
-    The windowed index needs the flux center and the site coordinates, so
-    the lattice constructor returns this carrier instead of a bare matrix.
+    Only the diagonal is stored; it is validated as a diagonal UnitaryMatrix
+    is.  The windowed index needs the flux center and the site coordinates,
+    so the lattice constructor returns this carrier instead of a bare matrix.
     """
 
-    diagonal: np.ndarray = None
+    diagonal: np.ndarray
     center: tuple = (0.0, 0.0)
     site_array: np.ndarray = None
+    unitarity_tol: float = 1e-10
+
+    def __post_init__(self):
+        check_unitary(self.diagonal, self.unitarity_tol)
 
 
 def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnitary:
@@ -209,7 +211,6 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnit
         )
     u = z / dist
     return LatticeFluxUnitary(
-        matrix=np.diag(u),
         diagonal=u,
         center=(cx, cy),
         site_array=pos,
@@ -290,18 +291,15 @@ def wedge_experiment(model: MagneticLatticeModel, center, fermi: float,
 class DisorderEnsemble:
     """Seeded i.i.d. on-site disorder draws over a fixed clean model.
 
-    Each draw perturbs only the potential; flux and domain stay fixed.
-    Uniform is the only supported distribution.
+    Each draw perturbs only the potential, uniformly in [-amplitude,
+    amplitude]; flux and domain stay fixed.
     """
 
     base_model: MagneticLatticeModel
     amplitude: float
     seeds: Sequence[int]
-    distribution: str = "uniform"
 
     def __post_init__(self):
-        if self.distribution != "uniform":
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
 

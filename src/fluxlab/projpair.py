@@ -188,18 +188,24 @@ class UnitaryMatrix:
         u = np.asarray(self.matrix)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"unitary matrix must be square, got {u.shape}")
-        d = _diagonal(u)
-        if d is not None:
-            resid = np.max(np.abs(np.abs(d) ** 2 - 1.0))
-        else:
-            resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-        if not resid <= self.unitarity_tol:
-            raise ValueError(f"matrix is not unitary: max |UU* - 1| = {resid:.3e}")
+        check_unitary(u, self.unitarity_tol)
         object.__setattr__(self, "matrix", u)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def check_unitary(u: np.ndarray, tol: float):
+    """Reject U, the square matrix u or diag(u) for a vector u, unless the
+    residual of UnitaryMatrix is <= tol (so NaN fails)."""
+    d = u if np.ndim(u) == 1 else _diagonal(u)
+    if d is not None:
+        resid = np.max(np.abs(np.abs(d) ** 2 - 1.0))
+    else:
+        resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    if not resid <= tol:
+        raise ValueError(f"matrix is not unitary: max |UU* - 1| = {resid:.3e}")
 
 
 def _diagonal(u: np.ndarray):
@@ -226,6 +232,13 @@ class IndexReport:
 
     def rounded(self) -> int:
         return int(round(self.value))
+
+
+def _trace_report(t: complex, method: str, trace_power: int) -> IndexReport:
+    """The report of a raw trace t: its real part, unrounded."""
+    value = float(t.real)
+    return IndexReport(value=value, method=method, trace_power=trace_power,
+                       residual=abs(value - round(value)), imag_part=abs(t.imag))
 
 
 def _check_same_dim(*ops):
@@ -298,15 +311,7 @@ def index_by_odd_trace(P: HermitianProjection, Q: HermitianProjection,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = _odd_traces(P, Q, n)[-1]
-    value = float(t.real)
-    return IndexReport(
-        value=value,
-        method="odd-trace",
-        trace_power=n,
-        residual=abs(value - round(value)),
-        imag_part=abs(t.imag),
-    )
+    return _trace_report(_odd_traces(P, Q, n)[-1], "odd-trace", n)
 
 
 def odd_trace_stability(P: HermitianProjection, Q: HermitianProjection,
@@ -355,14 +360,7 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     X = p - p @ upu @ p
     Y = p - p @ u_pu @ p
     t = _power_traces(X, X, n + 1)[-1] - _power_traces(Y, Y, n + 1)[-1]
-    value = float(t.real)
-    return IndexReport(
-        value=value,
-        method="fedosov",
-        trace_power=n,
-        residual=abs(value - round(value)),
-        imag_part=abs(t.imag),
-    )
+    return _trace_report(t, "fedosov", n)
 
 
 def additivity_check(P: HermitianProjection, Q: HermitianProjection,

@@ -11,6 +11,8 @@ forms against the weighted cyclic triple product of the kernel on a tensor
 Gauss-Legendre grid.  A kernel that records its closed form is contracted
 axis by axis; any other kernel gets the dense weighted_triple_kernel, which
 is also the oracle the tests compare the separable engine against.
+Every grid, down to the connes_area radial rules and rings, comes from
+fluxlab.grids; index_integral_4d runs on its level-sized index square.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from fluxlab.gauge import GaugeUnitary
-from fluxlab.landau import CovariantKernel, polar_disk_grid
+from fluxlab.grids import (TensorGrid, gauss_legendre, level_square_grid,
+                           polar_disk_grid, polar_nodes)
+from fluxlab.landau import CovariantKernel
 
 logger = logging.getLogger(__name__)
 
@@ -169,24 +172,15 @@ def connes_area(u: GaugeUnitary, tri: Triangle, spec: QuadratureSpec = None) -> 
     total = 0.0 + 0.0j
 
     # patches: local polar around each singular point, weighted by the bump
-    xr, wr = leggauss(40)
-    r = eps + 0.5 * (r2 - eps) * (xr + 1.0)
-    wrad = 0.5 * (r2 - eps) * wr
-    nth_patch = 128
-    th = 2.0 * np.pi * np.arange(nth_patch) / nth_patch
-    zloc = r[:, None] * np.exp(1j * th)[None, :]
+    r, w = gauss_legendre(eps, r2, 40)
+    zloc, wpatch = polar_nodes(0.0, r, w * r, 128)
     chi = _smooth_step(r, r1, r2)[:, None]
-    wpatch = (wrad * r)[:, None] * (2.0 * np.pi / nth_patch)
     for v in punct:
         total += np.sum(wpatch * chi * _triple_ratio_integrand(u, v + zloc, a, b, c))
 
     # mollified global disk around the centroid
-    xr, wr = leggauss(nr_glob)
-    rg = 0.5 * R0 * (xr + 1.0)
-    wg = 0.5 * R0 * wr
-    thg = 2.0 * np.pi * np.arange(nth_glob) / nth_glob
-    z = c0 + rg[:, None] * np.exp(1j * thg)[None, :]
-    w2 = (wg * rg)[:, None] * (2.0 * np.pi / nth_glob)
+    r, w = gauss_legendre(0.0, R0, nr_glob)
+    z, w2 = polar_nodes(c0, r, w * r, nth_glob)
     mol = np.ones(z.shape)
     for v in punct:
         mol *= 1.0 - _smooth_step(np.abs(z - v), r1, r2)
@@ -194,15 +188,9 @@ def connes_area(u: GaugeUnitary, tri: Triangle, spec: QuadratureSpec = None) -> 
 
     # far field: log-radial Gauss nodes on [R0, Rfar], r dr = r^2 d(log r)
     ndec = int(np.ceil(np.log10(Rfar / R0) * 14.0)) + 8
-    xs, ws = leggauss(ndec)
-    span = np.log(Rfar) - np.log(R0)
-    s = 0.5 * span * (xs + 1.0) + np.log(R0)
-    wsl = 0.5 * span * ws
-    rfar = np.exp(s)
-    nth_far = 256
-    thf = 2.0 * np.pi * np.arange(nth_far) / nth_far
-    zf = c0 + rfar[:, None] * np.exp(1j * thf)[None, :]
-    w3 = (wsl * rfar ** 2)[:, None] * (2.0 * np.pi / nth_far)
+    s, w = gauss_legendre(np.log(R0), np.log(Rfar), ndec)
+    r = np.exp(s)
+    zf, w3 = polar_nodes(c0, r, w * r ** 2, 256)
     total += np.sum(w3 * _triple_ratio_integrand(u, zf, a, b, c))
 
     tail = 2.0 * np.pi * C1 ** 3 * d12 * d23 * d31 * (
@@ -216,41 +204,6 @@ def connes_area(u: GaugeUnitary, tri: Triangle, spec: QuadratureSpec = None) -> 
             "outer radius too small"
         )
     return complex(total)
-
-
-@dataclass(frozen=True)
-class TensorGrid:
-    """Tensor product of two Gauss-Legendre axes.
-
-    Node a * len(v) + b sits at (u[a], v[b]) and carries the weight
-    wu[a] * wv[b].
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    wu: np.ndarray
-    wv: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        X1, X2 = np.meshgrid(self.u, self.v, indexing="ij")
-        return np.column_stack([X1.ravel(), X2.ravel()])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.outer(self.wu, self.wv).ravel()
-
-    def shifted(self, x) -> "TensorGrid":
-        """The same grid with every node moved by the planar point x."""
-        return TensorGrid(self.u + x[0], self.v + x[1], self.wu, self.wv)
-
-
-def _square_grid(half_side: float, nodes_per_axis: int) -> TensorGrid:
-    """Tensorized Gauss-Legendre nodes on [-L, L]^2 with product weights."""
-    x, w = leggauss(nodes_per_axis)
-    x = x * half_side
-    w = w * half_side
-    return TensorGrid(x, x, w, w)
 
 
 def weighted_triple_kernel(p: CovariantKernel, nodes: np.ndarray,
@@ -322,8 +275,9 @@ def index_integral_4d(p: CovariantKernel, winding: int,
 
     The covariance of the kernel reduces the index integral to this 4D form;
     winding enters only as the prefactor.  The integral is triple_wedge on
-    a square Gauss-Legendre grid, by default of half side 7 + 1.5 m with
-    46 + 8 m nodes per axis.  The exact value is real for a Hermitian
+    the index square of grids.level_square_grid for the kernel level (half
+    side 7 + 1.5 m, 46 + 8 m nodes per axis), which the outer_radius and
+    radial_nodes of spec override.  The exact value is real for a Hermitian
     kernel, so the imaginary part of the result is a pure residual and is
     checked against target_tol.
     """
@@ -332,13 +286,10 @@ def index_integral_4d(p: CovariantKernel, winding: int,
     winding = int(winding)
     if spec is None:
         spec = QuadratureSpec()
-    level = getattr(p, "level", 0)
-    R = spec.outer_radius if spec.outer_radius is not None else 7.0 + 1.5 * level
-    n = spec.radial_nodes if spec.radial_nodes is not None else 46 + 8 * level
     tol = spec.target_tol if spec.target_tol is not None else 1e-8
     if winding == 0:
         return 0.0 + 0.0j
-    J = triple_wedge(p, _square_grid(R, n))
+    J = triple_wedge(p, level_square_grid(p.level, "index", spec))
     value = -2.0j * np.pi * winding * J
     resid = abs(value.imag)
     if resid > tol:

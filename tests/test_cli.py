@@ -194,3 +194,21 @@ def test_hall_transport_reports_shape_row_failure(tmp_path):
     assert failing == []
     shape = [r for r in doc["rows"] if r["experiment"] == "hall-transport/switch-shape"]
     assert [r["parameters"]["check"] for r in shape] == ["gap-ratio"] * 2 + ["gap"] * 2
+
+
+def test_lattice_index_builds_pipeline_once(tmp_path, monkeypatch):
+    from fluxlab import lattice
+
+    calls = []
+    real = lattice.gap_projection
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "gap_projection", counting)
+    code, out = run(tmp_path, "lattice-index", "--powers", "1,2")
+    assert code == 0
+    rows = read_json(out)["rows"]
+    assert [row["parameters"]["trace_power"] for row in rows] == [3, 5]
+    assert len(calls) == 1

@@ -8,7 +8,8 @@ from fluxlab.hall import (SwitchPair, _box_switch_integrals, curvature_diagonal,
                           hall_transport_box, hall_transport_closed_form,
                           kubo_box, switch_integral_1d, switch_integral_2d)
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
-from fluxlab.quadrature import QuadratureSpec, _square_grid, weighted_triple_kernel
+from fluxlab.grids import square_grid
+from fluxlab.quadrature import QuadratureSpec, weighted_triple_kernel
 
 # a small transport grid with an odd node count keeps the dense oracle cheap
 ORACLE_SPEC = QuadratureSpec(outer_radius=7.0, radial_nodes=31)
@@ -191,7 +192,7 @@ def test_switch_shape_independence_documented_level(kernel_m0):
 
 
 def _oracle_matrix(p, x0=(0.0, 0.0)):
-    grid = _square_grid(ORACLE_SPEC.outer_radius, ORACLE_SPEC.radial_nodes).shifted(x0)
+    grid = square_grid(ORACLE_SPEC.outer_radius, ORACLE_SPEC.radial_nodes).shifted(x0)
     return grid.nodes, weighted_triple_kernel(p, grid.nodes, grid.weights, x0)
 
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from fluxlab import gauge, projpair
-from fluxlab.landau import (CovariantKernel, DiskGrid, LandauBasis,
+from fluxlab.landau import (CovariantKernel, DiskGrid,
                             basis_wavefunction, flux_matrix, gram_matrix,
                             landau_kernel,
-                            level_disk_grid, polar_disk_grid,
+                            level_disk_grid, level_disk_radius, polar_disk_grid,
                             real_surrogate_kernel,
                             shift_index, truncated_projection_pair)
 
@@ -96,7 +96,6 @@ def test_covariant_kernel_pair_matrix_shape():
     Y = np.ones((5, 2))
     assert kern.pair_matrix(X, Y).shape == (3, 5)
     assert kern.level == 0
-    assert kern.diagonal_value == pytest.approx(1.0 / np.pi)
 
 
 def test_real_surrogate_kernel_is_real_symmetric():
@@ -108,12 +107,6 @@ def test_real_surrogate_kernel_is_real_symmetric():
     assert np.max(np.abs(vals.imag)) == 0.0
     assert np.allclose(vals, kern(Y, X), atol=1e-14)
     assert kern(X, X) == pytest.approx([1.0 / np.pi] * 5)
-
-
-def test_landau_basis_states():
-    basis = LandauBasis(level=2, max_angular=4)
-    assert basis.states() == [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2)]
-    assert basis.field_b == 2.0
 
 
 def test_flux_matrix_pattern_and_first_entry():
@@ -164,10 +157,12 @@ def test_level_disk_grid_grows_with_level():
     assert base.radius == ref.radius == 8.0
     assert np.array_equal(base.nodes, ref.nodes)
     assert np.array_equal(base.weights, ref.weights)
-    for m, radius, nodes in ((1, 11.0, 48 * 90), (2, 14.0, 56 * 108)):
+    for m, radius, radial, angular in ((0, 8.0, 40, 72), (1, 11.0, 48, 90),
+                                       (2, 14.0, 56, 108)):
         grid = level_disk_grid(m)
-        assert grid.radius == radius
-        assert grid.weights.size == nodes
+        assert grid.radius == level_disk_radius(m) == radius
+        assert (grid.radial_nodes, grid.angular_nodes) == (radial, angular)
+        assert grid.weights.size == radial * angular
     assert level_disk_grid(1, radius=9.0).radius == 9.0
     with pytest.raises(ValueError, match="nonnegative"):
         level_disk_grid(-1)

@@ -48,7 +48,7 @@ def test_model_validation():
         MagneticLatticeModel(0, 5, 0.1)
     with pytest.raises(ValueError, match="flux"):
         MagneticLatticeModel(4, 4, 1.5)
-    with pytest.raises(ValueError, match="open boundaries"):
+    with pytest.raises(TypeError, match="boundary"):
         MagneticLatticeModel(4, 4, 0.1, boundary="periodic")
     with pytest.raises(ValueError):
         MagneticLatticeModel(4, 4, 0.1, potential=np.zeros((3, 4)))
@@ -246,7 +246,7 @@ def test_disorder_validation(lattice_benchmark):
     model = lattice_benchmark[0]
     with pytest.raises(ValueError, match="amplitude"):
         DisorderEnsemble(base_model=model, amplitude=-1.0, seeds=[0])
-    with pytest.raises(ValueError, match="distribution"):
+    with pytest.raises(TypeError, match="distribution"):
         DisorderEnsemble(base_model=model, amplitude=0.1, seeds=[0],
                          distribution="levy")
 

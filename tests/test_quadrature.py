@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fluxlab import gauge
+from fluxlab.grids import square_grid
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
-from fluxlab.quadrature import (QuadratureSpec, Triangle, _square_grid,
-                                connes_area, index_integral_4d,
-                                index_integral_6d_mc, trace_from_diagonal,
-                                triple_forms, weighted_triple_kernel)
+from fluxlab.quadrature import (QuadratureSpec, Triangle, connes_area,
+                                index_integral_4d, index_integral_6d_mc,
+                                trace_from_diagonal, triple_forms,
+                                weighted_triple_kernel)
 
 TRI = Triangle((0.5, 0.3), (-1.2, 0.8), (0.4, -1.5))
 
@@ -225,7 +226,7 @@ def test_triple_forms_match_dense_oracle(closed_form_kernel, x0):
     # odd node count; the grid is centred on the base point as in
     # curvature_diagonal
     p = closed_form_kernel
-    grid = _square_grid(6.0, 21).shifted(x0)
+    grid = square_grid(6.0, 21).shifted(x0)
     rng = np.random.default_rng(4)
     V, W = _random_vectors(rng, 3, 441), _random_vectors(rng, 3, 441)
     got = triple_forms(p, grid, V, W, x0=x0)
@@ -235,7 +236,7 @@ def test_triple_forms_match_dense_oracle(closed_form_kernel, x0):
 
 def test_triple_forms_batch_matches_one_at_a_time():
     p = landau_kernel(1)
-    grid = _square_grid(6.0, 20)
+    grid = square_grid(6.0, 20)
     rng = np.random.default_rng(5)
     V, W = _random_vectors(rng, 4, 400), _random_vectors(rng, 4, 400)
     batch = triple_forms(p, grid, V, W)
@@ -246,7 +247,7 @@ def test_triple_forms_batch_matches_one_at_a_time():
 def test_index_integral_4d_matches_dense_oracle(closed_form_kernel):
     p = closed_form_kernel
     spec = QuadratureSpec(outer_radius=6.5, radial_nodes=31)
-    grid = _square_grid(6.5, 31)
+    grid = square_grid(6.5, 31)
     x1, x2 = grid.nodes.T
     T = weighted_triple_kernel(p, grid.nodes, grid.weights)
     want = -2j * np.pi * (x1 @ T @ x2 - x2 @ T @ x1)
@@ -260,7 +261,7 @@ def test_bare_callable_kernel_takes_dense_path():
     assert bare.radial is None
     with pytest.raises(ValueError, match="no closed form"):
         bare.axis_factors(np.zeros(2), np.zeros(2))
-    grid = _square_grid(5.0, 15)
+    grid = square_grid(5.0, 15)
     rng = np.random.default_rng(6)
     V, W = _random_vectors(rng, 2, 225), _random_vectors(rng, 2, 225)
     assert np.array_equal(triple_forms(bare, grid, V, W), _dense_forms(bare, grid, V, W))
