@@ -129,20 +129,17 @@ def _modules():
     return sorted(SRC.glob("*.py"))
 
 
-def _source(path):
-    return path.read_text()
-
-
 def test_only_grids_builds_gauss_legendre_rules():
     offenders = [p.name for p in _modules() if p.name != "grids.py"
-                 and ("leggauss" in _source(p) or "polynomial.legendre" in _source(p))]
+                 and ("leggauss" in p.read_text()
+                      or "polynomial.legendre" in p.read_text())]
     assert offenders == []
 
 
 def test_only_grids_builds_angle_rings():
     ring_by_hand = re.compile(r"np\.pi \* np\.arange|linspace\(.*np\.pi")
     offenders = [p.name for p in _modules() if p.name != "grids.py"
-                 and ring_by_hand.search(_source(p))]
+                 and ring_by_hand.search(p.read_text())]
     assert offenders == []
 
 
@@ -153,7 +150,7 @@ GRID_NAMES = {"DiskGrid", "TensorGrid", "gauss_legendre", "ring", "polar_nodes",
 
 def test_grids_are_imported_from_grids_and_nothing_private_crosses_modules():
     for path in _modules():
-        for node in ast.walk(ast.parse(_source(path))):
+        for node in ast.walk(ast.parse(path.read_text())):
             if not (isinstance(node, ast.ImportFrom)
                     and (node.module or "").startswith("fluxlab")):
                 continue
