@@ -363,22 +363,27 @@ def run_decay_fit(cfg) -> list:
 
 # ------------------------------------------------------------------- plumbing
 
-_DEFAULTS = {
-    "proj-suite": {"trials": 50, "dim_max": 64, "seed": 0, "tol": 1e-8},
-    "connes-area": {"trials": 20, "seed": 7, "winding": 1, "tol": 1e-3},
+# every setting of a subcommand as key: (default, flag type); the flag is
+# --key with "-" for "_".  A subcommand accepts exactly the settings its
+# runner reads, as flags and as config keys.
+_SETTINGS = {
+    "proj-suite": {"trials": (50, int), "dim_max": (64, int), "seed": (0, int),
+                   "tol": (1e-8, float)},
+    "connes-area": {"trials": (20, int), "seed": (7, int), "winding": (1, int),
+                    "tol": (1e-3, float)},
     # pair_radius None follows the level: grids.level_disk_radius(m)
-    "landau-index": {"m": 0, "n_max": 20, "pair_radius": None, "seed": 0,
-                     "tol": 1e-2},
-    "hall-transport": {"m": 0, "scale": 1.0, "L_values": [2.0, 3.0, 4.5, 6.0],
-                       "seed": 0, "tol": 5e-2},
-    "switch-check": {"seed": 0, "tol": 1e-6},
-    "lattice-index": {"size": 24, "flux": "1/3", "fermi": -1.29,
-                      "powers": [1, 2], "seed": 0, "tol": 5e-2},
-    "wedge": {"size": 24, "flux": "1/3", "fermi": -1.29, "seed": 0, "tol": 5e-2},
-    "disorder": {"size": 24, "flux": "1/3", "fermi": -1.29, "n_seeds": 10,
-                 "amplitude_factor": 0.2, "seed": 0, "tol": 5e-2},
-    "decay-fit": {"size": 24, "flux": "1/3", "fermi": -1.29, "seed": 0,
-                  "tol": 0.9},
+    "landau-index": {"m": (0, int), "n_max": (20, int), "pair_radius": (None, float)},
+    "hall-transport": {"m": (0, int), "scale": (1.0, float),
+                       "L_values": ([2.0, 3.0, 4.5, 6.0], str)},
+    "switch-check": {"tol": (1e-6, float)},
+    "lattice-index": {"size": (24, int), "flux": ("1/3", str), "fermi": (-1.29, float),
+                      "powers": ([1, 2], str), "tol": (5e-2, float)},
+    "wedge": {"size": (24, int), "flux": ("1/3", str), "fermi": (-1.29, float),
+              "tol": (5e-2, float)},
+    "disorder": {"size": (24, int), "flux": ("1/3", str), "fermi": (-1.29, float),
+                 "n_seeds": (10, int), "amplitude_factor": (0.2, float),
+                 "tol": (5e-2, float)},
+    "decay-fit": {"size": (24, int), "flux": ("1/3", str), "fermi": (-1.29, float)},
 }
 
 _RUNNERS = {
@@ -406,30 +411,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory for report files")
     common.add_argument("--format", choices=["csv", "json", "both"],
                         default="both")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--tol", type=float)
-    specific = {
-        "proj-suite": [("--trials", int), ("--dim-max", int)],
-        "connes-area": [("--trials", int), ("--winding", int)],
-        "landau-index": [("--m", int), ("--n-max", int), ("--pair-radius", float)],
-        "hall-transport": [("--m", int), ("--scale", float), ("--L-values", str)],
-        "switch-check": [],
-        "lattice-index": [("--size", int), ("--flux", str), ("--fermi", float),
-                          ("--powers", str)],
-        "wedge": [("--size", int), ("--flux", str), ("--fermi", float)],
-        "disorder": [("--size", int), ("--flux", str), ("--fermi", float),
-                     ("--n-seeds", int), ("--amplitude-factor", float)],
-        "decay-fit": [("--size", int), ("--flux", str), ("--fermi", float)],
-    }
-    for name, flags in specific.items():
+    for name, settings in _SETTINGS.items():
         p = sub.add_parser(name, parents=[common])
-        for flag, typ in flags:
-            p.add_argument(flag, type=typ)
+        for key, (_, typ) in settings.items():
+            p.add_argument("--" + key.replace("_", "-"), type=typ)
     return parser
 
 
 def _resolve_config(args) -> dict:
-    cfg = dict(_DEFAULTS[args.command])
+    cfg = {key: default for key, (default, _) in _SETTINGS[args.command].items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -441,10 +431,7 @@ def _resolve_config(args) -> dict:
                 f"fluxlab: unknown config keys for {args.command}: {sorted(unknown)}")
         cfg.update(loaded)
     for key, value in vars(args).items():
-        key = key.replace("-", "_")
-        if key in ("command", "config", "out", "format") or value is None:
-            continue
-        if key in cfg:
+        if key in cfg and value is not None:
             cfg[key] = value
     if args.command == "landau-index" and cfg["pair_radius"] is None:
         cfg["pair_radius"] = grids.level_disk_radius(cfg["m"])

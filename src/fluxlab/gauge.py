@@ -133,7 +133,6 @@ class Switch:
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
     center: float = 0.0
     scale: float = 1.0
     antiderivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -143,19 +142,12 @@ class Switch:
 
 
 def tanh_switch(scale: float, center: float = 0.0) -> Switch:
-    """(1 + tanh((x - center)/scale)) / 2 with closed-form derivative and
-    primitive."""
+    """(1 + tanh((x - center)/scale)) / 2 with a closed-form primitive."""
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
 
     def evaluate(x):
         return 0.5 * (1.0 + np.tanh((np.asarray(x, dtype=float) - center) / scale))
-
-    def derivative(x):
-        t = (np.asarray(x, dtype=float) - center) / scale
-        # sech^2 via exponentials, overflow-safe for large |t|
-        s2 = np.exp(-2.0 * np.abs(t))
-        return (4.0 * s2 / (1.0 + s2) ** 2) / (2.0 * scale)
 
     def antiderivative(x):
         t = (np.asarray(x, dtype=float) - center) / scale
@@ -164,7 +156,6 @@ def tanh_switch(scale: float, center: float = 0.0) -> Switch:
 
     return Switch(
         evaluate=evaluate,
-        derivative=derivative,
         center=center,
         scale=scale,
         antiderivative=antiderivative,

@@ -23,8 +23,8 @@ import numpy as np
 from fluxlab.gauge import GaugeUnitary
 from fluxlab.grids import (DiskGrid, gauss_legendre, level_disk_grid,  # noqa: F401
                            level_disk_radius, polar_disk_grid, polar_nodes)
-from fluxlab.projpair import (AngularBlockProjection, HermitianProjection,
-                              conjugate_blocks, rotation_character)
+from fluxlab.projpair import (HermitianProjection, check_unitary, conjugate_blocks,
+                              rotation_character)
 
 logger = logging.getLogger(__name__)
 
@@ -209,13 +209,11 @@ def _closed_form_evaluate(radial: tuple, magnetic: bool):
     return evaluate
 
 
-def landau_kernel(m: int, n_max: int = 40) -> CovariantKernel:
+def landau_kernel(m: int) -> CovariantKernel:
     """Closed-form level-m projection kernel.
 
     The kernel records the radial coefficients of the cached coefficient
-    tables with the magnetic phase; n_max is the angular cutoff at which the
-    basis-sum oracle reproduces it (the omitted tail is below 1e-12 inside
-    the working radius for n_max = 40).
+    tables with the magnetic phase.
     """
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
@@ -325,13 +323,15 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
 
     When the grid records a polar layout (R radii x A angles) and u on the
     nodes is a rotation character c_i exp(2 pi i N a / A), as (z/|z|)^N is,
-    the pair is built as projpair.AngularBlockProjection: the kernel is
-    rotation invariant, so P is block-circulant in the angle index and is
-    kept as A blocks of size R x R, one per angular mode, computed from the
-    R x N kernel entries of the first angular column; Q has the blocks
-    C B_{k-N} C*.  Any other grid or unitary (a translated flux, a grid
-    without layout) gives dense N x N projections.  Both engines give the
-    same nodal entries and residuals.
+    the kernel is rotation invariant, so P is block-circulant in the angle
+    index and is kept as A blocks of size R x R, one per angular mode,
+    computed from the R x N kernel entries of the first angular column.  Any
+    other grid or unitary (a translated flux, a grid without layout) keeps P
+    as the dense N x N matrix, the stack of one block, and u as c with
+    N = 0.  Either way Q has the blocks C B_{k-N} C*
+    (projpair.conjugate_blocks), and both layouts give the same nodal
+    entries and residuals.  A u that is not unimodular on the nodes is an
+    error: the conjugated Q would not be a projection.
 
     Without a grid the disk is level_disk_grid(m), a larger disk for higher
     levels, since a larger disk, not a finer grid, is what brings the odd
@@ -353,48 +353,33 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
     """
     if grid is None:
         grid = level_disk_grid(m)
-    kern = landau_kernel(m)
-    nodes, w = grid.nodes, grid.weights
-    uvals = u.evaluate(nodes)
+    uvals = u.evaluate(grid.nodes)
     if np.any(~np.isfinite(uvals)):
         raise ValueError("gauge unitary is singular on a grid node")
+    try:
+        check_unitary(uvals, 1e-10)
+    except ValueError as exc:
+        raise ValueError(f"gauge unitary is not unimodular on the grid: {exc}") from None
     char = None
     if grid.has_polar_layout():
         char = rotation_character(uvals, grid.angular_nodes)
-    if char is not None:
-        return _block_pair(kern, grid, char, residual_threshold)
-    sw = np.sqrt(w)
-    P = kern.pair_matrix(nodes, nodes)
-    P *= sw[:, None]
-    P *= sw[None, :]
-    P = 0.5 * (P + P.conj().T)
-    try:
-        proj_p = HermitianProjection(P, idempotency_tol=residual_threshold)
-    except ValueError as exc:
-        raise ValueError(f"truncation too coarse: {exc}") from None
-    Q = (uvals[:, None] * P) * uvals.conj()[None, :]
-    Q = 0.5 * (Q + Q.conj().T)
-    proj_q = HermitianProjection(Q, idempotency_tol=residual_threshold)
-    return proj_p, proj_q
-
-
-def _block_pair(kern: CovariantKernel, grid: DiskGrid, char, residual_threshold: float):
-    """(P, Q) as angular-mode blocks; see truncated_projection_pair."""
-    c, winding = char
-    R, A = grid.radial_nodes, grid.angular_nodes
-    first = grid.nodes[::A]
+    if char is None:
+        char, R, A = (uvals, 0), len(uvals), 1
+    else:
+        R, A = grid.radial_nodes, grid.angular_nodes
     sw = np.sqrt(grid.weights[::A])
     # K[i, j, d] = p(x_{i,0}, x_{j,d}), the entry P[(i,a),(j,a+d)] before weighting
-    K = kern.pair_matrix(first, grid.nodes).reshape(R, R, A)
+    K = landau_kernel(m).pair_matrix(grid.nodes[::A], grid.nodes).reshape(R, R, A)
     K *= sw[:, None, None]
     K *= sw[None, :, None]
-    B = A * np.moveaxis(np.fft.ifft(K, axis=2), 2, 0)
+    if A > 1:
+        K = A * np.fft.ifft(K, axis=2)
+    B = np.moveaxis(K, 2, 0)
     B = 0.5 * (B + B.conj().swapaxes(1, 2))
     try:
-        proj_p = AngularBlockProjection(B, idempotency_tol=residual_threshold)
+        proj_p = HermitianProjection.from_blocks(B, residual_threshold)
     except ValueError as exc:
         raise ValueError(f"truncation too coarse: {exc}") from None
-    Qb = conjugate_blocks(B, c, winding)
+    Qb = conjugate_blocks(B, *char)
     Qb = 0.5 * (Qb + Qb.conj().swapaxes(1, 2))
-    proj_q = AngularBlockProjection(Qb, idempotency_tol=residual_threshold)
-    return proj_p, proj_q
+    return proj_p, HermitianProjection.from_blocks(Qb, residual_threshold)

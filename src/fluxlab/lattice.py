@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fluxlab.projpair import HermitianProjection, IndexReport, check_unitary
+from fluxlab.projpair import (HermitianProjection, IndexReport, check_unitary,
+                              conjugate_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -245,9 +246,8 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
             "flux center (%.1f, %.1f) is %.1f sites from the domain boundary; "
             "finite-size effects may dominate", cx, cy, margin,
         )
-    u = U.diagonal
-    Pm = P.projection.matrix if isinstance(P, GapProjection) else P.matrix
-    M = Pm - (u[:, None] * Pm) * np.conj(u)[None, :]
+    p = getattr(P, "projection", P).matrix[None]
+    M = (p - conjugate_blocks(p, U.diagonal, 0))[0]
     M2 = M @ M
     if n == 1:
         diag = np.einsum("ij,ji->i", M2, M)
@@ -349,8 +349,7 @@ def decay_fit(P, model: MagneticLatticeModel, d_min: float = 3.0) -> tuple:
     d_max = min(model.width, model.height) / 2.0
     pos = np.array(model.sites(), dtype=float)
     D = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
-    Pm = P.projection.matrix if isinstance(P, GapProjection) else P.matrix
-    A = np.abs(Pm)
+    A = np.abs(getattr(P, "projection", P).matrix)
     xs, ys = [], []
     for b in np.arange(d_min, d_max + 1.0):
         sel = (D >= b - 0.5) & (D < b + 0.5)

@@ -8,10 +8,12 @@ arithmetic); for truncations of infinite-dimensional pairs the odd traces
 converge to the index of the underlying operators while the raw value's
 distance to the nearest integer measures the truncation quality.
 
-A projection that commutes with the rotations of a polar grid is kept as
-its angular-mode blocks (AngularBlockProjection).  Every route reduces a
-pair of such projections, and the Fedosov route a unitary that shifts the
-angular mode, block by block; any other input takes the dense route.
+A projection is kept as a stack of mode blocks (HermitianProjection.blocks).
+A projection that commutes with the rotations of a polar grid has one block
+per angular mode; any other projection is its dense matrix, the stack of
+one block.  Every route reduces a pair of projections with the same block
+layout, and the Fedosov route a diagonal unitary that shifts the angular
+mode, block by block.
 """
 
 from __future__ import annotations
@@ -21,93 +23,68 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
 class HermitianProjection:
-    """Square complex matrix validated to be Hermitian and idempotent.
+    """Hermitian idempotent operator, kept as a (k, n, n) stack of mode blocks.
 
-    idempotency_tol bounds the allowed max-entry deviation of both M - M†
-    and M² - M.  Truncated continuum projections are not exactly idempotent;
-    they carry a loose tolerance and the measured residual is kept in
-    idempotency_residual.
+    HermitianProjection(matrix) validates a square matrix, the stack of one
+    block; from_blocks validates a stack of k angular-mode blocks.  On nodes
+    ordered radial-major (index i*k + a for radius i and angle a) a
+    rotation-invariant matrix is block-circulant in the angle index:
+    M[(i,a),(j,b)] depends on i, j and (b - a) mod k only.  The DFT over the
+    angle index turns it into k blocks B_q of size n x n, one per angular
+    mode q, with
+
+        M[(i,a),(j,b)] = (1/k) sum_q B_q[i,j] exp(-2 pi i q (b - a) / k).
+
+    idempotency_tol bounds the allowed max-entry deviation of both M - M*
+    and M² - M on the nodes, read off the distinct entries of the
+    block-circulant matrices B_q - B_q* and B_q² - B_q.  Truncated continuum
+    projections are not exactly idempotent; they carry a loose tolerance and
+    the measured residual is kept in idempotency_residual.  .matrix is the
+    nodal matrix: the block itself for one block, else built on first access
+    and cached; pickling keeps only the blocks.
     """
 
-    matrix: np.ndarray
-    idempotency_tol: float = 1e-10
-    idempotency_residual: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
+    def __init__(self, matrix: np.ndarray, idempotency_tol: float = 1e-10):
+        m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"projection matrix must be square, got {m.shape}")
-        resid = _checked_residual(np.max(np.abs(m - m.conj().T)),
-                                  float(np.max(np.abs(m @ m - m))),
-                                  self.idempotency_tol)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "idempotency_residual", resid)
+        self._validate(m[None], idempotency_tol)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def rank(self) -> int:
-        return int(round(float(np.trace(self.matrix).real)))
-
-
-def _checked_residual(herm: float, resid: float, tol: float) -> float:
-    """The idempotency residual, once both max-entry residuals are within tol.
-
-    A residual that is not <= tol fails, so a NaN residual fails too.
-    """
-    if not herm <= tol:
-        raise ValueError(f"matrix is not Hermitian: max |M - M*| = {herm:.3e}")
-    if not resid <= tol:
-        raise ValueError(
-            f"matrix is not idempotent within {tol:.1e}: max |M^2 - M| = {resid:.3e}"
-        )
-    return resid
-
-
-class AngularBlockProjection(HermitianProjection):
-    """Hermitian projection that commutes with rotations of a polar grid.
-
-    On nodes ordered radial-major (index i*A + a for radius i and angle a)
-    a rotation-invariant matrix is block-circulant in the angle index:
-    M[(i,a),(j,b)] depends on i, j and (b - a) mod A only.  The DFT over the
-    angle index turns it into A blocks B_k of size R x R, one per angular
-    mode k, with
-
-        M[(i,a),(j,b)] = (1/A) sum_k B_k[i,j] exp(-2 pi i k (b - a) / A).
-
-    blocks is the (A, R, R) stack of the B_k.  Validation keeps the meaning
-    of HermitianProjection: the max-entry residuals of M - M* and M^2 - M on
-    the nodes, read off the R*R*A distinct entries of the block-circulant
-    matrices B_k - B_k* and B_k^2 - B_k.  The nodal matrix is built on first
-    access to .matrix and cached; pickling keeps only the blocks.
-    """
-
-    def __init__(self, blocks: np.ndarray, idempotency_tol: float = 1e-10):
+    @classmethod
+    def from_blocks(cls, blocks: np.ndarray, idempotency_tol: float = 1e-10):
         b = np.asarray(blocks)
         if b.ndim != 3 or b.shape[1] != b.shape[2]:
             raise ValueError(
-                f"mode blocks must have shape (A, R, R), got {b.shape}")
-        object.__setattr__(self, "blocks", b)
-        object.__setattr__(self, "idempotency_tol", idempotency_tol)
-        object.__setattr__(self, "_matrix", None)
-        resid = _checked_residual(_nodal_max(b - b.conj().swapaxes(-1, -2)),
-                                  _nodal_max(b @ b - b), idempotency_tol)
-        object.__setattr__(self, "idempotency_residual", resid)
+                f"mode blocks must have shape (k, n, n), got {b.shape}")
+        proj = cls.__new__(cls)
+        proj._validate(b, idempotency_tol)
+        return proj
+
+    def _validate(self, b: np.ndarray, tol: float):
+        herm = _nodal_max(b - b.conj().swapaxes(-1, -2))
+        resid = _nodal_max(b @ b - b)
+        if not herm <= tol:
+            raise ValueError(f"matrix is not Hermitian: max |M - M*| = {herm:.3e}")
+        if not resid <= tol:
+            raise ValueError(
+                f"matrix is not idempotent within {tol:.1e}: max |M^2 - M| = {resid:.3e}"
+            )
+        self.__dict__.update(blocks=b, idempotency_tol=tol,
+                             idempotency_residual=resid, _matrix=None)
 
     @property
     def matrix(self) -> np.ndarray:
+        a_count, r_count, _ = self.blocks.shape
+        if a_count == 1:
+            return self.blocks[0]
         if self._matrix is None:
-            a_count, r_count, _ = self.blocks.shape
             nodal = np.fft.fft(self.blocks, axis=0) / a_count
             angle = np.arange(a_count)
             shift = (angle[None, :] - angle[:, None]) % a_count
             # nodal[shift] is indexed [a, b, i, j]; the nodes are i*A + a
-            full = nodal[shift].transpose(2, 0, 3, 1).reshape(
+            self.__dict__["_matrix"] = nodal[shift].transpose(2, 0, 3, 1).reshape(
                 r_count * a_count, r_count * a_count)
-            object.__setattr__(self, "_matrix", full)
         return self._matrix
 
     @property
@@ -118,7 +95,7 @@ class AngularBlockProjection(HermitianProjection):
         return int(round(float(np.trace(self.blocks, axis1=1, axis2=2).sum().real)))
 
     def __eq__(self, other):
-        if not isinstance(other, AngularBlockProjection):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.idempotency_tol == other.idempotency_tol
                 and self.blocks.shape == other.blocks.shape
@@ -128,15 +105,23 @@ class AngularBlockProjection(HermitianProjection):
 
     def __repr__(self) -> str:
         a_count, r_count, _ = self.blocks.shape
-        return (f"AngularBlockProjection(modes={a_count}, radial={r_count}, "
+        return (f"HermitianProjection(modes={a_count}, block={r_count}, "
                 f"idempotency_residual={self.idempotency_residual:.3e})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a projection")
 
     def __getstate__(self):
         return dict(self.__dict__, _matrix=None)
 
 
 def _nodal_max(blocks: np.ndarray) -> float:
-    """Max |entry| of the block-circulant matrix with the given mode blocks."""
+    """Max |entry| of the block-circulant matrix with the given mode blocks.
+
+    One block is the matrix itself: its transform is the identity.
+    """
+    if blocks.shape[0] == 1:
+        return float(np.max(np.abs(blocks)))
     return float(np.max(np.abs(np.fft.fft(blocks, axis=0)))) / blocks.shape[0]
 
 
@@ -167,10 +152,12 @@ def conjugate_blocks(blocks: np.ndarray, c: np.ndarray, winding: int) -> np.ndar
     """Mode blocks of D M D* for D = diag(c[i] exp(2 pi i N a / A)).
 
     D shifts mode k - N to mode k, so block k is C B_{k-N} C* with
-    C = diag(c).
+    C = diag(c).  This is the one place that conjugates a projection by a
+    diagonal unitary; a dense matrix is the stack of one block, N = 0.
     """
-    shifted = np.roll(blocks, winding, axis=0)
-    return (c[:, None] * shifted) * c.conj()[None, :]
+    if winding % blocks.shape[0]:
+        blocks = np.roll(blocks, winding, axis=0)
+    return (c[:, None] * blocks) * c.conj()[None, :]
 
 
 @dataclass(frozen=True)
@@ -178,17 +165,19 @@ class UnitaryMatrix:
     """Square complex matrix validated to be unitary.
 
     The residual is the max-entry deviation of UU* from the identity.  A
-    diagonal U gives it as max_i ||d_i|^2 - 1| without a matrix product.
+    diagonal U gives it as max_i ||d_i|^2 - 1| without a matrix product and
+    keeps its diagonal in .diagonal (None for any other U).
     """
 
     matrix: np.ndarray
     unitarity_tol: float = 1e-10
+    diagonal: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         u = np.asarray(self.matrix)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"unitary matrix must be square, got {u.shape}")
-        check_unitary(u, self.unitarity_tol)
+        object.__setattr__(self, "diagonal", check_unitary(u, self.unitarity_tol))
         object.__setattr__(self, "matrix", u)
 
     @property
@@ -198,7 +187,8 @@ class UnitaryMatrix:
 
 def check_unitary(u: np.ndarray, tol: float):
     """Reject U, the square matrix u or diag(u) for a vector u, unless the
-    residual of UnitaryMatrix is <= tol (so NaN fails)."""
+    residual of UnitaryMatrix is <= tol (so NaN fails).  Returns the
+    diagonal of a diagonal U, else None."""
     d = u if np.ndim(u) == 1 else _diagonal(u)
     if d is not None:
         resid = np.max(np.abs(np.abs(d) ** 2 - 1.0))
@@ -206,6 +196,7 @@ def check_unitary(u: np.ndarray, tol: float):
         resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if not resid <= tol:
         raise ValueError(f"matrix is not unitary: max |UU* - 1| = {resid:.3e}")
+    return d
 
 
 def _diagonal(u: np.ndarray):
@@ -251,8 +242,7 @@ def _difference(P: HermitianProjection, Q: HermitianProjection) -> np.ndarray:
     """P − Q as a stack (k, n, n): its mode blocks when P and Q share a
     block layout, else the dense matrix as a stack of one."""
     _check_same_dim(P, Q)
-    if (isinstance(P, AngularBlockProjection) and isinstance(Q, AngularBlockProjection)
-            and P.blocks.shape == Q.blocks.shape):
+    if P.blocks.shape == Q.blocks.shape:
         return P.blocks - Q.blocks
     return (P.matrix - Q.matrix)[None]
 
@@ -337,18 +327,16 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     boundary contribution that does not vanish with the truncation radius, so
     its value on truncated pairs is reported raw, never rounded silently.
 
-    A mode-block P with a diagonal U whose diagonal is a rotation character
-    on P's layout is reduced block by block: U shifts the mode, so U P U* has
-    the blocks C B_{k-N} C*.
+    A diagonal U whose diagonal is a rotation character on P's block layout
+    is reduced block by block: U shifts the mode, so U P U* has the blocks
+    C B_{k-N} C*.  On one block every diagonal is such a character, N = 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_same_dim(P, U)
-    d = _diagonal(U.matrix)
+    d = U.diagonal
     if d is not None:
-        char = None
-        if isinstance(P, AngularBlockProjection):
-            char = rotation_character(d, P.blocks.shape[0])
+        char = rotation_character(d, P.blocks.shape[0])
         p, c, winding = (P.blocks, *char) if char else (P.matrix[None], d, 0)
         upu = conjugate_blocks(p, c, winding)
         u_pu = conjugate_blocks(p, c.conj(), -winding)

@@ -1,10 +1,13 @@
 """End-to-end command-line runs: exit codes, report files, reproducibility."""
 
+import ast
+import inspect
 import json
 import re
 
 import pytest
 
+from fluxlab import cli
 from fluxlab.cli import (CSV_COLUMNS, SCHEMA_VERSION, _build_parser,
                          _resolve_config, main)
 
@@ -56,7 +59,6 @@ def test_csv_header_and_status_column(switch_run):
 def test_config_echo_is_resolved_and_sorted(switch_run):
     echo = json.loads((switch_run[1] / "config.echo").read_text())
     assert echo["command"] == "switch-check"
-    assert echo["seed"] == 0
     assert echo["tol"] == 1e-6
 
 
@@ -103,6 +105,46 @@ def test_malformed_config_is_rejected(tmp_path, capsys):
     code, _ = run(tmp_path, "switch-check", "--config", str(cfg))
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay-fit", "--tol", "5"],
+    ["decay-fit", "--seed", "3"],
+    ["landau-index", "--tol", "1e-3"],
+    ["switch-check", "--seed", "1"],
+])
+def test_setting_no_runner_reads_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_config_key_no_runner_reads_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    code, _ = run(tmp_path, "hall-transport", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+def _cfg_keys_read(func, seen=()):
+    """Constant keys k of every cfg[k] in func and in the cli functions it
+    hands cfg to."""
+    keys = set()
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and any(isinstance(a, ast.Name) and a.id == "cfg" for a in node.args)
+                and node.func.id not in seen):
+            keys |= _cfg_keys_read(getattr(cli, node.func.id), (*seen, node.func.id))
+    return keys
+
+
+@pytest.mark.parametrize("command", sorted(cli._SETTINGS))
+def test_every_setting_is_read_by_its_runner(command):
+    assert set(cli._SETTINGS[command]) == _cfg_keys_read(cli._RUNNERS[command])
 
 
 def test_missing_subcommand_is_usage_error():

@@ -85,15 +85,9 @@ def test_tanh_switch_center_and_scale():
     assert s.evaluate(1.5) == pytest.approx(0.5)
     assert s.center == 1.5
     assert s.scale == 2.0
-
-
-def test_switch_derivative_consistent():
+    # monotone rise of an off-centre, narrow switch
     s = tanh_switch(0.8, center=-0.3)
-    x = np.linspace(-3, 3, 13)
-    h = 1e-6
-    numeric = (s.evaluate(x + h) - s.evaluate(x - h)) / (2 * h)
-    assert np.allclose(s.derivative(x), numeric, atol=1e-7)
-    assert np.all(s.derivative(x) > 0)
+    assert np.all(np.diff(s.evaluate(np.linspace(-3, 3, 13))) > 0)
 
 
 def test_switch_antiderivative_consistent():
@@ -108,7 +102,6 @@ def test_switch_antiderivative_consistent():
 def test_switch_no_overflow_far_out():
     s = tanh_switch(1.0)
     assert np.isfinite(s.evaluate(1e4))
-    assert np.isfinite(s.derivative(1e4))
     assert np.isfinite(s.antiderivative(1e4))
     # F(x) - x stays bounded on the right tail
     assert abs(s.antiderivative(1e4) - 1e4) < 10.0

@@ -208,8 +208,8 @@ def test_block_pair_matches_dense_oracle(m, winding, angular):
     u = gauge.flux_unitary(winding)
     P, Q = truncated_projection_pair(m, u, grid)
     Pd, Qd = truncated_projection_pair(m, u, _without_layout(grid))
-    assert isinstance(P, projpair.AngularBlockProjection)
-    assert type(Pd) is projpair.HermitianProjection
+    assert P.blocks.shape == (angular, 16, 16)
+    assert Pd.blocks.shape[0] == 1
     assert P.rank() == Pd.rank()
     for blk, dense in ((P, Pd), (Q, Qd)):
         assert abs(blk.idempotency_residual - dense.idempotency_residual) <= 1e-14
@@ -238,11 +238,11 @@ def test_symmetry_breaking_inputs_take_dense_path():
     grid = polar_disk_grid(4.0, radial_nodes=16, angular_nodes=25)
     shifted = gauge.translate_unitary(gauge.flux_unitary(1), (0.5, -0.25))
     P, Q = truncated_projection_pair(0, shifted, grid)
-    assert type(P) is projpair.HermitianProjection
+    assert P.blocks.shape[0] == 1
     odd = projpair.index_by_odd_trace(Q, P).value
     assert odd == pytest.approx(SHIFTED_ODD, abs=1e-12)
     Pd, Qd = truncated_projection_pair(0, gauge.flux_unitary(1), _without_layout(grid))
-    assert type(Pd) is projpair.HermitianProjection
+    assert Pd.blocks.shape[0] == 1
     odd = projpair.index_by_odd_trace(Qd, Pd).value
     assert odd == pytest.approx(CENTRED_ODD, abs=1e-12)
     # a diagonal unitary that is no rotation character on the block layout
@@ -257,7 +257,7 @@ def test_block_pair_pickle_round_trip():
     P, Q = truncated_projection_pair(0, gauge.flux_unitary(1), grid)
     P.matrix  # the cached nodal matrix is not pickled
     P2, Q2 = pickle.loads(pickle.dumps((P, Q)))
-    assert isinstance(P2, projpair.AngularBlockProjection)
+    assert P2.blocks.shape == (25, 16, 16)
     assert P2._matrix is None
     assert P2 == P and P2 != Q  # compares blocks, builds no nodal matrix
     assert P2._matrix is None
@@ -302,11 +302,12 @@ def test_fedosov_agrees_with_odd_trace_on_truncated_pair(
     P, _ = truncated_pair_m0
     evals, vecs = np.linalg.eigh(P.blocks)
     kept = vecs * (evals >= 0.5)[:, None, :]
-    exact = projpair.AngularBlockProjection(kept @ kept.conj().swapaxes(1, 2))
+    exact = projpair.HermitianProjection.from_blocks(kept @ kept.conj().swapaxes(1, 2))
     char = projpair.rotation_character(np.diagonal(grid_flux_unitary.matrix),
                                        P.blocks.shape[0])
     conj = projpair.conjugate_blocks(exact.blocks, *char)
-    conj = projpair.AngularBlockProjection(0.5 * (conj + conj.conj().swapaxes(1, 2)))
+    conj = projpair.HermitianProjection.from_blocks(
+        0.5 * (conj + conj.conj().swapaxes(1, 2)))
     assert exact.rank() == 64
     fed = projpair.index_by_fedosov(exact, grid_flux_unitary, n=1)
     odd = projpair.index_by_odd_trace(exact, conj, n=1)
@@ -343,6 +344,20 @@ def test_singular_gauge_on_node_rejected():
                      radius=grid.radius)
     with pytest.raises(ValueError, match="singular on a grid node"):
         truncated_projection_pair(0, u, bad)
+
+
+@pytest.mark.parametrize("layout", ["block", "dense"])
+def test_gauge_off_unit_circle_rejected(layout):
+    # 1.1 z/|z| is a rotation character but not unimodular: its conjugate of
+    # P is no projection, and the pair traced to 0.42 (block) or -0.26
+    # (dense) instead of -1 before the check
+    grid = polar_disk_grid(8.0)
+    if layout == "dense":
+        grid = _without_layout(polar_disk_grid(4.0, radial_nodes=16, angular_nodes=25))
+    unit = gauge.flux_unitary(1)
+    scaled = gauge.GaugeUnitary(evaluate=lambda x: 1.1 * unit(x), winding=1)
+    with pytest.raises(ValueError, match="not unimodular"):
+        truncated_projection_pair(0, scaled, grid)
 
 
 def test_normalization_note_logged_once(caplog):

@@ -1,5 +1,7 @@
 """Finite-dimensional identities of the relative index."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +140,21 @@ def test_projection_validation():
     assert loose.idempotency_residual == 0.25
 
 
+def test_dense_projection_is_one_block():
+    P = diag_projection([1, 1, 0])
+    assert P.blocks.shape == (1, 3, 3)
+    assert np.shares_memory(P.matrix, P.blocks)  # no copy of the block
+    assert P == diag_projection([1, 1, 0])
+    assert P != diag_projection([1, 0, 1])
+    assert P != HermitianProjection(P.matrix, idempotency_tol=1e-8)
+    assert pickle.loads(pickle.dumps(P)) == P
+    two = HermitianProjection.from_blocks(np.stack([np.diag([1.0, 0.0])] * 2))
+    assert two.dim == 4 and two.rank() == 2
+    assert two != HermitianProjection(two.matrix)  # another block layout
+    with pytest.raises(AttributeError):
+        P.blocks = two.blocks
+
+
 def test_unitary_validation():
     with pytest.raises(ValueError, match="not unitary"):
         UnitaryMatrix(2.0 * np.eye(4))
@@ -150,7 +167,8 @@ NAN_PAIR = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
 @pytest.mark.parametrize("build, message", [
     (lambda: HermitianProjection(NAN_PAIR), "not Hermitian"),
-    (lambda: projpair.AngularBlockProjection(NAN_PAIR[None]), "not Hermitian"),
+    (lambda: HermitianProjection.from_blocks(np.stack([NAN_PAIR, NAN_PAIR])),
+     "not Hermitian"),
     (lambda: UnitaryMatrix(np.diag([np.nan, 1.0])), "not unitary"),
 ], ids=["hermitian", "angular-block", "unitary"])
 def test_nan_entries_fail_validation(build, message):
