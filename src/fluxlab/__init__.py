@@ -46,7 +46,6 @@ from fluxlab.quadrature import (
     trace_from_diagonal,
 )
 from fluxlab.hall import (
-    BoxRegion,
     SwitchPair,
     switch_integral_1d,
     switch_integral_2d,

@@ -186,7 +186,7 @@ def run_landau_index(cfg) -> list:
         # charge-deficiency orientation: the flux-conjugated projection leads
         rep = projpair.index_by_odd_trace(Q, P, n=1)
     rows.append(_row("landau-index/truncated-pair",
-                     {"m": m, "radius": grid.radius, "trace_power": 3},
+                     {"m": m, "radius": grid.radius, "trace_power": rep.trace_power},
                      rep.value, -1.0, 1e-2, timer=t))
     return rows
 
@@ -287,7 +287,7 @@ def run_lattice_index(cfg) -> list:
             rep = lattice.lattice_index(gp, U, n=n)
         rows.append(_row("lattice-index/windowed",
                          {"size": cfg["size"], "flux": cfg["flux"],
-                          "fermi": cfg["fermi"], "trace_power": 2 * n + 1,
+                          "fermi": cfg["fermi"], "trace_power": rep.trace_power,
                           "gap_width": round(gp.gap_width, 6)},
                          rep.value, round(rep.value), cfg["tol"],
                          residual=rep.residual, timer=t))

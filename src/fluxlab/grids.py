@@ -17,7 +17,7 @@ The connes_area regions take their radial rules and rings from here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,8 +45,20 @@ def ring(count: int):
     return 2.0 * np.pi * np.arange(count) / count, 2.0 * np.pi / count
 
 
-@dataclass(frozen=True)
-class DiskGrid:
+class _ArrayFields:
+    """== of two grids of one class: every field equal, arrays entrywise."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class DiskGrid(_ArrayFields):
     """Quadrature nodes and weights covering a disk around the origin.
 
     radial_nodes and angular_nodes record a polar layout: node i*A + a sits
@@ -129,8 +141,8 @@ def level_disk_grid(m: int, radius: float = None) -> DiskGrid:
     return polar_disk_grid(radius, 40 + 8 * m, 72 + 18 * m)
 
 
-@dataclass(frozen=True)
-class TensorGrid:
+@dataclass(frozen=True, eq=False)
+class TensorGrid(_ArrayFields):
     """Tensor product of two Gauss-Legendre axes.
 
     Node a * len(v) + b sits at (u[a], v[b]) and carries the weight

@@ -29,17 +29,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class BoxRegion:
-    """The square [-L, L]^2 used for truncated traces and averages."""
-
-    half_side: float
-
-    def __post_init__(self):
-        if self.half_side <= 0:
-            raise ValueError(f"box half side must be positive, got {self.half_side}")
-
-
-@dataclass(frozen=True)
 class SwitchPair:
     """The two switch operators entering the curvature commutator.
 
@@ -140,13 +129,12 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     by e^-1 per unit L, while the scale-0.5 error is 8e-9 at L = 6.
     """
     Ls = [float(L) for L in L_values]
-    if any(b <= a for a, b in zip(Ls, Ls[1:])):
-        raise ValueError(f"L values must be strictly increasing, got {Ls}")
+    if any(b <= a for a, b in zip([0.0] + Ls, Ls)):
+        raise ValueError(f"L values must be positive and strictly increasing, got {Ls}")
     grid = level_square_grid(p.level, "transport", spec)
     nodes = grid.nodes
     V, W = [], []
     for L in Ls:
-        BoxRegion(L)
         a1 = _box_switch_integrals(pair.lambda1, nodes[:, pair.axes[0]], L)
         a2 = _box_switch_integrals(pair.lambda2, nodes[:, pair.axes[1]], L)
         V += [a1, a2]
@@ -198,6 +186,7 @@ def kubo_box(p: CovariantKernel, L: float, spec: QuadratureSpec = None) -> float
     it exactly, so L affects the result only through that exact
     cancellation.
     """
-    BoxRegion(L)
+    if L <= 0:
+        raise ValueError(f"box half side must be positive, got {L}")
     val = 1j * triple_wedge(p, level_square_grid(p.level, "transport", spec))
     return float(val.real)

@@ -23,8 +23,7 @@ import numpy as np
 from fluxlab.gauge import GaugeUnitary
 from fluxlab.grids import (DiskGrid, gauss_legendre, level_disk_grid,  # noqa: F401
                            level_disk_radius, polar_disk_grid, polar_nodes)
-from fluxlab.projpair import (HermitianProjection, check_unitary, conjugate_blocks,
-                              rotation_character)
+from fluxlab.projpair import HermitianProjection, check_unitary, conjugated
 
 logger = logging.getLogger(__name__)
 
@@ -317,21 +316,20 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
     u(x_j).  P is only approximately idempotent: the truncation boundary
     carries an eigenvalue cloud between 0 and 1, and that cloud is exactly
     what lets the pair carry a nonzero odd trace (exact finite projections
-    related by a unitary always trace to zero).  The measured idempotency
-    residual is attached to the returned projections; a residual above
-    residual_threshold means the truncation is too coarse and is an error.
+    related by a unitary always trace to zero).  P's measured residuals and
+    Q's carried bounds are attached to the returned projections; a residual
+    above residual_threshold means the truncation is too coarse and is an
+    error.
 
-    When the grid records a polar layout (R radii x A angles) and u on the
-    nodes is a rotation character c_i exp(2 pi i N a / A), as (z/|z|)^N is,
-    the kernel is rotation invariant, so P is block-circulant in the angle
-    index and is kept as A blocks of size R x R, one per angular mode,
-    computed from the R x N kernel entries of the first angular column.  Any
-    other grid or unitary (a translated flux, a grid without layout) keeps P
-    as the dense N x N matrix, the stack of one block, and u as c with
-    N = 0.  Either way Q has the blocks C B_{k-N} C*
-    (projpair.conjugate_blocks), and both layouts give the same nodal
-    entries and residuals.  A u that is not unimodular on the nodes is an
-    error: the conjugated Q would not be a projection.
+    P's layout follows the grid alone: the kernel is rotation invariant
+    about the origin, so on a grid that records a polar layout (R radii x A
+    angles) P is block-circulant in the angle index and is kept as A blocks
+    of size R x R, one per angular mode, computed from the R x N kernel
+    entries of the first angular column; on any other grid it is the dense
+    N x N matrix, the stack of one block.  Only P is validated: Q is
+    projpair.conjugated(P, u on the nodes), which carries P's residuals and
+    keeps its blocks for a centred (z/|z|)^N; a translated flux gives a
+    dense Q.  A u not unimodular on the nodes is an error.
 
     Without a grid the disk is level_disk_grid(m), a larger disk for higher
     levels, since a larger disk, not a finer grid, is what brings the odd
@@ -360,13 +358,10 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
         check_unitary(uvals, 1e-10)
     except ValueError as exc:
         raise ValueError(f"gauge unitary is not unimodular on the grid: {exc}") from None
-    char = None
     if grid.has_polar_layout():
-        char = rotation_character(uvals, grid.angular_nodes)
-    if char is None:
-        char, R, A = (uvals, 0), len(uvals), 1
-    else:
         R, A = grid.radial_nodes, grid.angular_nodes
+    else:
+        R, A = len(uvals), 1
     sw = np.sqrt(grid.weights[::A])
     # K[i, j, d] = p(x_{i,0}, x_{j,d}), the entry P[(i,a),(j,a+d)] before weighting
     K = landau_kernel(m).pair_matrix(grid.nodes[::A], grid.nodes).reshape(R, R, A)
@@ -380,6 +375,4 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
         proj_p = HermitianProjection.from_blocks(B, residual_threshold)
     except ValueError as exc:
         raise ValueError(f"truncation too coarse: {exc}") from None
-    Qb = conjugate_blocks(B, *char)
-    Qb = 0.5 * (Qb + Qb.conj().swapaxes(1, 2))
-    return proj_p, HermitianProjection.from_blocks(Qb, residual_threshold)
+    return proj_p, conjugated(proj_p, uvals)

@@ -12,8 +12,10 @@ A projection is kept as a stack of mode blocks (HermitianProjection.blocks).
 A projection that commutes with the rotations of a polar grid has one block
 per angular mode; any other projection is its dense matrix, the stack of
 one block.  Every route reduces a pair of projections with the same block
-layout, and the Fedosov route a diagonal unitary that shifts the angular
-mode, block by block.
+layout block by block.  Every flux-inserted projection D P D*, for a
+diagonal unitary D, is formed from P by conjugated: it keeps P's blocks
+when D shifts the angular mode, and it carries P's residuals, widened by
+D's distance from the unit circle, instead of measuring them again.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ class HermitianProjection:
     and M² - M on the nodes, read off the distinct entries of the
     block-circulant matrices B_q - B_q* and B_q² - B_q.  Truncated continuum
     projections are not exactly idempotent; they carry a loose tolerance and
-    the measured residual is kept in idempotency_residual.  .matrix is the
-    nodal matrix: the block itself for one block, else built on first access
-    and cached; pickling keeps only the blocks.
+    the residuals are kept in hermitian_residual and idempotency_residual.
+    .matrix is the nodal matrix: the block itself for one block, else built
+    on first access and cached; pickling keeps only the blocks.
     """
 
     def __init__(self, matrix: np.ndarray, idempotency_tol: float = 1e-10):
@@ -61,16 +63,17 @@ class HermitianProjection:
         proj._validate(b, idempotency_tol)
         return proj
 
-    def _validate(self, b: np.ndarray, tol: float):
-        herm = _nodal_max(b - b.conj().swapaxes(-1, -2))
-        resid = _nodal_max(b @ b - b)
+    def _validate(self, b: np.ndarray, tol: float, herm=None, resid=None):
+        """Keep the blocks b with their residuals, measured unless given."""
+        if herm is None:
+            herm, resid = _nodal_max(b - b.conj().swapaxes(-1, -2)), _nodal_max(b @ b - b)
         if not herm <= tol:
             raise ValueError(f"matrix is not Hermitian: max |M - M*| = {herm:.3e}")
         if not resid <= tol:
             raise ValueError(
                 f"matrix is not idempotent within {tol:.1e}: max |M^2 - M| = {resid:.3e}"
             )
-        self.__dict__.update(blocks=b, idempotency_tol=tol,
+        self.__dict__.update(blocks=b, idempotency_tol=tol, hermitian_residual=herm,
                              idempotency_residual=resid, _matrix=None)
 
     @property
@@ -98,7 +101,6 @@ class HermitianProjection:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.idempotency_tol == other.idempotency_tol
-                and self.blocks.shape == other.blocks.shape
                 and bool(np.array_equal(self.blocks, other.blocks)))
 
     __hash__ = None
@@ -125,48 +127,52 @@ def _nodal_max(blocks: np.ndarray) -> float:
     return float(np.max(np.abs(np.fft.fft(blocks, axis=0)))) / blocks.shape[0]
 
 
-_CHARACTER_TOL = 1e-12
+def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
+    """D P D* for the diagonal unitary D = diag(d), the one place that forms it.
 
+    On P's k mode blocks (node i*k + a) a rotation character
+    d = c[i] exp(2 pi i N a / k), within 1e-12, shifts the mode by N, and Q
+    keeps the layout with the blocks C B_{q-N} C*.  On one block every d is
+    one; any other d gives the dense matrix.
 
-def rotation_character(values: np.ndarray, angular_nodes: int):
-    """(c, N) when values[i*A + a] = c[i] exp(2 pi i N a / A) within 1e-12.
-
-    values are samples on a radial-major polar layout with A = angular_nodes
-    angles.  A diagonal matrix with such a diagonal shifts the angular mode
-    by N (mod A), so it maps mode blocks to mode blocks.  Returns None when
-    the samples are not a rotation character.
+    The residuals are carried, not measured: d passes check_unitary at 1e-10,
+    eps = max_i ||d_i|^2 - 1| gives |d_i d_j| <= 1 + eps, and with E = D*D - 1,
+    Q - Q* = D (P - P*) D* and Q^2 - Q = D (P^2 - P + P E P) D*.  So Q records
+    (1 + eps) h_P and (1 + eps)(r_P + eps rho_P), for P's residuals h_P, r_P
+    and largest squared row norm rho_P = max_i sum_{q,j} |B_q[i,j]|^2 / k
+    (Parseval); it keeps P's tolerance and is rejected above it.
     """
-    v = np.asarray(values).reshape(-1, angular_nodes)
+    k, n, _ = P.blocks.shape
+    d = np.asarray(d)
+    if d.shape != (k * n,):
+        raise ValueError(f"dimension mismatch: diagonal {d.shape}, projection {k * n}")
+    check_unitary(d, 1e-10)
+    eps = float(np.max(np.abs(np.abs(d) ** 2 - 1.0)))
+    rho = float(np.max(np.sum(np.abs(P.blocks) ** 2, axis=(0, 2)))) / k
+    v = d.reshape(n, k)
     c = v[:, 0]
-    winding = 0
-    if angular_nodes > 1:
-        step = np.angle(v[0, 1] * np.conj(v[0, 0]))
-        winding = int(round(step * angular_nodes / (2.0 * np.pi))) % angular_nodes
-    phase = np.exp(2j * np.pi * winding * np.arange(angular_nodes) / angular_nodes)
-    if np.max(np.abs(v - c[:, None] * phase[None, :])) > _CHARACTER_TOL:
-        return None
-    return c, winding
+    step = np.angle(v[0, 1 % k] * np.conj(c[0]))  # 0 on one block
+    winding = int(round(step * k / (2.0 * np.pi))) % k
+    phase = np.exp(2j * np.pi * winding * np.arange(k) / k)
+    if np.max(np.abs(v - c[:, None] * phase[None, :])) <= 1e-12:
+        blocks = np.roll(P.blocks, winding, axis=0) if winding else P.blocks
+    else:
+        blocks, c = P.matrix[None], d
+    Q = HermitianProjection.__new__(HermitianProjection)
+    Q._validate(blocks * np.outer(c, c.conj()), P.idempotency_tol,
+                (1.0 + eps) * P.hermitian_residual,
+                (1.0 + eps) * (P.idempotency_residual + eps * rho))
+    return Q
 
 
-def conjugate_blocks(blocks: np.ndarray, c: np.ndarray, winding: int) -> np.ndarray:
-    """Mode blocks of D M D* for D = diag(c[i] exp(2 pi i N a / A)).
-
-    D shifts mode k - N to mode k, so block k is C B_{k-N} C* with
-    C = diag(c).  This is the one place that conjugates a projection by a
-    diagonal unitary; a dense matrix is the stack of one block, N = 0.
-    """
-    if winding % blocks.shape[0]:
-        blocks = np.roll(blocks, winding, axis=0)
-    return (c[:, None] * blocks) * c.conj()[None, :]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
     """Square complex matrix validated to be unitary.
 
     The residual is the max-entry deviation of UU* from the identity.  A
     diagonal U gives it as max_i ||d_i|^2 - 1| without a matrix product and
-    keeps its diagonal in .diagonal (None for any other U).
+    keeps its diagonal in .diagonal (None for any other U).  Two unitaries
+    are equal when their tolerances and matrices are.
     """
 
     matrix: np.ndarray
@@ -183,6 +189,14 @@ class UnitaryMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.unitarity_tol == other.unitarity_tol
+                and bool(np.array_equal(self.matrix, other.matrix)))
+
+    __hash__ = None
 
 
 def check_unitary(u: np.ndarray, tol: float):
@@ -212,7 +226,8 @@ class IndexReport:
     Spectral counting always returns an exact integer (residual 0).  Trace
     methods return the raw real value; rounding is left to the caller so that
     truncation error stays visible.  imag_part records the magnitude of the
-    imaginary component discarded from the raw trace.
+    imaginary component discarded from the raw trace.  trace_power is the
+    traced exponent: 2n+1 for odd traces, n+1 for Fedosov, 0 for counting.
     """
 
     value: float
@@ -225,7 +240,7 @@ class IndexReport:
         return int(round(self.value))
 
 
-def _trace_report(t: complex, method: str, trace_power: int) -> IndexReport:
+def trace_report(t: complex, method: str, trace_power: int) -> IndexReport:
     """The report of a raw trace t: its real part, unrounded."""
     value = float(t.real)
     return IndexReport(value=value, method=method, trace_power=trace_power,
@@ -301,7 +316,7 @@ def index_by_odd_trace(P: HermitianProjection, Q: HermitianProjection,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _trace_report(_odd_traces(P, Q, n)[-1], "odd-trace", n)
+    return trace_report(_odd_traces(P, Q, n)[-1], "odd-trace", 2 * n + 1)
 
 
 def odd_trace_stability(P: HermitianProjection, Q: HermitianProjection,
@@ -327,19 +342,17 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     boundary contribution that does not vanish with the truncation radius, so
     its value on truncated pairs is reported raw, never rounded silently.
 
-    A diagonal U whose diagonal is a rotation character on P's block layout
-    is reduced block by block: U shifts the mode, so U P U* has the blocks
-    C B_{k-N} C*.  On one block every diagonal is such a character, N = 0.
+    A diagonal U conjugates P through conjugated; when that keeps P's mode
+    blocks, the compressions are reduced block by block.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_same_dim(P, U)
     d = U.diagonal
     if d is not None:
-        char = rotation_character(d, P.blocks.shape[0])
-        p, c, winding = (P.blocks, *char) if char else (P.matrix[None], d, 0)
-        upu = conjugate_blocks(p, c, winding)
-        u_pu = conjugate_blocks(p, c.conj(), -winding)
+        upu = conjugated(P, d).blocks
+        u_pu = conjugated(P, d.conj()).blocks
+        p = P.blocks if upu.shape == P.blocks.shape else P.matrix[None]
     else:
         u = U.matrix
         upu = (u @ P.matrix @ u.conj().T)[None]
@@ -348,7 +361,7 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     X = p - p @ upu @ p
     Y = p - p @ u_pu @ p
     t = _power_traces(X, X, n + 1)[-1] - _power_traces(Y, Y, n + 1)[-1]
-    return _trace_report(t, "fedosov", n)
+    return trace_report(t, "fedosov", n + 1)
 
 
 def additivity_check(P: HermitianProjection, Q: HermitianProjection,

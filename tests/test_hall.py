@@ -135,6 +135,14 @@ def test_box_transport_requires_increasing_l(kernel_m0, unit_pair):
         hall_transport_box(kernel_m0, unit_pair, L_values=[3.0, 2.0])
 
 
+@pytest.mark.parametrize("L", [0.0, -2.0])
+def test_box_routes_require_positive_half_side(kernel_m0, unit_pair, L):
+    with pytest.raises(ValueError, match="must be positive"):
+        hall_transport_box(kernel_m0, unit_pair, L_values=[L, 3.0])
+    with pytest.raises(ValueError, match="must be positive"):
+        kubo_box(kernel_m0, L)
+
+
 def test_closed_form_equals_one(kernel_m0):
     assert hall_transport_closed_form(kernel_m0) == pytest.approx(1.0, abs=2e-2)
 

@@ -237,8 +237,10 @@ SHIFTED_FEDOSOV = 0.6595749795483694
 def test_symmetry_breaking_inputs_take_dense_path():
     grid = polar_disk_grid(4.0, radial_nodes=16, angular_nodes=25)
     shifted = gauge.translate_unitary(gauge.flux_unitary(1), (0.5, -0.25))
+    # P's layout follows the grid; the translated flux gives a dense Q
     P, Q = truncated_projection_pair(0, shifted, grid)
-    assert P.blocks.shape[0] == 1
+    assert P.blocks.shape == (25, 16, 16)
+    assert Q.blocks.shape == (1, 400, 400)
     odd = projpair.index_by_odd_trace(Q, P).value
     assert odd == pytest.approx(SHIFTED_ODD, abs=1e-12)
     Pd, Qd = truncated_projection_pair(0, gauge.flux_unitary(1), _without_layout(grid))
@@ -303,11 +305,8 @@ def test_fedosov_agrees_with_odd_trace_on_truncated_pair(
     evals, vecs = np.linalg.eigh(P.blocks)
     kept = vecs * (evals >= 0.5)[:, None, :]
     exact = projpair.HermitianProjection.from_blocks(kept @ kept.conj().swapaxes(1, 2))
-    char = projpair.rotation_character(np.diagonal(grid_flux_unitary.matrix),
-                                       P.blocks.shape[0])
-    conj = projpair.conjugate_blocks(exact.blocks, *char)
-    conj = projpair.HermitianProjection.from_blocks(
-        0.5 * (conj + conj.conj().swapaxes(1, 2)))
+    conj = projpair.conjugated(exact, grid_flux_unitary.diagonal)
+    assert conj.blocks.shape == exact.blocks.shape
     assert exact.rank() == 64
     fed = projpair.index_by_fedosov(exact, grid_flux_unitary, n=1)
     odd = projpair.index_by_odd_trace(exact, conj, n=1)

@@ -136,6 +136,39 @@ def test_lattice_index_full_trace_is_zero(lattice_benchmark):
     assert abs(rep.value) <= 1e-9
 
 
+def _dense_window_sum(P, U, n, window_radius=6.0):
+    # the diagonal of the full power (P - UPU*)^(2n+1), summed over the window
+    D = np.diag(U.diagonal)
+    M = P.matrix - D @ P.matrix @ D.conj().T
+    diag = np.einsum("ij,ji->i", np.linalg.matrix_power(M, 2 * n), M)
+    pos = U.site_array
+    r = np.hypot(pos[:, 0] - U.center[0], pos[:, 1] - U.center[1])
+    return complex(np.sum(diag[r <= window_radius]))
+
+
+WEDGE = np.zeros((24, 24), dtype=bool)
+WEDGE[12:, 12:] = True
+
+
+@pytest.mark.parametrize("n, mask, center, window_radius", [
+    (1, None, (11.5, 11.5), 6.0),
+    (2, None, (11.5, 11.5), 6.0),
+    (1, WEDGE, (11.4, 11.4), 6.0),
+    (2, None, (11.5, 11.5), 1e6),
+], ids=["n1", "n2", "wedge", "full-window"])
+def test_window_rows_match_dense_diagonal_sum(n, mask, center, window_radius):
+    model = MagneticLatticeModel(24, 24, FLUX, domain_mask=mask)
+    gp = gap_projection(build_hamiltonian(model), FERMI)
+    U = lattice_flux_unitary(model, center)
+    rep = lattice_index(gp, U, n=n, window_radius=window_radius)
+    want = _dense_window_sum(gp.projection, U, n, window_radius)
+    assert abs(rep.value - want.real) <= 1e-12
+    assert abs(rep.imag_part - abs(want.imag)) <= 1e-12
+    assert rep.trace_power == 2 * n + 1
+    if window_radius > 24:
+        assert abs(want) <= 1e-9  # the full trace vanishes by similarity
+
+
 def test_lattice_index_requires_geometry(lattice_benchmark):
     _, _, gp, _ = lattice_benchmark
     bare = UnitaryMatrix(np.eye(gp.projection.dim, dtype=complex))

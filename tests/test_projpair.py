@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fluxlab import projpair
+from fluxlab import gauge, landau, lattice, projpair
+from fluxlab.grids import DiskGrid, polar_disk_grid, square_grid
 from fluxlab.projpair import (HermitianProjection, UnitaryMatrix,
-                              additivity_check, index_by_fedosov,
+                              additivity_check, conjugated, index_by_fedosov,
                               index_by_odd_trace, index_by_spectral_count,
                               odd_trace_stability, random_projection,
                               random_unitary)
@@ -107,12 +108,13 @@ def test_fedosov_vanishes_for_exact_projections():
             rep = index_by_fedosov(P, U, n=n)
             assert abs(rep.value) <= 1e-9
             assert rep.method == "fedosov"
+            assert rep.trace_power == n + 1
 
 
 def test_index_report_rounding():
     rep = index_by_odd_trace(diag_projection([1, 0]), diag_projection([0, 0]))
     assert rep.rounded() == 1
-    assert rep.trace_power == 1
+    assert rep.trace_power == 3
 
 
 def test_spectral_count_rejects_overlapping_buckets():
@@ -160,6 +162,70 @@ def test_unitary_validation():
         UnitaryMatrix(2.0 * np.eye(4))
     U = UnitaryMatrix(np.diag(np.exp(1j * np.arange(4))))
     assert U.dim == 4
+
+
+@pytest.mark.parametrize("build, other", [
+    (lambda: UnitaryMatrix(np.eye(2)), lambda: UnitaryMatrix(np.diag([1, -1.0]))),
+    (lambda: polar_disk_grid(4.0), lambda: polar_disk_grid(5.0)),
+    (lambda: square_grid(3.0, 4), lambda: square_grid(3.0, 5)),
+], ids=["unitary", "disk-grid", "tensor-grid"])
+def test_array_dataclass_equality_is_bool(build, other):
+    # the generated == compared arrays as a tuple and raised ValueError
+    a, b, c = build(), build(), other()
+    assert (a == b) is True and (a != b) is False
+    assert (a == c) is False and (a != c) is True
+    assert a != object()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+def _disk_pair(case):
+    grid = polar_disk_grid(4.0, radial_nodes=16, angular_nodes=25)
+    u = gauge.flux_unitary(1)
+    if case == "dense":
+        grid = DiskGrid(nodes=grid.nodes, weights=grid.weights, radius=grid.radius)
+    if case == "translated":
+        u = gauge.translate_unitary(u, (0.5, -0.25))
+    return landau.truncated_projection_pair(0, u, grid)
+
+
+def _lattice_pair():
+    model = lattice.MagneticLatticeModel(12, 12, 1.0 / 3.0)
+    P = lattice.gap_projection(lattice.build_hamiltonian(model), -1.29).projection
+    U = lattice.lattice_flux_unitary(model, (5.5, 5.5))
+    return P, conjugated(P, U.diagonal)
+
+
+@pytest.mark.parametrize("case", ["block", "dense", "translated", "lattice"])
+def test_conjugated_residuals_bound_fresh_ones(case):
+    P, Q = _lattice_pair() if case == "lattice" else _disk_pair(case)
+    layouts = {"block": (25, 25), "translated": (25, 1)}.get(case, (1, 1))
+    assert (P.blocks.shape[0], Q.blocks.shape[0]) == layouts
+    fresh = HermitianProjection(Q.matrix, Q.idempotency_tol)
+    # the bounds hold in exact arithmetic; forming and measuring Q.matrix
+    # adds rounding of a few units in the last place of its entries (P's own
+    # nodal matrix measures a Hermitian residual of 1e-17 where its blocks
+    # measure 0)
+    rounding = 4 * np.finfo(float).eps * np.max(np.abs(Q.matrix))
+    for carried, measured in ((Q.hermitian_residual, fresh.hermitian_residual),
+                              (Q.idempotency_residual, fresh.idempotency_residual)):
+        assert measured <= carried + rounding
+        assert carried - measured <= 1e-14
+    assert Q.idempotency_residual >= P.idempotency_residual
+
+
+def test_conjugated_rejects_what_its_bounds_exclude():
+    half = HermitianProjection(0.5 * np.eye(3), idempotency_tol=0.25)
+    with pytest.raises(ValueError, match="not unitary"):
+        conjugated(half, np.array([1.0, 1.0, 1.1]))
+    with pytest.raises(ValueError, match="dimension"):
+        conjugated(half, np.ones(4))
+    # |d|^2 = 1 + 1e-11 passes the unitary check, but widens the residual
+    # 0.25 of P past its tolerance 0.25
+    with pytest.raises(ValueError, match="not idempotent"):
+        conjugated(half, np.sqrt(1.0 + 1e-11) * np.ones(3))
+    same = conjugated(half, np.ones(3))
+    assert same == half and same.hermitian_residual == 0.0
 
 
 NAN_PAIR = np.array([[np.nan, 0.0], [0.0, 1.0]])
