@@ -87,10 +87,29 @@ def _parse_flux(text) -> float:
     return float(text)
 
 
-def _parse_floats(text) -> list:
+def _split_list(text) -> list:
     if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v.strip()]
+        return list(text)
+    return [v.strip() for v in str(text).split(",") if v.strip()]
+
+
+def _parse_floats(text) -> list:
+    return [float(v) for v in _split_list(text)]
+
+
+def _parse_powers(text) -> list:
+    """Trace powers n >= 1 from a comma list or a config list; anything else
+    is a usage error naming the offending value."""
+    powers = []
+    for item in _split_list(text):
+        try:
+            value = float(item)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or not value.is_integer() or value < 1:
+            raise SystemExit(f"fluxlab: powers must be integers >= 1, got {item!r}")
+        powers.append(int(value))
+    return powers
 
 
 # ---------------------------------------------------------------- proj-suite
@@ -288,7 +307,8 @@ def run_lattice_index(cfg) -> list:
         rows.append(_row("lattice-index/windowed",
                          {"size": cfg["size"], "flux": cfg["flux"],
                           "fermi": cfg["fermi"], "trace_power": rep.trace_power,
-                          "gap_width": round(gp.gap_width, 6)},
+                          "gap_width": round(gp.gap_width, 6),
+                          "real_form": gp.real_form},
                          rep.value, round(rep.value), cfg["tol"],
                          residual=rep.residual, timer=t))
     return rows
@@ -438,7 +458,7 @@ def _resolve_config(args) -> dict:
     if "L_values" in cfg:
         cfg["L_values"] = _parse_floats(cfg["L_values"])
     if "powers" in cfg:
-        cfg["powers"] = [int(v) for v in _parse_floats(cfg["powers"])]
+        cfg["powers"] = _parse_powers(cfg["powers"])
     return cfg
 
 

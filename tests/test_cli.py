@@ -205,6 +205,21 @@ def test_lattice_index_command(tmp_path):
     for row in read_json(out)["rows"]:
         assert row["oracle"] == -1.0
         assert row["residual"] <= 5e-2
+        assert row["parameters"]["real_form"] is True
+
+
+@pytest.mark.parametrize("powers", ["1.5", "0", "1,two"])
+def test_lattice_index_rejects_bad_powers(tmp_path, capsys, powers):
+    code, _ = run(tmp_path, "lattice-index", "--powers", powers)
+    assert code == 2
+    bad = powers.split(",")[-1]
+    assert f"powers must be integers >= 1, got '{bad}'" in capsys.readouterr().err
+
+
+def test_lattice_index_seventh_power(tmp_path):
+    code, out = run(tmp_path, "lattice-index", "--powers", "1,3", "--size", "20")
+    assert code == 0
+    assert [row["parameters"]["trace_power"] for row in read_json(out)["rows"]] == [3, 7]
 
 
 def test_disorder_command_constancy(tmp_path):

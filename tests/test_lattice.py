@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
-                             build_hamiltonian, decay_fit, disorder_constancy,
-                             gap_projection, lattice_flux_unitary,
-                             lattice_index, plaquette_phase, wedge_experiment)
+                             _real_form_permutation, build_hamiltonian,
+                             decay_fit, disorder_constancy, gap_projection,
+                             lattice_flux_unitary, lattice_index,
+                             plaquette_phase, wedge_experiment)
 from fluxlab.projpair import HermitianProjection, UnitaryMatrix
 
 FLUX = 1.0 / 3.0
@@ -93,6 +95,84 @@ def test_gap_projection_min_gap_threshold():
         gap_projection(H, FERMI, min_gap=10.0)
 
 
+def _complex_oracle(H, fermi):
+    # the complex eigh route: eigenvectors of H itself, P = V V*, symmetrized
+    evals, vecs = np.linalg.eigh(H)
+    V = vecs[:, evals < fermi]
+    P = V @ V.conj().T
+    return 0.5 * (P + P.conj().T), float(np.min(np.abs(evals - fermi)))
+
+
+def _mask(rows, cols, size=24):
+    mask = np.zeros((size, size), dtype=bool)
+    mask[rows, cols] = True
+    return mask
+
+
+def _y_symmetric_potential(width, height, seed, amplitude=0.1):
+    a = np.random.default_rng(seed).uniform(-amplitude, amplitude, (width, height))
+    return a + a[:, ::-1]
+
+
+@pytest.mark.parametrize("model", [
+    bench(24), bench(32), bench(40),
+    MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None))),
+    MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(12, None), slice(12, None))),
+    MagneticLatticeModel(24, 24, 0.0),
+    MagneticLatticeModel(24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5)),
+], ids=["L24", "L32", "L40", "half-plane", "quarter-wedge", "flux-zero",
+        "y-symmetric-potential"])
+def test_real_form_matches_complex_oracle(model, caplog):
+    H = build_hamiltonian(model)
+    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
+        gp = gap_projection(H, FERMI)
+    assert gp.real_form
+    assert f"real-form eigh, N = {H.shape[0]}" in caplog.text
+    P, gap = _complex_oracle(H, FERMI)
+    assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
+    assert abs(gp.gap_width - gap) <= 1e-12
+    assert gp.projection.rank() == HermitianProjection(P, idempotency_tol=1e-8).rank()
+    if model.flux_per_plaquette == 0.0:
+        assert np.array_equal(_real_form_permutation(H), np.arange(H.shape[0]))
+        assert np.max(np.abs(gp.projection.matrix.imag)) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(width=st.integers(2, 9), height=st.integers(2, 9),
+       q=st.integers(1, 5), p=st.integers(0, 4),
+       seed=st.one_of(st.none(), st.integers(0, 2**16)))
+def test_real_form_matches_complex_oracle_on_random_boxes(width, height, q, p, seed):
+    potential = None if seed is None else _y_symmetric_potential(width, height, seed, 1.0)
+    model = MagneticLatticeModel(width, height, (p % q) / q, potential=potential)
+    H = build_hamiltonian(model)
+    evals = np.linalg.eigvalsh(H)
+    k = int(np.argmax(np.diff(evals)))
+    fermi = 0.5 * (evals[k] + evals[k + 1])
+    gp = gap_projection(H, fermi)
+    assert gp.real_form
+    P, gap = _complex_oracle(H, fermi)
+    assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
+    assert abs(gp.gap_width - gap) <= 1e-12
+    assert gp.projection.rank() == k + 1
+
+
+@pytest.mark.parametrize("case", ["disorder", "symmetric-gauge"])
+def test_complex_fallback_is_bitwise_the_oracle(case, caplog):
+    if case == "disorder":
+        H = build_hamiltonian(bench())
+        H += np.diag(np.random.default_rng(3).uniform(-0.01, 0.01, H.shape[0]))
+    else:
+        H = build_hamiltonian(bench(), gauge="symmetric")
+    assert _real_form_permutation(H) is None
+    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
+        gp = gap_projection(H, FERMI)
+    assert not gp.real_form
+    assert f"complex eigh, N = {H.shape[0]}" in caplog.text
+    P, gap = _complex_oracle(H, FERMI)
+    assert np.array_equal(gp.projection.matrix, P)
+    assert gp.gap_width == gap
+
+
 def test_flux_unitary_rejects_site_center():
     model = bench(8)
     with pytest.raises(ValueError, match="half a lattice constant"):
@@ -155,7 +235,8 @@ WEDGE[12:, 12:] = True
     (2, None, (11.5, 11.5), 6.0),
     (1, WEDGE, (11.4, 11.4), 6.0),
     (2, None, (11.5, 11.5), 1e6),
-], ids=["n1", "n2", "wedge", "full-window"])
+    (3, None, (11.5, 11.5), 6.0),
+], ids=["n1", "n2", "wedge", "full-window", "n3"])
 def test_window_rows_match_dense_diagonal_sum(n, mask, center, window_radius):
     model = MagneticLatticeModel(24, 24, FLUX, domain_mask=mask)
     gp = gap_projection(build_hamiltonian(model), FERMI)
@@ -176,10 +257,10 @@ def test_lattice_index_requires_geometry(lattice_benchmark):
         lattice_index(gp, bare)
 
 
-def test_lattice_index_rejects_higher_powers(lattice_benchmark):
+def test_lattice_index_rejects_nonpositive_power(lattice_benchmark):
     _, _, gp, U = lattice_benchmark
     with pytest.raises(ValueError, match="trace power"):
-        lattice_index(gp, U, n=3)
+        lattice_index(gp, U, n=0)
 
 
 def test_lattice_index_flags_unreliable_window(lattice_benchmark, caplog):
@@ -290,6 +371,30 @@ def test_decay_fit_benchmark(lattice_benchmark):
     assert slope == pytest.approx(-0.1258, abs=2e-3)
     assert r2 >= 0.9
     assert slope < 0.0
+
+
+def _per_bin_loop_fit(P, model, d_min):
+    # one full scan of the distance matrix per bin, then the same line fit
+    pos = np.array(model.sites(), dtype=float)
+    D = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
+    A = np.abs(P.matrix)
+    xs, ys = [], []
+    for b in np.arange(d_min, min(model.width, model.height) / 2.0 + 1.0):
+        sel = (D >= b - 0.5) & (D < b + 0.5)
+        if sel.any() and A[sel].max() > 1e-14:
+            xs.append(b)
+            ys.append(np.log(A[sel].max()))
+    xs, ys = np.array(xs), np.array(ys)
+    design = np.column_stack([xs, np.ones_like(xs)])
+    coef = np.linalg.lstsq(design, ys, rcond=None)[0]
+    resid = ys - design @ coef
+    return float(coef[0]), 1.0 - float((resid ** 2).sum()) / float(((ys - ys.mean()) ** 2).sum())
+
+
+@pytest.mark.parametrize("d_min", [3.0, 2.5, 3.3, 0.0])
+def test_decay_fit_bins_match_per_bin_loop(lattice_benchmark, d_min):
+    model, _, gp, _ = lattice_benchmark
+    assert decay_fit(gp, model, d_min=d_min) == _per_bin_loop_fit(gp.projection, model, d_min)
 
 
 def test_decay_fit_wider_gap_decays_faster(lattice_benchmark):
