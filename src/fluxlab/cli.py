@@ -449,6 +449,15 @@ def _resolve_config(args) -> dict:
         if unknown:
             raise SystemExit(
                 f"fluxlab: unknown config keys for {args.command}: {sorted(unknown)}")
+        for key, value in loaded.items():
+            # an int flag takes a JSON integer, a float flag any number, never
+            # a bool; str settings go to their own parsers
+            default, typ = _SETTINGS[args.command][key]
+            numbers = (int,) if typ is int else (int, float)
+            if not (typ is str or (value is None and default is None) or (
+                    isinstance(value, numbers) and not isinstance(value, bool))):
+                raise SystemExit(f"fluxlab: config key {key!r} of {args.command} "
+                                 f"takes {typ.__name__} values, got {value!r}")
         cfg.update(loaded)
     for key, value in vars(args).items():
         if key in cfg and value is not None:

@@ -88,17 +88,17 @@ def curvature_diagonal(p: CovariantKernel, pair: SwitchPair, x,
     """Diagonal value omega(x, x) of the adiabatic curvature -i [PL1P, PL2P].
 
     Using P^2 = P, each commutator ordering is a double kernel integral
-    p(x,y) L(y) p(y,z) L(z) p(z,x): a triple_forms pair with base point x.
-    The quadrature nodes are recentered on x so the gaussian support of the
-    kernel products is always covered.  Switches are evaluated at absolute
-    coordinates, exactly as given.
+    p(x,y) L(y) p(y,z) L(z) p(z,x): a triple_forms pair.  By covariance the
+    kernel triple depends only on y - x and z - x, so the forms run on the
+    transport square, which covers the kernel products' gaussian support,
+    with the switches evaluated at the absolute points x + node.
     """
     x = np.asarray(x, dtype=float).reshape(2)
-    grid = level_square_grid(p.level, "transport", spec).shifted(x)
-    Y = grid.nodes
+    grid = level_square_grid(p.level, "transport", spec)
+    Y = grid.nodes + x
     l1 = np.asarray(pair.lambda1.evaluate(Y[:, pair.axes[0]]), dtype=float)
     l2 = np.asarray(pair.lambda2.evaluate(Y[:, pair.axes[1]]), dtype=float)
-    s12, s21 = triple_forms(p, grid, [l1, l2], [l2, l1], x0=x)
+    s12, s21 = triple_forms(p, grid, [l1, l2], [l2, l1])
     return -1j * (s12 - s21)
 
 

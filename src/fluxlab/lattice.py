@@ -235,18 +235,17 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
 class LatticeFluxUnitary:
     """Diagonal flux-insertion unitary that remembers its site geometry.
 
-    Only the diagonal is stored; it is validated as a diagonal UnitaryMatrix
-    is.  The windowed index needs the flux center and the site coordinates,
-    so the lattice constructor returns this carrier instead of a bare matrix.
+    Only the diagonal is stored, validated to 1e-10.  The windowed index
+    needs the flux center and the site coordinates, so the lattice
+    constructor returns this carrier instead of a bare matrix.
     """
 
     diagonal: np.ndarray
     center: tuple = (0.0, 0.0)
     site_array: np.ndarray = None
-    unitarity_tol: float = 1e-10
 
     def __post_init__(self):
-        check_unitary(self.diagonal, self.unitarity_tol)
+        check_unitary(self.diagonal, 1e-10)
 
 
 def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnitary:

@@ -38,7 +38,8 @@ class QuadratureSpec:
 
     outer_radius bounds the integration domain (disk radius or box
     half-side depending on the engine), puncture_radius the removed disks
-    around singular points.  target_tol is the acceptance threshold for the
+    around singular points, radial_nodes the nodes per axis of the index
+    and transport squares.  target_tol is the acceptance threshold for the
     engine's own error estimate (tail bound, imaginary residual, or Monte
     Carlo standard error).
     """
@@ -46,7 +47,6 @@ class QuadratureSpec:
     outer_radius: Optional[float] = None
     puncture_radius: float = 1e-3
     radial_nodes: Optional[int] = None
-    angular_nodes: Optional[int] = None
     mc_samples: int = 10_000_000
     seed: int = 0
     target_tol: Optional[float] = None
@@ -133,8 +133,6 @@ def connes_area(u: GaugeUnitary, tri: Triangle, spec: QuadratureSpec = None) -> 
         spec = QuadratureSpec()
     eps = spec.puncture_radius
     tol = spec.target_tol if spec.target_tol is not None else 1e-4
-    nr_glob = spec.radial_nodes if spec.radial_nodes is not None else 320
-    nth_glob = spec.angular_nodes if spec.angular_nodes is not None else 512
 
     a, b, c = tri.vertices_complex()
     if a == b or b == c or c == a:
@@ -179,8 +177,8 @@ def connes_area(u: GaugeUnitary, tri: Triangle, spec: QuadratureSpec = None) -> 
         total += np.sum(wpatch * chi * _triple_ratio_integrand(u, v + zloc, a, b, c))
 
     # mollified global disk around the centroid
-    r, w = gauss_legendre(0.0, R0, nr_glob)
-    z, w2 = polar_nodes(c0, r, w * r, nth_glob)
+    r, w = gauss_legendre(0.0, R0, 320)
+    z, w2 = polar_nodes(c0, r, w * r, 512)
     mol = np.ones(z.shape)
     for v in punct:
         mol *= 1.0 - _smooth_step(np.abs(z - v), r1, r2)
@@ -211,8 +209,9 @@ def weighted_triple_kernel(p: CovariantKernel, nodes: np.ndarray,
     """Matrix T_jk = w_j w_k p(x0, x_j) p(x_j, x_k) conj p(x0, x_k).
 
     The dense form of the core of triple_forms: the engine for kernels
-    without a recorded closed form, and the oracle the separable engine is
-    tested against.  Assembled in place to hold one N x N complex buffer.
+    without a recorded closed form (at base point 0), and the oracle in
+    absolute coordinates that the separable engine is tested against.
+    Assembled in place to hold one N x N complex buffer.
     """
     base = np.asarray(x0, dtype=float).reshape(1, 2)
     t0 = p.pair_matrix(base, nodes)[0]
@@ -222,13 +221,14 @@ def weighted_triple_kernel(p: CovariantKernel, nodes: np.ndarray,
     return T
 
 
-def triple_forms(p: CovariantKernel, grid: TensorGrid, V, W,
-                 x0=(0.0, 0.0)) -> np.ndarray:
+def triple_forms(p: CovariantKernel, grid: TensorGrid, V, W) -> np.ndarray:
     """The bilinear forms V_k T W_k against T = weighted_triple_kernel.
 
     V and W are (K, N) stacks of vectors on the grid nodes; T carries the
-    cyclic triple product p(x0, x_j) p(x_j, x_l) p(x_l, x0) with the
-    weights, the integrand that the index and transport integrals share.
+    cyclic triple product p(0, x_j) p(x_j, x_l) p(x_l, 0) with the weights,
+    the integrand that the index and transport integrals share.  By
+    covariance the triple depends only on the edge vectors, so a caller
+    with another base point passes nodes relative to it.
     When p records its closed form the kernel is contracted axis by axis
     (CovariantKernel.axis_factors): for each term, Z[a, b, c] =
     ph_vu[b, c] F[a, c] and N = Z @ W_k cost n^4 flops and n^3 memory
@@ -240,10 +240,9 @@ def triple_forms(p: CovariantKernel, grid: TensorGrid, V, W,
     W = np.atleast_2d(W)
     nodes, weights = grid.nodes, grid.weights
     if p.radial is None:
-        T = weighted_triple_kernel(p, nodes, weights, x0)
+        T = weighted_triple_kernel(p, nodes, weights)
         return np.array([v @ (T @ w) for v, w in zip(V, W)])
-    base = np.asarray(x0, dtype=float).reshape(1, 2)
-    t0 = p.pair_matrix(base, nodes)[0] * weights
+    t0 = p.pair_matrix(np.zeros((1, 2)), nodes)[0] * weights
     nu, nv = len(grid.u), len(grid.v)
     ph_uv, ph_vu, terms = p.axis_factors(grid.u, grid.v)
     Z = [(ph_vu[None, :, :] * F[:, None, :]).reshape(nu * nv, nu) for F, _ in terms]
@@ -310,7 +309,7 @@ _MC_VAR2 = 0.5 * 1.25
 _MC_CHUNK_PAIRS = 125_000
 
 
-def _mc_chunk(p: CovariantKernel, u: GaugeUnitary, n_pairs: int, rng):
+def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, rng):
     s0 = _MC_COM_SCALE
     U = rng.random(n_pairs)
     phi = 2.0 * np.pi * rng.random(n_pairs)
@@ -326,35 +325,25 @@ def _mc_chunk(p: CovariantKernel, u: GaugeUnitary, n_pairs: int, rng):
     pdf_r = (np.exp(-q1 / (2.0 * _MC_VAR1)) / (2.0 * np.pi * _MC_VAR1)
              * np.exp(-q2 / (2.0 * _MC_VAR2)) / (2.0 * np.pi * _MC_VAR2))
     inv_pdf = 1.0 / (pdf_x * pdf_r)
-    sing = np.asarray(u.singularity, dtype=float)
+    # by covariance both antithetic triangles share this triple
+    origin = np.zeros(2)
+    T = p.evaluate(origin, r1) * p.evaluate(r1, r2) * p.evaluate(r2, origin)
 
     both = []
     max_w = 0.0
     for sgn in (1.0, -1.0):
+        # phase differences of (z/|z|)^alpha by planar geometry: stable for
+        # triangles far from the singularity, where direct complex
+        # evaluation would difference two nearly equal angles
         xrel = sgn * xr
-        v1 = sing + xrel
-        v2 = v1 + r1
-        v3 = v1 + r2
-        T = p.evaluate(v1, v2) * p.evaluate(v2, v3) * p.evaluate(v3, v1)
-        if u.flux_power is not None:
-            # phase differences of (z/|z|)^alpha by planar geometry: stable
-            # for triangles far from the singularity, where direct complex
-            # evaluation would difference two nearly equal angles
-            alpha = u.flux_power
-            rho2 = np.sum(xrel * xrel, axis=1)
-            d1 = np.arctan2(_wedge(xrel, r1), rho2 + np.sum(xrel * r1, axis=1))
-            d2 = np.arctan2(_wedge(xrel, r2 - r1) + _wedge(r1, r2),
-                            rho2 + np.sum(xrel * (r1 + r2), axis=1)
-                            + np.sum(r1 * r2, axis=1))
-            d3 = np.arctan2(-_wedge(xrel, r2), rho2 + np.sum(xrel * r2, axis=1))
-            Wfac = 2.0j * (np.sin(alpha * d1) + np.sin(alpha * d2)
-                           + np.sin(alpha * d3))
-        else:
-            u1 = u.evaluate(v1)
-            u2 = u.evaluate(v2)
-            u3 = u.evaluate(v3)
-            Wfac = ((1.0 - u1 * np.conj(u2)) * (1.0 - u2 * np.conj(u3))
-                    * (1.0 - u3 * np.conj(u1)))
+        rho2 = np.sum(xrel * xrel, axis=1)
+        d1 = np.arctan2(_wedge(xrel, r1), rho2 + np.sum(xrel * r1, axis=1))
+        d2 = np.arctan2(_wedge(xrel, r2 - r1) + _wedge(r1, r2),
+                        rho2 + np.sum(xrel * (r1 + r2), axis=1)
+                        + np.sum(r1 * r2, axis=1))
+        d3 = np.arctan2(-_wedge(xrel, r2), rho2 + np.sum(xrel * r2, axis=1))
+        Wfac = 2.0j * (np.sin(alpha * d1) + np.sin(alpha * d2)
+                       + np.sin(alpha * d3))
         w = T * Wfac * inv_pdf
         max_w = max(max_w, float(np.max(np.abs(w))))
         both.append(w)
@@ -371,36 +360,38 @@ def index_integral_6d_mc(p: CovariantKernel, u: GaugeUnitary,
     Estimates the integral of p(x,y) p(y,z) p(z,x) (1 - u(x) conj u(y))
     (1 - u(y) conj u(z)) (1 - u(z) conj u(x)) over three planar variables,
     the unreduced form whose value equals the trace of (P - uPu*)^3.
-    Antithetic reflection of the base point through the singularity halves
-    the variance contributed by odd modes; reduction is chunked and ordered,
-    so fixed (seed, mc_samples) reproduce the estimate bitwise.
+    A sample is a base point relative to the singularity and two edge
+    vectors; by covariance the kernel triple depends on the edge vectors
+    alone, and u, which must record its flux_power, enters through the
+    phase differences of (z/|z|)^alpha.  Antithetic reflection of the base
+    point halves the variance contributed by odd modes; reduction is
+    chunked and ordered, so fixed (seed, mc_samples) reproduce it bitwise.
     """
     if spec is None:
         spec = QuadratureSpec()
+    if u.flux_power is None:
+        raise ValueError("the Monte Carlo integral needs a unitary (z/|z|)^alpha "
+                         "that records its flux_power; this one has flux_power None")
     if u.flux_power == 0:
         # constant unitary: every ratio factor is exactly zero
         return MonteCarloEstimate(value=0j, std_error=0.0, samples=0, max_weight=0.0)
     n_pairs_total = max(1, (spec.mc_samples + 1) // 2)
     n_chunks = (n_pairs_total + _MC_CHUNK_PAIRS - 1) // _MC_CHUNK_PAIRS
     children = np.random.SeedSequence(spec.seed).spawn(n_chunks)
-    sums = []
-    sums_re2 = []
+    total = 0.0 + 0.0j
+    total_re2 = 0.0
     max_w = 0.0
-    done = 0
-    for i in range(n_chunks):
-        n_here = min(_MC_CHUNK_PAIRS, n_pairs_total - done)
-        s, s2, mw = _mc_chunk(p, u, n_here, np.random.default_rng(children[i]))
-        sums.append(s)
-        sums_re2.append(s2)
+    for i, child in enumerate(children):
+        n_here = min(_MC_CHUNK_PAIRS, n_pairs_total - i * _MC_CHUNK_PAIRS)
+        s, s2, mw = _mc_chunk(p, u.flux_power, n_here, np.random.default_rng(child))
+        total += s
+        total_re2 += s2
         max_w = max(max_w, mw)
-        done += n_here
-    total = sum(sums)
-    total_re2 = sum(sums_re2)
-    mean = total / done
-    var = max(total_re2 / done - mean.real ** 2, 0.0)
-    std_error = math.sqrt(var / done)
+    mean = total / n_pairs_total
+    var = max(total_re2 / n_pairs_total - mean.real ** 2, 0.0)
+    std_error = math.sqrt(var / n_pairs_total)
     est = MonteCarloEstimate(value=mean, std_error=std_error,
-                             samples=2 * done, max_weight=max_w)
+                             samples=2 * n_pairs_total, max_weight=max_w)
     if spec.target_tol is not None and std_error > spec.target_tol:
         raise ValueError(
             f"standard error {std_error:.2e} above target {spec.target_tol:.1e} "

@@ -107,6 +107,29 @@ def test_malformed_config_is_rejected(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("lattice-index", "size", 24.5),
+    ("lattice-index", "size", 24.0),
+    ("disorder", "n_seeds", 2.5),
+])
+def test_config_value_off_flag_type_is_rejected(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, _ = run(tmp_path, command, "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and repr(value) in err
+
+
+def test_config_values_of_flag_type_are_taken(tmp_path):
+    # an int setting takes a JSON integer; a float setting any JSON number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"size": 20, "fermi": -1}))
+    args = _build_parser().parse_args(["lattice-index", "--config", str(cfg)])
+    resolved = _resolve_config(args)
+    assert (resolved["size"], resolved["fermi"]) == (20, -1)
+
+
 @pytest.mark.parametrize("argv", [
     ["decay-fit", "--tol", "5"],
     ["decay-fit", "--seed", "3"],
@@ -220,6 +243,16 @@ def test_lattice_index_seventh_power(tmp_path):
     code, out = run(tmp_path, "lattice-index", "--powers", "1,3", "--size", "20")
     assert code == 0
     assert [row["parameters"]["trace_power"] for row in read_json(out)["rows"]] == [3, 7]
+
+
+def test_wedge_command(tmp_path):
+    code, out = run(tmp_path, "wedge")
+    assert code == 0
+    rows = read_json(out)["rows"]
+    assert [row["experiment"] for row in rows] == [
+        "wedge/full-plane-control", "wedge/flux-outside",
+        "wedge/half-plane-flux-inside"]
+    assert all(row["pass"] for row in rows)
 
 
 def test_disorder_command_constancy(tmp_path):

@@ -125,6 +125,17 @@ def test_box_transport_values_and_monotonicity(kernel_m0, unit_pair):
     assert out[-1][1] == pytest.approx(0.99993320, abs=1e-6)
 
 
+def test_box_transport_without_primitive_takes_quadrature(kernel_m0):
+    # a switch without an antiderivative takes the 400-node rule for its box
+    # integrals; it must agree with the closed primitive
+    bare = Switch(evaluate=tanh_switch(1.0).evaluate)
+    got = hall_transport_box(kernel_m0, SwitchPair(bare, bare), (2.0, 6.0))
+    want = hall_transport_box(kernel_m0, SwitchPair(tanh_switch(1.0), tanh_switch(1.0)),
+                              (2.0, 6.0))
+    for (_, q), (_, q_closed) in zip(got, want):
+        assert abs(q - q_closed) <= 1e-12
+
+
 def test_box_transport_small_region_vanishes(kernel_m0, unit_pair):
     out = hall_transport_box(kernel_m0, unit_pair, L_values=[1e-3])
     assert abs(out[0][1]) <= 1e-3
@@ -145,6 +156,12 @@ def test_box_routes_require_positive_half_side(kernel_m0, unit_pair, L):
 
 def test_closed_form_equals_one(kernel_m0):
     assert hall_transport_closed_form(kernel_m0) == pytest.approx(1.0, abs=2e-2)
+
+
+def test_closed_form_identity_violation_raises(kernel_m0):
+    # Q and -Index agree to about 1e-14 on their two grids, never exactly
+    with pytest.raises(RuntimeError, match="transport/deficiency identity"):
+        hall_transport_closed_form(kernel_m0, identity_tol=0.0)
 
 
 def test_closed_form_level_one():

@@ -178,6 +178,35 @@ def test_monte_carlo_real_surrogate_exact_zero():
     assert est.deviation(0.0) == 0.0
 
 
+def _counting_kernel(calls):
+    k0 = landau_kernel(0)
+
+    def evaluate(x, y):
+        calls.append(1)
+        return k0.evaluate(x, y)
+    return CovariantKernel(level=0, evaluate=evaluate)
+
+
+def test_monte_carlo_one_triple_per_antithetic_pair():
+    # both antithetic triangles share their edge vectors, hence one triple
+    # of three kernel calls per chunk of pairs
+    u = gauge.flux_unitary(1)
+    for samples, want in ((250_000, 3), (500_000, 6)):
+        calls = []
+        index_integral_6d_mc(_counting_kernel(calls), u,
+                             QuadratureSpec(mc_samples=samples, seed=2))
+        assert len(calls) == want
+
+
+def test_monte_carlo_requires_power_form_unitary():
+    general = gauge.GaugeUnitary(evaluate=gauge.flux_unitary(1).evaluate, winding=1)
+    calls = []
+    with pytest.raises(ValueError, match="flux_power"):
+        index_integral_6d_mc(_counting_kernel(calls), general,
+                             QuadratureSpec(mc_samples=1000, seed=0))
+    assert calls == []
+
+
 def test_monte_carlo_target_tol_guard():
     kern = landau_kernel(0)
     spec = QuadratureSpec(mc_samples=50_000, seed=1, target_tol=1e-6)
@@ -223,14 +252,15 @@ def _random_vectors(rng, count, size):
 
 @pytest.mark.parametrize("x0", [(0.0, 0.0), (0.4, -0.1)], ids=["origin", "shifted"])
 def test_triple_forms_match_dense_oracle(closed_form_kernel, x0):
-    # odd node count; the grid is centred on the base point as in
-    # curvature_diagonal
+    # odd node count; the engine runs on positions relative to the base
+    # point, as in curvature_diagonal, and the oracle on the grid centred on
+    # x0 in absolute coordinates
     p = closed_form_kernel
-    grid = square_grid(6.0, 21).shifted(x0)
+    grid = square_grid(6.0, 21)
     rng = np.random.default_rng(4)
     V, W = _random_vectors(rng, 3, 441), _random_vectors(rng, 3, 441)
-    got = triple_forms(p, grid, V, W, x0=x0)
-    want = _dense_forms(p, grid, V, W, x0)
+    got = triple_forms(p, grid, V, W)
+    want = _dense_forms(p, grid.shifted(x0), V, W, x0)
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
