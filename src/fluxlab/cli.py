@@ -79,12 +79,17 @@ def _row(experiment, parameters, value, oracle, tol, residual=None, timer=None):
 
 
 def _parse_flux(text) -> float:
-    if isinstance(text, (int, float)):
+    """Flux per plaquette from a number or a string "x" or "p/q"; anything
+    else is a usage error naming the offending value."""
+    try:
+        if isinstance(text, (int, float)):
+            return float(text)
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return float(num) / float(den)
         return float(text)
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise SystemExit(f"fluxlab: flux must be a number or p/q, got {text!r}") from None
 
 
 def _split_list(text) -> list:
@@ -94,7 +99,15 @@ def _split_list(text) -> list:
 
 
 def _parse_floats(text) -> list:
-    return [float(v) for v in _split_list(text)]
+    """L_values from a comma list or a config list; anything else is a usage
+    error naming the offending value."""
+    values = []
+    for item in _split_list(text):
+        try:
+            values.append(float(item))
+        except (TypeError, ValueError):
+            raise SystemExit(f"fluxlab: L_values must be numbers, got {item!r}") from None
+    return values
 
 
 def _parse_powers(text) -> list:
@@ -464,6 +477,9 @@ def _resolve_config(args) -> dict:
             cfg[key] = value
     if args.command == "landau-index" and cfg["pair_radius"] is None:
         cfg["pair_radius"] = grids.level_disk_radius(cfg["m"])
+    if "flux" in cfg:
+        # checked here, kept as given: the reports echo the flux as written
+        _parse_flux(cfg["flux"])
     if "L_values" in cfg:
         cfg["L_values"] = _parse_floats(cfg["L_values"])
     if "powers" in cfg:

@@ -18,9 +18,19 @@ The connes_area regions take their radial rules and rings from here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+
+@lru_cache(maxsize=64)
+def _unit_rule(n: int):
+    """The n-point rule on [-1, 1], built once per n and stored read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre(a: float, b: float, n: int):
@@ -28,9 +38,10 @@ def gauss_legendre(a: float, b: float, n: int):
 
     Exact for polynomials of degree up to 2n - 1.  The nodes are mid + half x
     for the rule x on [-1, 1], so on a symmetric interval [-L, L] they are
-    exactly L x and the rule is antisymmetric bit for bit.
+    exactly L x and the rule is antisymmetric bit for bit.  The [-1, 1] rule
+    is built once per n; the returned arrays are always fresh.
     """
-    x, w = leggauss(n)
+    x, w = _unit_rule(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w

@@ -309,45 +309,62 @@ _MC_VAR2 = 0.5 * 1.25
 _MC_CHUNK_PAIRS = 125_000
 
 
-def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, rng):
+def _mc_draws(n_pairs: int, rng):
+    """One chunk of proposal draws: the base point (x0, x1), the edge vectors
+    r1 and r2 as (n_pairs, 2) arrays and the inverse proposal density."""
     s0 = _MC_COM_SCALE
     U = rng.random(n_pairs)
     phi = 2.0 * np.pi * rng.random(n_pairs)
     g = rng.standard_normal((n_pairs, 4))
     rho = s0 * np.sqrt(1.0 / (1.0 - U) ** 2 - 1.0)
-    xr = np.column_stack([rho * np.cos(phi), rho * np.sin(phi)])
+    x0, x1 = rho * np.cos(phi), rho * np.sin(phi)
     r1 = math.sqrt(_MC_VAR1) * g[:, 0:2]
     r2 = 0.5 * r1 + math.sqrt(_MC_VAR2) * g[:, 2:4]
     pdf_x = s0 / (2.0 * np.pi * (s0 ** 2 + rho ** 2) ** 1.5)
-    q1 = np.sum(r1 * r1, axis=1)
-    dq = r2 - 0.5 * r1
-    q2 = np.sum(dq * dq, axis=1)
+    q1 = r1[:, 0] * r1[:, 0] + r1[:, 1] * r1[:, 1]
+    dq0, dq1 = r2[:, 0] - 0.5 * r1[:, 0], r2[:, 1] - 0.5 * r1[:, 1]
+    q2 = dq0 * dq0 + dq1 * dq1
     pdf_r = (np.exp(-q1 / (2.0 * _MC_VAR1)) / (2.0 * np.pi * _MC_VAR1)
              * np.exp(-q2 / (2.0 * _MC_VAR2)) / (2.0 * np.pi * _MC_VAR2))
-    inv_pdf = 1.0 / (pdf_x * pdf_r)
+    return x0, x1, r1, r2, 1.0 / (pdf_x * pdf_r)
+
+
+def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, rng):
+    x0, x1, r1, r2, inv_pdf = _mc_draws(n_pairs, rng)
     # by covariance both antithetic triangles share this triple
     origin = np.zeros(2)
     T = p.evaluate(origin, r1) * p.evaluate(r1, r2) * p.evaluate(r2, origin)
 
-    both = []
+    # phase differences of (z/|z|)^alpha by planar geometry: stable for
+    # triangles far from the singularity, where direct complex evaluation
+    # would difference two nearly equal angles.  Every product is formed
+    # once; reflecting the base point x negates the ones odd in x.
+    # Bitwise as per sign: rounding commutes with negation, -(a-b) == b-a.
+    a0, a1, b0, b1 = r1[:, 0], r1[:, 1], r2[:, 0], r2[:, 1]
+    rho2 = x0 * x0 + x1 * x1
+    wedge, dot = x0 * a1 - x1 * a0, x0 * a0 + x1 * a1
+    S_plus = np.sin(alpha * np.arctan2(wedge, rho2 + dot))
+    S_minus = np.sin(alpha * np.arctan2(-wedge, rho2 - dot))
+    e_wedge, e_dot = a0 * b1 - a1 * b0, a0 * b0 + a1 * b1
+    wedge = x0 * (b1 - a1) - x1 * (b0 - a0)
+    dot = x0 * (a0 + b0) + x1 * (a1 + b1)
+    S_plus += np.sin(alpha * np.arctan2(wedge + e_wedge, rho2 + dot + e_dot))
+    S_minus += np.sin(alpha * np.arctan2(e_wedge - wedge, rho2 - dot + e_dot))
+    # drop each product once both signs used it: kept to the end of the
+    # chunk, they set the memory peak of the integrals pass
+    del e_wedge, e_dot
+    wedge, dot = x0 * b1 - x1 * b0, x0 * b0 + x1 * b1
+    S_plus += np.sin(alpha * np.arctan2(-wedge, rho2 + dot))
+    S_minus += np.sin(alpha * np.arctan2(wedge, rho2 - dot))
+    del wedge, dot, rho2
+
+    pair_sum = None
     max_w = 0.0
-    for sgn in (1.0, -1.0):
-        # phase differences of (z/|z|)^alpha by planar geometry: stable for
-        # triangles far from the singularity, where direct complex
-        # evaluation would difference two nearly equal angles
-        xrel = sgn * xr
-        rho2 = np.sum(xrel * xrel, axis=1)
-        d1 = np.arctan2(_wedge(xrel, r1), rho2 + np.sum(xrel * r1, axis=1))
-        d2 = np.arctan2(_wedge(xrel, r2 - r1) + _wedge(r1, r2),
-                        rho2 + np.sum(xrel * (r1 + r2), axis=1)
-                        + np.sum(r1 * r2, axis=1))
-        d3 = np.arctan2(-_wedge(xrel, r2), rho2 + np.sum(xrel * r2, axis=1))
-        Wfac = 2.0j * (np.sin(alpha * d1) + np.sin(alpha * d2)
-                       + np.sin(alpha * d3))
-        w = T * Wfac * inv_pdf
+    for S in (S_plus, S_minus):
+        w = T * (2.0j * S) * inv_pdf
         max_w = max(max_w, float(np.max(np.abs(w))))
-        both.append(w)
-    pair_mean = 0.5 * (both[0] + both[1])
+        pair_sum = w if pair_sum is None else pair_sum + w
+    pair_mean = 0.5 * pair_sum
     return (complex(np.sum(pair_mean)),
             float(np.sum(pair_mean.real ** 2)),
             max_w)

@@ -239,6 +239,29 @@ def test_lattice_index_rejects_bad_powers(tmp_path, capsys, powers):
     assert f"powers must be integers >= 1, got '{bad}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["hall-transport", "--L-values", "2,x"], None, "L_values must be numbers, got 'x'"),
+    (["lattice-index"], {"flux": [1, 3]}, "flux must be a number or p/q, got [1, 3]"),
+    (["lattice-index", "--flux", "1/0"], None, "flux must be a number or p/q, got '1/0'"),
+], ids=["L-values", "flux-list", "flux-zero-denominator"])
+def test_bad_str_setting_is_usage_error(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fractional_flux_is_taken():
+    args = _build_parser().parse_args(["lattice-index", "--flux", "1/4"])
+    resolved = _resolve_config(args)
+    assert resolved["flux"] == "1/4"
+    assert cli._parse_flux(resolved["flux"]) == 0.25
+
+
 def test_lattice_index_seventh_power(tmp_path):
     code, out = run(tmp_path, "lattice-index", "--powers", "1,3", "--size", "20")
     assert code == 0

@@ -11,7 +11,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import fluxlab
-from fluxlab import gauge
+from fluxlab import gauge, grids, quadrature
+from fluxlab.cli import _sample_triangle
 from fluxlab.grids import (gauss_legendre, level_square_grid, polar_disk_grid,
                            polar_grid, ring, square_grid)
 from fluxlab.hall import kubo_box
@@ -52,6 +53,44 @@ def test_symmetric_rule_is_scaled_leggauss_and_antisymmetric(n, half_side):
     grid = square_grid(half_side, n)
     assert np.array_equal(grid.u, x) and np.array_equal(grid.v, x)
     assert np.array_equal(grid.wu, w) and np.array_equal(grid.wv, w)
+
+
+def test_gauss_legendre_returns_fresh_arrays_over_a_read_only_rule():
+    x, w = gauss_legendre(-2.0, 2.0, 12)
+    x[:] = 0.0
+    w[:] = 0.0
+    x2, w2 = gauss_legendre(-2.0, 2.0, 12)
+    xs, ws = leggauss(12)
+    assert np.array_equal(x2, 2.0 * xs) and np.array_equal(w2, 2.0 * ws)
+    base_x, base_w = grids._unit_rule(12)
+    assert not base_x.flags.writeable and not base_w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        base_x[0] = 0.0
+
+
+def test_connes_area_builds_each_rule_once(monkeypatch):
+    # twenty triangles ask for three rules each; only the distinct node
+    # counts are built
+    built, asked = [], []
+    real_leggauss, real_rule = grids.leggauss, quadrature.gauss_legendre
+
+    def counting_leggauss(n):
+        built.append(n)
+        return real_leggauss(n)
+
+    def counting_rule(a, b, n):
+        asked.append(n)
+        return real_rule(a, b, n)
+
+    monkeypatch.setattr(grids, "leggauss", counting_leggauss)
+    monkeypatch.setattr(quadrature, "gauss_legendre", counting_rule)
+    grids._unit_rule.cache_clear()
+    rng = np.random.default_rng(7)
+    u = gauge.flux_unitary(1)
+    for _ in range(20):
+        quadrature.connes_area(u, _sample_triangle(rng))
+    assert len(asked) == 60
+    assert sorted(built) == sorted(set(asked))
 
 
 def test_ring_is_equal_angles():

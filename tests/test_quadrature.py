@@ -1,13 +1,17 @@
 """Area formula, 4D index quadrature, 6D Monte Carlo, diagonal traces."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fluxlab import gauge
 from fluxlab.grids import square_grid
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
-from fluxlab.quadrature import (QuadratureSpec, Triangle, connes_area,
-                                index_integral_4d, index_integral_6d_mc,
+from fluxlab.quadrature import (_MC_CHUNK_PAIRS, _MC_COM_SCALE, _MC_VAR1,
+                                _MC_VAR2, QuadratureSpec, Triangle, _mc_chunk,
+                                connes_area, index_integral_4d,
+                                index_integral_6d_mc,
                                 trace_from_diagonal, triple_forms,
                                 weighted_triple_kernel)
 
@@ -196,6 +200,73 @@ def test_monte_carlo_one_triple_per_antithetic_pair():
         index_integral_6d_mc(_counting_kernel(calls), u,
                              QuadratureSpec(mc_samples=samples, seed=2))
         assert len(calls) == want
+
+
+def _reference_mc_chunk(p, alpha, n_pairs, rng):
+    """The chunk as first written: (n, 2) points, one evaluation per sign."""
+    def wedge(x, y):
+        return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+
+    s0 = _MC_COM_SCALE
+    U = rng.random(n_pairs)
+    phi = 2.0 * np.pi * rng.random(n_pairs)
+    g = rng.standard_normal((n_pairs, 4))
+    rho = s0 * np.sqrt(1.0 / (1.0 - U) ** 2 - 1.0)
+    xr = np.column_stack([rho * np.cos(phi), rho * np.sin(phi)])
+    r1 = math.sqrt(_MC_VAR1) * g[:, 0:2]
+    r2 = 0.5 * r1 + math.sqrt(_MC_VAR2) * g[:, 2:4]
+    pdf_x = s0 / (2.0 * np.pi * (s0 ** 2 + rho ** 2) ** 1.5)
+    q1 = np.sum(r1 * r1, axis=1)
+    dq = r2 - 0.5 * r1
+    q2 = np.sum(dq * dq, axis=1)
+    pdf_r = (np.exp(-q1 / (2.0 * _MC_VAR1)) / (2.0 * np.pi * _MC_VAR1)
+             * np.exp(-q2 / (2.0 * _MC_VAR2)) / (2.0 * np.pi * _MC_VAR2))
+    inv_pdf = 1.0 / (pdf_x * pdf_r)
+    origin = np.zeros(2)
+    T = p.evaluate(origin, r1) * p.evaluate(r1, r2) * p.evaluate(r2, origin)
+    both = []
+    max_w = 0.0
+    for sgn in (1.0, -1.0):
+        xrel = sgn * xr
+        rho2 = np.sum(xrel * xrel, axis=1)
+        d1 = np.arctan2(wedge(xrel, r1), rho2 + np.sum(xrel * r1, axis=1))
+        d2 = np.arctan2(wedge(xrel, r2 - r1) + wedge(r1, r2),
+                        rho2 + np.sum(xrel * (r1 + r2), axis=1)
+                        + np.sum(r1 * r2, axis=1))
+        d3 = np.arctan2(-wedge(xrel, r2), rho2 + np.sum(xrel * r2, axis=1))
+        Wfac = 2.0j * (np.sin(alpha * d1) + np.sin(alpha * d2)
+                       + np.sin(alpha * d3))
+        w = T * Wfac * inv_pdf
+        max_w = max(max_w, float(np.max(np.abs(w))))
+        both.append(w)
+    pair_mean = 0.5 * (both[0] + both[1])
+    return (complex(np.sum(pair_mean)),
+            float(np.sum(pair_mean.real ** 2)),
+            max_w)
+
+
+def _bits(values):
+    return np.array([complex(v) for v in values]).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kern", [landau_kernel(0), landau_kernel(1),
+                                  real_surrogate_kernel()],
+                         ids=["level-0", "level-1", "real-surrogate"])
+@pytest.mark.parametrize("alpha", [-1, 1, 2, 3])
+def test_mc_chunk_bitwise_equals_reference(kern, alpha):
+    # the shared planar products give every sign the bits of its own
+    # evaluation: sum, sum of squares and largest weight all agree exactly
+    for n_pairs, seed in ((257, alpha + 10), (4096, alpha + 20)):
+        got = _mc_chunk(kern, alpha, n_pairs, np.random.default_rng(seed))
+        want = _reference_mc_chunk(kern, alpha, n_pairs, np.random.default_rng(seed))
+        assert _bits(got) == _bits(want)
+
+
+def test_full_mc_chunk_bitwise_equals_reference():
+    kern = landau_kernel(0)
+    got = _mc_chunk(kern, 1, _MC_CHUNK_PAIRS, np.random.default_rng(2024))
+    want = _reference_mc_chunk(kern, 1, _MC_CHUNK_PAIRS, np.random.default_rng(2024))
+    assert _bits(got) == _bits(want)
 
 
 def test_monte_carlo_requires_power_form_unitary():
