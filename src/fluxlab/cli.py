@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +241,7 @@ def run_hall_transport(cfg) -> list:
         rows.append(_row("hall-transport/box", {"m": m, "L": L, "scale": cfg["scale"]},
                          q, 1.0, 5e-2 if L == ls[-1] else 1.0, timer=t))
     errs = [abs(q - 1.0) for _, q in boxes]
-    mono = float(max(0.0, max(b - a for a, b in zip(errs, errs[1:]))))
+    mono = float(max([0.0] + [b - a for a, b in zip(errs, errs[1:])]))
     rows.append(_row("hall-transport/box-monotone", {"m": m, "L_values": ls},
                      mono, 0.0, 1e-9))
     with _Timer() as t:
@@ -298,21 +298,17 @@ def run_switch_check(cfg) -> list:
 
 # ------------------------------------------------------------- lattice runs
 
-def _lattice_pipeline(cfg, mask=None, center=None):
+def _lattice_pipeline(cfg):
+    """The size x size box at the configured flux and its Fermi projection."""
     size = cfg["size"]
-    model = lattice.MagneticLatticeModel(
-        width=size, height=size, flux_per_plaquette=_parse_flux(cfg["flux"]),
-        domain_mask=mask)
-    H = lattice.build_hamiltonian(model)
-    gp = lattice.gap_projection(H, cfg["fermi"])
-    if center is None:
-        center = (size / 2 - 0.5, size / 2 - 0.5)
-    U = lattice.lattice_flux_unitary(model, center)
-    return model, gp, U
+    model = lattice.MagneticLatticeModel(size, size, _parse_flux(cfg["flux"]))
+    gp = lattice.gap_projection(lattice.build_hamiltonian(model), cfg["fermi"])
+    return model, gp
 
 
 def run_lattice_index(cfg) -> list:
-    _, gp, U = _lattice_pipeline(cfg)
+    model, gp = _lattice_pipeline(cfg)
+    U = lattice.lattice_flux_unitary(model, (cfg["size"] / 2 - 0.5,) * 2)
     rows = []
     for n in cfg["powers"]:
         with _Timer() as t:
@@ -361,7 +357,8 @@ def run_wedge(cfg) -> list:
 
 def run_disorder(cfg) -> list:
     with _Timer() as t:
-        model, gp, U = _lattice_pipeline(cfg)
+        model, gp = _lattice_pipeline(cfg)
+        U = lattice.lattice_flux_unitary(model, (cfg["size"] / 2 - 0.5,) * 2)
         ens = lattice.DisorderEnsemble(
             base_model=model, amplitude=cfg["amplitude_factor"] * gp.gap_width,
             seeds=list(range(cfg["n_seeds"])))
@@ -380,12 +377,9 @@ def run_disorder(cfg) -> list:
 
 def run_decay_fit(cfg) -> list:
     with _Timer() as t:
-        size = cfg["size"]
-        model = lattice.MagneticLatticeModel(size, size, _parse_flux(cfg["flux"]))
-        H = lattice.build_hamiltonian(model)
-        gp = lattice.gap_projection(H, cfg["fermi"])
+        model, gp = _lattice_pipeline(cfg)
         slope, r2 = lattice.decay_fit(gp, model)
-    params = {"size": size, "flux": cfg["flux"], "fermi": cfg["fermi"]}
+    params = {"size": cfg["size"], "flux": cfg["flux"], "fermi": cfg["fermi"]}
     return [
         ReportRow("decay-fit/slope", dict(params, requirement="slope < 0"),
                   slope, max(slope, 0.0), 0.0, slope < 0.0, t.elapsed / 2),
@@ -480,10 +474,16 @@ def _resolve_config(args) -> dict:
     if "flux" in cfg:
         # checked here, kept as given: the reports echo the flux as written
         _parse_flux(cfg["flux"])
-    if "L_values" in cfg:
-        cfg["L_values"] = _parse_floats(cfg["L_values"])
-    if "powers" in cfg:
-        cfg["powers"] = _parse_powers(cfg["powers"])
+    # a run with no trial, seed, power or box length tests nothing and must
+    # not pass; proj-suite draws its dimensions from 4 to dim_max
+    for key, low in (("trials", 1), ("n_seeds", 1), ("dim_max", 4)):
+        if key in cfg and cfg[key] < low:
+            raise SystemExit(f"fluxlab: {key} must be at least {low}, got {cfg[key]!r}")
+    for key, parse in (("L_values", _parse_floats), ("powers", _parse_powers)):
+        if key in cfg:
+            given, cfg[key] = cfg[key], parse(cfg[key])
+            if not cfg[key]:
+                raise SystemExit(f"fluxlab: {key} must not be empty, got {given!r}")
     return cfg
 
 

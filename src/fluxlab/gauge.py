@@ -58,10 +58,9 @@ def flux_unitary(alpha: int) -> GaugeUnitary:
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         z = pts[..., 0] + 1j * pts[..., 1]
-        r = np.abs(z)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            phase = np.where(r > 0, z / np.where(r > 0, r, 1.0), np.nan + 0j)
-        return phase ** alpha
+        # 0/0 at the singularity is nan, and so is any power of it
+        with np.errstate(invalid="ignore"):
+            return (z / np.abs(z)) ** alpha
 
     return GaugeUnitary(
         evaluate=evaluate,
@@ -107,16 +106,13 @@ def product_unitary(u: GaugeUnitary, v: GaugeUnitary) -> GaugeUnitary:
     )
 
 
-def numerical_winding(u: GaugeUnitary, radius: float = 1.0, nodes: int = 4096) -> float:
-    """Accumulated phase of u along a circle around its singularity, over 2pi.
-
-    Phase increments between consecutive nodes are taken on the principal
-    branch, which is exact as long as each increment stays below pi; 4096
-    nodes give increments ~ winding/650 for the built-in unitaries.
-    """
-    theta, _ = ring(nodes)
+def numerical_winding(u: GaugeUnitary) -> float:
+    """Accumulated phase of u, over 2pi, along the unit circle around its
+    singularity: principal-branch increments between 4096 ring nodes, exact
+    while each stays below pi (~ winding/650 for the built-in unitaries)."""
+    theta, _ = ring(4096)
     cx, cy = u.singularity
-    pts = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
+    pts = np.column_stack([cx + np.cos(theta), cy + np.sin(theta)])
     vals = u.evaluate(pts)
     rolled = np.roll(vals, -1)
     increments = np.angle(rolled / vals)

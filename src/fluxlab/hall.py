@@ -51,16 +51,16 @@ class SwitchPair:
                           axes=(self.axes[1], self.axes[0]))
 
 
-def switch_integral_1d(s: Switch, a: float, nodes: int = 800) -> float:
+def switch_integral_1d(s: Switch, a: float) -> float:
     """Integral of s(x + a) - s(x) over the line; equals a for any switch.
 
-    The integrand decays at the switch's tail rate, so Gauss-Legendre on a
-    window [-T, T] sized from the scale converges to machine precision; the
-    neglected tail is bounded by |a| times the switch variation beyond T and
-    checked.
+    The integrand decays at the switch's tail rate, so 800-node
+    Gauss-Legendre on a window [-T, T] sized from the scale converges to
+    machine precision; the neglected tail is bounded by |a| times the switch
+    variation beyond T and checked.
     """
     T = 50.0 * s.scale + abs(a) + abs(s.center)
-    x, w = gauss_legendre(-T, T, nodes)
+    x, w = gauss_legendre(-T, T, 800)
     value = float(np.sum(w * (s.evaluate(x + a) - s.evaluate(x))))
     tail = abs(a) * float((1.0 - s.evaluate(T - abs(a))) + s.evaluate(-T + abs(a)))
     if tail > 1e-10 * max(1.0, abs(a)):

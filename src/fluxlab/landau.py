@@ -231,30 +231,26 @@ def real_surrogate_kernel() -> CovariantKernel:
     return CovariantKernel(level=0, radial=(1.0 / math.pi,))
 
 
-def gram_matrix(m1: int, m2: int, n_max: int,
-                radial_nodes: int = 0, angular_nodes: int = 256) -> np.ndarray:
+def gram_matrix(m1: int, m2: int, n_max: int) -> np.ndarray:
     """Quadrature Gram matrix between levels m1 and m2, angular momenta
     0..n_max.  Identity for m1 = m2, zero for m1 != m2."""
     t_max = 2.0 * (n_max + m1 + m2) + 60.0
-    if radial_nodes == 0:
-        radial_nodes = max(160, int(1.5 * t_max))
     # summed over the ring, the integrand is a polynomial in t = r^2 times
     # exp(-t), so the radial rule runs in t, where the area element is dt/2
-    t, wt = gauss_legendre(0.0, t_max, radial_nodes)
-    z, w = polar_nodes(0.0, np.sqrt(t), 0.5 * wt, angular_nodes)
+    t, wt = gauss_legendre(0.0, t_max, max(160, int(1.5 * t_max)))
+    z, w = polar_nodes(0.0, np.sqrt(t), 0.5 * wt, 256)
     z, w = z.ravel(), w.ravel()
     psi1 = np.column_stack([basis_wavefunction(n, m1, z) for n in range(n_max + 1)])
     psi2 = np.column_stack([basis_wavefunction(n, m2, z) for n in range(n_max + 1)])
     return psi1.conj().T @ (w[:, None] * psi2)
 
 
-def flux_matrix(m: int, n_max: int, angular_nodes: int = 256,
-                pattern_tol: float = 1e-8) -> np.ndarray:
+def flux_matrix(m: int, n_max: int) -> np.ndarray:
     """Matrix of the unit flux unitary z/|z| between level-m states.
 
     Angular momentum selection confines the matrix to the single diagonal
-    offset column = row - 1; the off-pattern residual is checked against
-    pattern_tol and reported on failure.
+    offset column = row - 1; an off-pattern residual above 1e-8 means the
+    quadrature did not converge and is reported as an error.
     """
     if m < 0 or n_max < 0:
         raise ValueError("level and angular cutoff must be nonnegative")
@@ -262,7 +258,7 @@ def flux_matrix(m: int, n_max: int, angular_nodes: int = 256,
     radial_nodes = max(160, int(1.5 * t_max))
     # the unitary brings odd powers of r into the integrand, so integrate in
     # r itself (entire integrand, spectral convergence) rather than t = r^2
-    grid = polar_disk_grid(np.sqrt(t_max), radial_nodes, angular_nodes)
+    grid = polar_disk_grid(np.sqrt(t_max), radial_nodes, 256)
     z = _as_complex_points(grid.nodes)
     u = z / np.abs(z)
     psi = np.column_stack([basis_wavefunction(n, m, z) for n in range(n_max + 1)])
@@ -270,19 +266,19 @@ def flux_matrix(m: int, n_max: int, angular_nodes: int = 256,
     # admissible entries sit at (n, n') = (k+1, k)
     pattern = np.eye(n_max + 1, k=-1, dtype=bool)
     resid = float(np.max(np.abs(np.where(pattern, 0.0, mat))))
-    if resid > pattern_tol:
+    if resid > 1e-8:
         raise ValueError(
-            f"flux matrix off-pattern residual {resid:.3e} exceeds {pattern_tol:.1e}; "
+            f"flux matrix off-pattern residual {resid:.3e} exceeds 1.0e-08; "
             "quadrature did not converge"
         )
     return mat
 
 
-def shift_index(M: np.ndarray, zero_tol: float = 1e-8) -> int:
+def shift_index(M: np.ndarray) -> int:
     """Fredholm index of the semi-infinite shift operator truncated as M.
 
     Scans all diagonal offsets for the unique one carrying every entry above
-    zero_tol and returns that offset (column minus row).  A matrix admitting
+    1e-8 and returns that offset (column minus row).  A matrix admitting
     no offset is not a shift matrix; one admitting several (the zero matrix)
     is ambiguous.  Both are rejected.
     """
@@ -295,7 +291,7 @@ def shift_index(M: np.ndarray, zero_tol: float = 1e-8) -> int:
     admissible = []
     for i in range(-(dim - 1), dim):
         off_pattern = np.abs(np.where(offsets == i, 0.0, M))
-        if np.max(off_pattern) <= zero_tol:
+        if np.max(off_pattern) <= 1e-8:
             admissible.append(i)
     if not admissible:
         raise ValueError("no admissible diagonal offset: not a shift matrix")
@@ -307,8 +303,7 @@ def shift_index(M: np.ndarray, zero_tol: float = 1e-8) -> int:
     return admissible[0]
 
 
-def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
-                              residual_threshold: float = 0.05):
+def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     """Disk truncation of the level-m projection and its flux conjugate.
 
     Returns (P, Q) with P the quadrature-symmetrized kernel matrix
@@ -318,8 +313,7 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
     what lets the pair carry a nonzero odd trace (exact finite projections
     related by a unitary always trace to zero).  P's measured residuals and
     Q's carried bounds are attached to the returned projections; a residual
-    above residual_threshold means the truncation is too coarse and is an
-    error.
+    above 0.05 means the truncation is too coarse and is an error.
 
     P's layout follows the grid alone: the kernel is rotation invariant
     about the origin, so on a grid that records a polar layout (R radii x A
@@ -372,7 +366,7 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None,
     B = np.moveaxis(K, 2, 0)
     B = 0.5 * (B + B.conj().swapaxes(1, 2))
     try:
-        proj_p = HermitianProjection.from_blocks(B, residual_threshold)
+        proj_p = HermitianProjection.from_blocks(B, 0.05)
     except ValueError as exc:
         raise ValueError(f"truncation too coarse: {exc}") from None
     return proj_p, conjugated(proj_p, uvals)

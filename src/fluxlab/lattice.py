@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,40 +64,60 @@ class MagneticLatticeModel:
                     f"got {np.shape(arr)}"
                 )
 
-    def sites(self) -> list:
-        """Active (x, y) sites in column-major order (x outer, y inner)."""
-        mask = self.domain_mask
-        return [(x, y) for x in range(self.width) for y in range(self.height)
-                if mask is None or mask[x, y]]
+    def site_index(self) -> np.ndarray:
+        """The site table every lattice routine reads: a (width, height) array
+        of matrix rows, counting the active sites in x-major order (x outer,
+        y inner); off-domain sites hold -1."""
+        shape = (self.width, self.height)
+        active = (np.ones(shape, dtype=bool) if self.domain_mask is None
+                  else np.asarray(self.domain_mask, dtype=bool))
+        index = np.full(shape, -1)
+        index[active] = np.arange(np.count_nonzero(active))
+        return index
+
+    def sites(self) -> np.ndarray:
+        """(N, 2) array of the active (x, y) sites in row order."""
+        return np.argwhere(self.site_index() >= 0)
+
+    def bonds(self, gauge: str = "landau") -> tuple:
+        """Rows i, j and Peierls phase of the +x and then the +y bonds i -> j,
+        cut from the site table.  In the Landau gauge the +x phase is 1 and the
+        +y phase exp(2 pi i flux x) depends on x alone; in the symmetric gauge
+        they are exp(-i pi flux y) and exp(i pi flux x)."""
+        flux = float(self.flux_per_plaquette)
+        x, y = np.indices((self.width, self.height))
+        if gauge == "landau":
+            phases = (np.ones(x.shape, dtype=complex), np.exp(2j * np.pi * flux * x))
+        elif gauge == "symmetric":
+            phases = (np.exp(-1j * np.pi * flux * y), np.exp(1j * np.pi * flux * x))
+        else:
+            raise ValueError(f"unknown gauge {gauge!r}; use 'landau' or 'symmetric'")
+        index = self.site_index()
+        i, j, phase = [], [], []
+        for (tail, head), ph in zip(((np.s_[:-1], np.s_[1:]),
+                                     (np.s_[:, :-1], np.s_[:, 1:])), phases):
+            keep = (index[tail] >= 0) & (index[head] >= 0)
+            i.append(index[tail][keep])
+            j.append(index[head][keep])
+            phase.append(ph[tail][keep])
+        return np.concatenate(i), np.concatenate(j), np.concatenate(phase)
 
 
-def _bond_phase(model: MagneticLatticeModel, x: int, y: int, dy: int, gauge: str):
-    """Peierls phase on the bond leaving (x, y) in the +x (dy=0) or +y
-    (dy=1) direction."""
-    flux = float(model.flux_per_plaquette)
-    if gauge == "landau":
-        return np.exp(2j * np.pi * flux * x) if dy else 1.0 + 0.0j
-    if gauge == "symmetric":
-        if dy:
-            return np.exp(1j * np.pi * flux * x)
-        return np.exp(-1j * np.pi * flux * y)
-    raise ValueError(f"unknown gauge {gauge!r}; use 'landau' or 'symmetric'")
-
-
-def _check_connected(sites: list):
-    index = set(sites)
-    seen = {sites[0]}
-    queue = deque([sites[0]])
-    while queue:
-        x, y = queue.popleft()
-        for t in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if t in index and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    if len(seen) != len(sites):
+def _check_connected(index: np.ndarray):
+    """Warn unless the active sites form one cluster, flooding from row 0."""
+    active, seen = index >= 0, index == 0
+    while True:
+        p = np.pad(seen, 1)
+        grown = active & (seen | p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2] | p[1:-1, 2:])
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
+    missed = np.count_nonzero(active & ~seen)
+    if missed:
+        first = divmod(int(np.flatnonzero(index == 0)[0]), index.shape[1])
         warnings.warn(
-            f"domain mask is disconnected: {len(sites) - len(seen)} of "
-            f"{len(sites)} sites unreachable from {sites[0]}",
+            f"domain mask is disconnected: {missed} of {np.count_nonzero(active)} "
+            f"sites unreachable from {first}",
             stacklevel=3,
         )
 
@@ -111,24 +130,17 @@ def build_hamiltonian(model: MagneticLatticeModel, gauge: str = "landau") -> np.
     counterclockwise in matrix-element order H[0,1] H[1,2] H[2,3] H[3,0],
     equals exp(2 pi i flux); Hermiticity holds by construction.
     """
-    sites = model.sites()
-    if not sites:
+    index = model.site_index()
+    n = int(index.max()) + 1
+    if n == 0:
         raise ValueError("domain mask removes every site")
-    _check_connected(sites)
-    idx = {s: i for i, s in enumerate(sites)}
-    n = len(sites)
+    _check_connected(index)
+    i, j, phase = model.bonds(gauge)
     H = np.zeros((n, n), dtype=complex)
-    pot = model.potential
-    for (x, y) in sites:
-        i = idx[(x, y)]
-        if pot is not None:
-            H[i, i] = pot[x, y]
-        for dy, t in enumerate(((x + 1, y), (x, y + 1))):
-            j = idx.get(t)
-            if j is not None:
-                phase = _bond_phase(model, x, y, dy, gauge)
-                H[i, j] = -phase
-                H[j, i] = -np.conj(phase)
+    if model.potential is not None:
+        H[np.diag_indices(n)] = np.asarray(model.potential)[index >= 0]
+    H[i, j] = -phase
+    H[j, i] = -np.conj(phase)
     return H
 
 
@@ -136,11 +148,13 @@ def plaquette_phase(model: MagneticLatticeModel, H: np.ndarray, x: int, y: int) 
     """Product of the four bond terms around the plaquette at (x, y),
     normalized by the hopping magnitude; equals exp(2 pi i flux) for interior
     plaquettes."""
-    idx = {s: i for i, s in enumerate(model.sites())}
+    index = model.site_index()
     loop = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
-    if any(s not in idx for s in loop):
+    # a corner off the box counts as off the domain; a negative one must not wrap
+    ids = [index[s] if 0 <= s[0] < model.width and 0 <= s[1] < model.height else -1
+           for s in loop]
+    if min(ids) < 0:
         raise ValueError(f"plaquette at ({x}, {y}) is not fully inside the domain")
-    ids = [idx[s] for s in loop]
     prod = 1.0 + 0.0j
     for a, b in zip(ids, ids[1:] + ids[:1]):
         prod *= -H[a, b]
@@ -241,8 +255,8 @@ class LatticeFluxUnitary:
     """
 
     diagonal: np.ndarray
-    center: tuple = (0.0, 0.0)
-    site_array: np.ndarray = None
+    center: tuple
+    site_array: np.ndarray
 
     def __post_init__(self):
         check_unitary(self.diagonal, 1e-10)
@@ -255,7 +269,7 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnit
     constant); a site exactly at the center would get an undefined phase.
     """
     cx, cy = float(center[0]), float(center[1])
-    pos = np.array(model.sites(), dtype=float)
+    pos = model.sites().astype(float)
     z = (pos[:, 0] - cx) + 1j * (pos[:, 1] - cy)
     dist = np.abs(z)
     if np.min(dist) < 1e-9:
@@ -264,12 +278,7 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnit
             f"flux center ({cx}, {cy}) coincides with site ({bad[0]:.0f}, "
             f"{bad[1]:.0f}); offset it by half a lattice constant"
         )
-    u = z / dist
-    return LatticeFluxUnitary(
-        diagonal=u,
-        center=(cx, cy),
-        site_array=pos,
-    )
+    return LatticeFluxUnitary(diagonal=z / dist, center=(cx, cy), site_array=pos)
 
 
 def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
@@ -319,9 +328,8 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     return rep
 
 
-def wedge_experiment(model: MagneticLatticeModel, center, fermi: float,
-                     n: int = 1) -> IndexReport:
-    """Flux-insertion index on a masked domain.
+def wedge_experiment(model: MagneticLatticeModel, center, fermi: float) -> IndexReport:
+    """Flux-insertion index, trace power 3, on a masked domain.
 
     With the domain restricted to a wedge whose closure excludes the flux
     center, the index must vanish; with the flux enclosed (half plane, full
@@ -331,7 +339,7 @@ def wedge_experiment(model: MagneticLatticeModel, center, fermi: float,
     H = build_hamiltonian(model)
     gp = gap_projection(H, fermi)
     U = lattice_flux_unitary(model, center)
-    return lattice_index(gp, U, n=n)
+    return lattice_index(gp, U)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,8 +360,9 @@ class DisorderEnsemble:
 
 
 def disorder_constancy(ens: DisorderEnsemble, fermi: float,
-                       U: LatticeFluxUnitary, n: int = 1) -> list:
-    """Windowed index for each disorder seed; constancy is the point.
+                       U: LatticeFluxUnitary) -> list:
+    """Windowed index, trace power 3, for each disorder seed; constancy is
+    the point.
 
     The clean model fixes the reference gap and rank.  A draw whose gap
     shrinks below a fifth of the clean gap, or whose Fermi projection
@@ -375,7 +384,7 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
                 f"disorder draw (seed {seed}) closed the spectral gap: "
                 f"projection rank {gp.projection.rank()} != clean rank {clean_rank}"
             )
-        reports.append(lattice_index(gp, U, n=n))
+        reports.append(lattice_index(gp, U))
     return reports
 
 
@@ -394,7 +403,7 @@ def decay_fit(P, model: MagneticLatticeModel, d_min: float = 3.0) -> tuple:
             "need at least 20x20"
         )
     d_max = min(model.width, model.height) / 2.0
-    pos = np.array(model.sites(), dtype=float)
+    pos = model.sites().astype(float)
     dx = np.subtract.outer(pos[:, 0], pos[:, 0])
     dy = np.subtract.outer(pos[:, 1], pos[:, 1])
     dist = np.sqrt(dx ** 2 + dy ** 2).ravel()

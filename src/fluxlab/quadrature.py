@@ -417,14 +417,14 @@ def index_integral_6d_mc(p: CovariantKernel, u: GaugeUnitary,
     return est
 
 
-def trace_from_diagonal(k, radius: float, radial_nodes: int = 96,
-                        angular_nodes: int = 160) -> complex:
-    """Integral of k(x, x) over the disk of the given radius.
+def trace_from_diagonal(k, radius: float) -> complex:
+    """Integral of k(x, x) over the disk of the given radius, on 96 x 160
+    polar nodes.
 
     For trace-class kernels this is the trace; for the difference kernel
     p(x,y)(1 - u(x) conj u(y)) it vanishes identically because the diagonal
     factor 1 - |u|^2 is zero pointwise.
     """
-    grid = polar_disk_grid(radius, radial_nodes, angular_nodes)
+    grid = polar_disk_grid(radius, 96, 160)
     vals = k(grid.nodes, grid.nodes)
     return complex(np.sum(grid.weights * vals))

@@ -243,7 +243,18 @@ def test_lattice_index_rejects_bad_powers(tmp_path, capsys, powers):
     (["hall-transport", "--L-values", "2,x"], None, "L_values must be numbers, got 'x'"),
     (["lattice-index"], {"flux": [1, 3]}, "flux must be a number or p/q, got [1, 3]"),
     (["lattice-index", "--flux", "1/0"], None, "flux must be a number or p/q, got '1/0'"),
-], ids=["L-values", "flux-list", "flux-zero-denominator"])
+    (["lattice-index", "--powers", ","], None, "powers must not be empty, got ','"),
+    (["hall-transport", "--L-values", ","], None, "L_values must not be empty, got ','"),
+    (["hall-transport"], {"L_values": []}, "L_values must not be empty, got []"),
+    (["connes-area", "--trials", "0"], None, "trials must be at least 1, got 0"),
+    (["connes-area", "--trials", "-2"], None, "trials must be at least 1, got -2"),
+    (["proj-suite", "--trials", "0"], None, "trials must be at least 1, got 0"),
+    (["proj-suite"], {"dim_max": 3}, "dim_max must be at least 4, got 3"),
+    (["disorder", "--n-seeds", "0"], None, "n_seeds must be at least 1, got 0"),
+], ids=["L-values", "flux-list", "flux-zero-denominator", "powers-empty",
+        "L-values-empty", "L-values-empty-list", "connes-trials-zero",
+        "connes-trials-negative", "proj-trials-zero", "dim-max-below-4",
+        "n-seeds-zero"])
 def test_bad_str_setting_is_usage_error(tmp_path, capsys, argv, config, message):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -307,6 +318,15 @@ def test_hall_transport_reports_shape_row_failure(tmp_path):
     assert failing == []
     shape = [r for r in doc["rows"] if r["experiment"] == "hall-transport/switch-shape"]
     assert [r["parameters"]["check"] for r in shape] == ["gap-ratio"] * 2 + ["gap"] * 2
+
+
+def test_hall_transport_takes_one_box(tmp_path):
+    # one box length leaves the monotone row nothing to compare: it reads 0
+    code, out = run(tmp_path, "hall-transport", "--L-values", "6")
+    assert code == 0
+    mono = [r for r in read_json(out)["rows"]
+            if r["experiment"] == "hall-transport/box-monotone"]
+    assert [r["value"] for r in mono] == [0.0]
 
 
 def test_lattice_index_builds_pipeline_once(tmp_path, monkeypatch):

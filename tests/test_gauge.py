@@ -24,6 +24,14 @@ def test_numerical_winding_matches_flux_power(alpha):
     assert u.flux_power == alpha
 
 
+@pytest.mark.parametrize("alpha", [-2, -1, 1, 2])
+def test_flux_unitary_is_nan_at_singularity_without_warning(alpha):
+    # the suite turns warnings into errors, so a RuntimeWarning fails here
+    vals = flux_unitary(alpha)(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert np.isnan(vals[0])
+    assert vals[1] == pytest.approx(1j ** alpha, abs=1e-15)
+
+
 def test_fractional_flux_rejected():
     with pytest.raises(ValueError, match="integer number of flux quanta"):
         flux_unitary(0.5)

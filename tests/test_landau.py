@@ -345,6 +345,18 @@ def test_singular_gauge_on_node_rejected():
         truncated_projection_pair(0, u, bad)
 
 
+@pytest.mark.parametrize("winding", [-1, -2])
+def test_negative_winding_singular_on_node_rejected(winding):
+    # a negative power of 0/0 stays nan without a RuntimeWarning, so the
+    # singular node is reported as such
+    grid = polar_disk_grid(2.0, radial_nodes=6, angular_nodes=8)
+    bad = type(grid)(nodes=np.vstack([grid.nodes, [0.0, 0.0]]),
+                     weights=np.append(grid.weights, 0.1),
+                     radius=grid.radius)
+    with pytest.raises(ValueError, match="singular on a grid node"):
+        truncated_projection_pair(0, gauge.flux_unitary(winding), bad)
+
+
 @pytest.mark.parametrize("layout", ["block", "dense"])
 def test_gauge_off_unit_circle_rejected(layout):
     # 1.1 z/|z| is a rotation character but not unimodular: its conjugate of

@@ -74,6 +74,125 @@ def test_disconnected_mask_warns():
         build_hamiltonian(model)
 
 
+def test_connected_l_shaped_mask_does_not_warn():
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[:2, :] = True
+    mask[:, :2] = True
+    build_hamiltonian(MagneticLatticeModel(6, 6, 0.1, domain_mask=mask))
+
+
+def test_isolated_first_site_warns_at_caller():
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[0, 0] = True
+    mask[2:, 2:] = True
+    model = MagneticLatticeModel(6, 6, 0.1, domain_mask=mask)
+    with pytest.warns(UserWarning, match=r"16 of 17 sites unreachable from \(0, 0\)") as rec:
+        build_hamiltonian(model)
+    assert rec[0].filename == __file__
+
+
+@pytest.mark.parametrize("x, y", [(-1, 3), (3, -1), (11, 3), (3, 11), (40, 40)])
+def test_plaquette_outside_box_rejected(x, y):
+    model = bench(12)
+    H = build_hamiltonian(model)
+    with pytest.raises(ValueError, match="not fully inside"):
+        plaquette_phase(model, H, x, y)
+
+
+def test_plaquette_outside_mask_rejected():
+    mask = np.ones((6, 6), dtype=bool)
+    mask[3, 3] = False
+    model = MagneticLatticeModel(6, 6, 0.1, domain_mask=mask)
+    H = build_hamiltonian(model)
+    assert plaquette_phase(model, H, 0, 0) == pytest.approx(np.exp(0.2j * np.pi), abs=1e-12)
+    with pytest.raises(ValueError, match="not fully inside"):
+        plaquette_phase(model, H, 2, 2)
+
+
+def _loop_hamiltonian(model, gauge="landau"):
+    # the per-site loop the bond table replaced: one scalar phase per bond
+    flux = float(model.flux_per_plaquette)
+    mask, pot = model.domain_mask, model.potential
+    sites = [(x, y) for x in range(model.width) for y in range(model.height)
+             if mask is None or mask[x, y]]
+    idx = {s: i for i, s in enumerate(sites)}
+    H = np.zeros((len(sites), len(sites)), dtype=complex)
+    for (x, y) in sites:
+        i = idx[(x, y)]
+        if pot is not None:
+            H[i, i] = pot[x, y]
+        for dy, t in enumerate(((x + 1, y), (x, y + 1))):
+            j = idx.get(t)
+            if j is not None:
+                if gauge == "landau":
+                    phase = np.exp(2j * np.pi * flux * x) if dy else 1.0 + 0.0j
+                elif dy:
+                    phase = np.exp(1j * np.pi * flux * x)
+                else:
+                    phase = np.exp(-1j * np.pi * flux * y)
+                H[i, j] = -phase
+                H[j, i] = -np.conj(phase)
+    return H
+
+
+def _oracle_masks(width, height):
+    quadrant = np.zeros((width, height), dtype=bool)
+    quadrant[width // 2:, height // 2:] = True
+    half = np.zeros((width, height), dtype=bool)
+    half[min(3, width - 1):, :] = True
+    ell = np.zeros((width, height), dtype=bool)
+    ell[:max(1, width // 3), :] = True
+    ell[:, :max(1, height // 3)] = True
+    return {"none": None, "quadrant": quadrant, "half-plane": half, "L": ell}
+
+
+@pytest.mark.filterwarnings("ignore:domain mask is disconnected")
+@pytest.mark.parametrize("mask_name", ["none", "quadrant", "half-plane", "L"])
+@pytest.mark.parametrize("width, height", [(24, 24), (7, 5), (1, 6), (40, 40), (3, 1)])
+def test_bond_table_hamiltonian_is_bitwise_the_loop(width, height, mask_name):
+    mask = _oracle_masks(width, height)[mask_name]
+    for with_potential in (False, True):
+        potential = (np.random.default_rng(width * height).uniform(-1, 1, (width, height))
+                     if with_potential else None)
+        for gauge_name in ("landau", "symmetric"):
+            for flux in (0.0, 1.0 / 3.0, 0.27):
+                model = MagneticLatticeModel(width, height, flux, potential=potential,
+                                             domain_mask=mask)
+                H = build_hamiltonian(model, gauge=gauge_name)
+                want = _loop_hamiltonian(model, gauge_name)
+                assert H.shape == want.shape
+                assert np.array_equal(H.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("width, height", [(24, 24), (7, 5), (1, 6), (3, 1)])
+def test_bonds_count_and_landau_phase(width, height):
+    model = MagneticLatticeModel(width, height, 0.27)
+    i, j, phase = model.bonds()
+    assert len(i) == len(j) == len(phase) == (width - 1) * height + width * (height - 1)
+    sites = model.sites()
+    step = sites[j] - sites[i]
+    assert set(map(tuple, step)) <= {(1, 0), (0, 1)}
+    along_y = step[:, 1] == 1
+    assert np.all(phase[~along_y] == 1.0)
+    assert np.array_equal(phase[along_y], np.exp(2j * np.pi * 0.27 * sites[i][along_y, 0]))
+
+
+def test_site_table_orders_rows_x_major():
+    mask = np.zeros((4, 3), dtype=bool)
+    mask[1:, 1:] = True
+    model = MagneticLatticeModel(4, 3, 0.1, domain_mask=mask)
+    index = model.site_index()
+    assert index.shape == (4, 3)
+    assert np.all(index[~mask] == -1)
+    assert index[mask].tolist() == list(range(6))
+    assert model.sites().tolist() == [[1, 1], [1, 2], [2, 1], [2, 2], [3, 1], [3, 2]]
+
+
+def test_unknown_gauge_rejected():
+    with pytest.raises(ValueError, match="unknown gauge"):
+        build_hamiltonian(bench(4), gauge="coulomb")
+
+
 def test_gap_projection_rank_counts_states_below_fermi():
     H = build_hamiltonian(bench(12))
     evals = np.linalg.eigvalsh(H)
