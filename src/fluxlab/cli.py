@@ -306,9 +306,15 @@ def _lattice_pipeline(cfg):
     return model, gp
 
 
+def _flux_center(size: int) -> tuple:
+    """The flux centre of a size x size box: its centre for an even size, and
+    half a lattice constant off it, clear of the middle site, for an odd one."""
+    return (size // 2 - 0.5,) * 2
+
+
 def run_lattice_index(cfg) -> list:
     model, gp = _lattice_pipeline(cfg)
-    U = lattice.lattice_flux_unitary(model, (cfg["size"] / 2 - 0.5,) * 2)
+    U = lattice.lattice_flux_unitary(model, _flux_center(cfg["size"]))
     rows = []
     for n in cfg["powers"]:
         with _Timer() as t:
@@ -317,7 +323,7 @@ def run_lattice_index(cfg) -> list:
                          {"size": cfg["size"], "flux": cfg["flux"],
                           "fermi": cfg["fermi"], "trace_power": rep.trace_power,
                           "gap_width": round(gp.gap_width, 6),
-                          "real_form": gp.real_form},
+                          "real_form": gp.real_form, "modes": gp.modes},
                          rep.value, round(rep.value), cfg["tol"],
                          residual=rep.residual, timer=t))
     return rows
@@ -330,8 +336,7 @@ def run_wedge(cfg) -> list:
     rows = []
     with _Timer() as t:
         full = lattice.wedge_experiment(
-            lattice.MagneticLatticeModel(size, size, flux),
-            (size / 2 - 0.5, size / 2 - 0.5), fermi)
+            lattice.MagneticLatticeModel(size, size, flux), _flux_center(size), fermi)
     rows.append(_row("wedge/full-plane-control", {"size": size, "flux": cfg["flux"]},
                      full.value, round(full.value), cfg["tol"],
                      residual=full.residual, timer=t))
@@ -349,7 +354,7 @@ def run_wedge(cfg) -> list:
     with _Timer() as t:
         vh = lattice.wedge_experiment(
             lattice.MagneticLatticeModel(size, size, flux, domain_mask=half_mask),
-            (size / 2 + 1.5, size / 2 - 0.5), fermi)
+            (size // 2 + 1.5, size // 2 - 0.5), fermi)
     rows.append(_row("wedge/half-plane-flux-inside", {"size": size}, vh.value,
                      full.value, cfg["tol"], timer=t))
     return rows
@@ -358,7 +363,7 @@ def run_wedge(cfg) -> list:
 def run_disorder(cfg) -> list:
     with _Timer() as t:
         model, gp = _lattice_pipeline(cfg)
-        U = lattice.lattice_flux_unitary(model, (cfg["size"] / 2 - 0.5,) * 2)
+        U = lattice.lattice_flux_unitary(model, _flux_center(cfg["size"]))
         ens = lattice.DisorderEnsemble(
             base_model=model, amplitude=cfg["amplitude_factor"] * gp.gap_width,
             seeds=list(range(cfg["n_seeds"])))

@@ -9,20 +9,30 @@ so the lattice index must be localized: the diagonal carries a bump of
 integrated weight equal to the index near the flux insertion point,
 compensated by boundary weight far away, and the window isolates the bump.
 
-The Landau-gauge box has an antiunitary symmetry that the diagonalization
-uses: the y-bond phases exp(2 pi i flux x) depend only on x, so the
-reflection y -> height - 1 - y within each column flips the field and
-complex conjugation flips it back.  A permutation r with
-H[r][:, r] == conj(H) makes H unitarily equivalent to a real symmetric
-matrix, and gap_projection diagonalizes that one in real arithmetic.  The
-symmetry is checked exactly on the matrix, not assumed from the model; a
-matrix without it (a disorder draw, the symmetric gauge) takes the complex
-eigh.
+The Fermi projection uses two symmetries of the clean box, each checked on
+the matrix itself, not assumed from the model.  A square, even-sided box
+in a uniform field is invariant under the rotation by 90 degrees about its
+centre, up to a gauge transformation G: H[p][:, p] = G H G*
+(_rotation_gauge solves G from H).  T = G* R commutes with H and T^4 is a
+phase, so H splits into four rotation-mode blocks of N/4 sites each, as the
+angular-mode Landau engine splits its disk; gap_projection diagonalizes the
+blocks and assembles the same dense, site-ordered P.  Any other box in the
+Landau gauge has an antiunitary symmetry: the y-bond phases
+exp(2 pi i flux x) depend only on x, so the reflection
+y -> height - 1 - y within each column flips the field and complex
+conjugation flips it back.  A permutation r with H[r][:, r] == conj(H)
+makes H unitarily equivalent to a real symmetric matrix, which is
+diagonalized in real arithmetic.  A matrix with neither symmetry (a
+disorder draw, the symmetric gauge on a rectangle) takes the complex eigh.
+On every route P carries its idempotency residual, bounded from the
+eigenvectors' Gram matrix or the blocks' measured residual, instead of
+measuring it with the N^3 product P @ P.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -167,14 +177,171 @@ class GapProjection:
 
     gap_width is the distance from the Fermi energy to the nearest
     eigenvalue; the projection sums every eigenvector below the Fermi
-    energy.  real_form records the route: True when the eigenvectors came
-    from the real symmetric form of H, False for the complex eigh.
+    energy.  modes and real_form record the route: modes is 4 when H was
+    diagonalized in its four rotation-mode blocks and 1 for one N x N eigh;
+    real_form is True when that eigh ran on the real symmetric form of H,
+    False for the complex eigh (and for the blocks).
     """
 
     projection: HermitianProjection
     fermi_energy: float
     gap_width: float
     real_form: bool
+    modes: int
+
+
+# a 90-degree rotation is accepted when H[p][:, p] == G H G* holds to this
+# tolerance on every nonzero entry, and the orbit products of G agree to it
+_ROTATION_TOL = 1e-12
+# the rounding of one double, u = eps / 2
+_UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+
+
+def _rotation_gauge(H: np.ndarray) -> Optional[tuple]:
+    """(p, g, c) for a 90-degree magnetic rotation of H, or None.
+
+    Only a complex H of side L = sqrt(N), L even, qualifies (a real H takes
+    the real form, whose P is exactly real).  Its geometry is read the way
+    _real_form_permutation reads it: a full L x L box in x-major order is L
+    chains of length L (nonzero H[i, i+1] except at the ends of the chains)
+    linked by a nonzero H[i, i+L].  The candidate is the rotation about the
+    box centre, p(x, y) = (L-1-y, x); with L even it fixes no site.  The
+    diagonal gauge g of H[p][:, p] = G H G* is solved on the chains and the
+    first row by cumulative products, g_j = g_i conj(H[p_i, p_j] / H[i, j])
+    from g_0 = 1 (in the Landau gauge g = exp(2 pi i flux x (y - L + 1))),
+    and normalized to the unit circle.  p is accepted when the
+    nonzero pattern maps onto itself, the relation holds on every nonzero
+    entry to _ROTATION_TOL, and T = G* R has T^4 = conj(c) for one phase
+    c, the product of g over every orbit of p.
+    """
+    n = H.shape[0]
+    side = math.isqrt(n)
+    if side * side != n or side % 2 or not H.imag.any():
+        return None
+    site = np.arange(n)
+    if not (np.array_equal(np.diagonal(H, 1) != 0, site[1:] % side != 0)
+            and np.all(np.diagonal(H, side) != 0)):
+        return None
+    x, y = np.divmod(site, side)
+    p = (side - 1 - y) * side + x
+    # on the diagonal the relation reads H[p_i, p_i] = H[i, i]: a potential
+    # that is not C4-invariant (a disorder draw) fails here, in O(N)
+    d = np.diagonal(H)
+    if np.max(np.abs(d[p] - d)) > _ROTATION_TOL:
+        return None
+    i, j = np.nonzero(H)
+    image = H[p[i], p[j]]
+    if np.count_nonzero(image) != len(image):
+        return None
+    grid = site.reshape(side, side)
+    col = np.conj(H[p[grid[:, :-1]], p[grid[:, 1:]]] / H[grid[:, :-1], grid[:, 1:]])
+    row = np.conj(H[p[grid[:-1, 0]], p[grid[1:, 0]]] / H[grid[:-1, 0], grid[1:, 0]])
+    g = np.ones((side, side), dtype=complex)
+    g[1:, 0] = np.cumprod(row)
+    g[:, 1:] = g[:, :1] * np.cumprod(col, axis=1)
+    g = (g / np.abs(g)).ravel()
+    if np.max(np.abs(image - g[i] * H[i, j] * np.conj(g[j]))) > _ROTATION_TOL:
+        return None
+    orbit = g * g[p] * g[p[p]] * g[p[p[p]]]
+    if np.max(np.abs(orbit - orbit[0])) > _ROTATION_TOL:
+        return None
+    return p, g, orbit[0]
+
+
+def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
+    gap = float(np.min(np.abs(evals - fermi)))
+    if gap < min_gap:
+        raise ValueError(
+            f"no spectral gap at fermi energy {fermi:.6f}: nearest eigenvalue "
+            f"is {gap:.3e} away; the Fermi projection needs an open gap"
+        )
+    return gap
+
+
+def _hermitian_residual(P: np.ndarray, rows: int = 128) -> float:
+    """max |P - P*|, measured on the upper triangle in bands of rows, without
+    an N x N temporary."""
+    return max(float(np.max(np.abs(P[k:k + rows, k:] - P[k:, k:k + rows].conj().T)))
+               for k in range(0, len(P), rows))
+
+
+def _block_projection(H, fermi, min_gap, p, g, c) -> GapProjection:
+    """The Fermi projection of H from its four rotation-mode blocks.
+
+    With mu = conj(c)^(1/4), S = T / mu has S^4 = 1 and commutes with H.
+    The orbit representatives s_i are the quadrant x, y < L/2, and the node
+    vectors f_(i,a) = (S*)^a e_(s_i) = phi_(i,a) e_(p^a s_i) have the phases
+    phi_(i,0) = 1, phi_(i,a+1) = phi_(i,a) mu g[p^a s_i].  In that basis S
+    shifts the angle a, so H is block-circulant in the projpair convention
+    M[(i,a),(j,b)] = (1/4) sum_q B_q[i,j] exp(-2 pi i q (b - a) / 4), and
+    its first angular row H[s_i, p^d s_j] phi_(j,d) gives the blocks B_q
+    by one FFT over d.  Each block is diagonalized on its own and P_q =
+    V_q V_q* validated by the measured from_blocks check.  P is assembled in
+    one N x N array: the nodal block (b - a) mod 4 goes to the quadrant
+    pair (a, b) through rotated views of the site grid, then each row and
+    column takes its phase, P[p^a s_i, p^b s_j] = phi_(i,a) conj(phi_(j,b))
+    P_f[(i,a),(j,b)].
+
+    The idempotency residual is carried.  P_f has the blocks' residual r_f
+    and largest squared row norm rho; eps = max ||phi|^2 - 1| widens them
+    as in projpair.conjugated, to (1 + eps)(r_f + eps rho).  Forming an
+    entry (the length-4 FFT, two complex products) errs by at most
+    8u s_ij, s_ij = (1/4) sum_q |B_q[i,j]|, so each row of the error E has
+    norm <= 16u sqrt(rho), and PE + EP - E adds at most 8u(4 rho +
+    sqrt(rho)) to each entry of P^2 - P, to first order in u and with no
+    factor of N.
+    """
+    n = H.shape[0]
+    side = math.isqrt(n)
+    half = side // 2
+    reps = np.arange(n).reshape(side, side)[:half, :half].ravel()
+    orbit = [reps]
+    for _ in range(3):
+        orbit.append(p[orbit[-1]])
+    mu = np.exp(-0.25j * np.angle(c))
+    phi = [np.ones(len(reps), dtype=complex)]
+    for a in range(3):
+        phi.append(phi[-1] * mu * g[orbit[a]])
+    # the quadrant (x, y) that p^a takes the representatives to; np.rot90 by
+    # a takes a representative grid to that quadrant's local grid
+    quadrants = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    grid = (2, half, 2, half, 2, half, 2, half)
+    H8 = H.reshape(grid)
+    first = np.stack([
+        np.rot90(H8[0, :, 0, :, qx, :, qy, :], -a, axes=(2, 3)).reshape(len(reps), -1)
+        * phi[a] for a, (qx, qy) in enumerate(quadrants)])
+    evals, vecs = np.linalg.eigh(4.0 * np.fft.ifft(first, axis=0))
+    gap = _gap_width(evals, fermi, min_gap)
+    blocks = np.empty_like(vecs)
+    for q in range(4):
+        V = vecs[q][:, evals[q] < fermi]
+        Pq = V @ V.conj().T
+        blocks[q] = 0.5 * (Pq + Pq.conj().T)
+    Pf = HermitianProjection.from_blocks(blocks, idempotency_tol=1e-8)
+    rho = float(np.max(np.sum(np.abs(blocks) ** 2, axis=(0, 2)))) / 4.0
+    nodal = np.fft.fft(blocks, axis=0) / 4.0
+    P = np.empty((n, n), dtype=complex)
+    P8 = P.reshape(grid)
+    for a, (ax, ay) in enumerate(quadrants):
+        for b, (bx, by) in enumerate(quadrants):
+            P8[ax, :, ay, :, bx, :, by, :] = np.rot90(np.rot90(
+                nodal[(b - a) % 4].reshape(half, half, half, half), a, axes=(0, 1)),
+                b, axes=(2, 3))
+    phase = np.empty(n, dtype=complex)
+    phase[np.concatenate(orbit)] = np.concatenate(phi)
+    P *= phase[:, None]
+    P *= phase.conj()
+    eps = float(np.max(np.abs(np.abs(phase) ** 2 - 1.0)))
+    resid = ((1.0 + eps) * (Pf.idempotency_residual + eps * rho)
+             + 8.0 * _UNIT_ROUNDOFF * (4.0 * rho + np.sqrt(rho)))
+    return GapProjection(
+        projection=HermitianProjection.with_residuals(
+            P[None], 1e-8, _hermitian_residual(P), resid),
+        fermi_energy=float(fermi),
+        gap_width=gap,
+        real_form=False,
+        modes=4,
+    )
 
 
 def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
@@ -201,6 +368,57 @@ def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
+def _dense_projection(H, fermi, min_gap, r) -> GapProjection:
+    """The Fermi projection of H from one N x N eigh: of the real form
+    Re H - (Im H)[:, r] when r is a real-form permutation, else of H.
+
+    P = V V*, symmetrized, with V of m columns from the eigh output X (V = X
+    on the complex route, V = S X on the real one).  Its idempotency
+    residual is carried.  With e = ||X* X - I||_F from the Gram matrix,
+    f = ||V||_F, rho the largest squared row norm of V and
+    g = e + 2uf sqrt(1 + e) + u^2 f^2 (S X is formed with an entrywise
+    rounding of u), ||V* V - I|| <= g.  The product and the symmetrization
+    err by at most eta ||V_i|| ||V_j|| per entry, eta = 2(m + 3)u, so
+    P^2 - P = V (V* V - I) V* + AE + EA + E^2 - E (A = V V*) is bounded
+    entrywise by rho (g + eta (2f sqrt(1 + g) + 1) + eta^2 f^2).
+    """
+    if r is None:
+        evals, vecs = np.linalg.eigh(H)
+    else:
+        evals, vecs = np.linalg.eigh(H.real - H.imag[:, r])
+    gap = _gap_width(evals, fermi, min_gap)
+    X = vecs[:, evals < fermi]
+    del vecs
+    m = X.shape[1]
+    gram = X.conj().T @ X
+    gram[np.diag_indices(m)] -= 1.0
+    e = float(np.linalg.norm(gram))
+    # (1 - i)/2 = exp(-i pi/4)/sqrt(2) exactly; for the identity r the
+    # imaginary part cancels exactly and P comes out real
+    V = X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j)
+    row2 = np.sum(V.real ** 2 + V.imag ** 2, axis=1)
+    rho = float(np.max(row2))
+    f = float(np.sqrt(np.sum(row2)))
+    u = _UNIT_ROUNDOFF
+    g = e + 2.0 * u * f * np.sqrt(1.0 + e) + (u * f) ** 2
+    eta = 2.0 * (m + 3) * u
+    resid = rho * (g + eta * (2.0 * f * np.sqrt(1.0 + g) + 1.0) + (eta * f) ** 2)
+    A = V @ V.conj().T
+    # 0.5 (A + A*), formed with one N x N temporary
+    P = np.conjugate(A.T, out=np.empty_like(A))
+    P += A
+    del A
+    P *= 0.5
+    return GapProjection(
+        projection=HermitianProjection.with_residuals(
+            P[None], 1e-8, _hermitian_residual(P), resid),
+        fermi_energy=float(fermi),
+        gap_width=gap,
+        real_form=r is not None,
+        modes=1,
+    )
+
+
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
     """Spectral projection below fermi, refused when fermi touches spectrum.
 
@@ -208,41 +426,33 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     gap; an eigenvalue within min_gap of fermi means the projection is not
     stably defined and the call is rejected.
 
-    When an involutive permutation R with R H R = conj(H) holds exactly
-    (_real_form_permutation), S = exp(-i pi/4) (1 + iR)/sqrt(2) is unitary
-    and S* H S = Re H - (Im H)[:, r] is real symmetric: the real eigh of
-    that matrix gives eigenvectors W, and V = S W = (W + i W[r])(1 - i)/2
-    are those of H.  A real eigh costs a fraction of a complex one of the
-    same size.  Every other H takes the complex eigh, which is also the
-    test oracle of the real route.
+    Three routes give the same dense, site-ordered P, each chosen by a
+    symmetry checked on H itself:
+    - a 90-degree magnetic rotation about the box centre (_rotation_gauge:
+      a square, even-sided box) splits H into four N/4 x N/4
+      rotation-mode blocks, each diagonalized on its own
+      (_block_projection);
+    - otherwise, when an involutive permutation R with R H R = conj(H)
+      holds exactly (_real_form_permutation), S = exp(-i pi/4)(1 + iR)/sqrt 2
+      is unitary and S* H S = Re H - (Im H)[:, r] is real symmetric: the
+      real eigh of that matrix gives eigenvectors W, and V = S W =
+      (W + i W[r])(1 - i)/2 are those of H;
+    - every other H takes the complex eigh, which is also the test oracle
+      of the other two.
+    On every route P carries its idempotency residual, bounded from
+    quantities the route already holds (_block_projection,
+    _dense_projection), in place of the N^3 product P @ P; the Hermitian
+    residual is measured, at O(N^2).
     """
+    rotation = _rotation_gauge(H)
+    if rotation is not None:
+        logger.debug("gap_projection: 4 rotation blocks of %d eigh, N = %d",
+                     H.shape[0] // 4, H.shape[0])
+        return _block_projection(H, fermi, min_gap, *rotation)
     r = _real_form_permutation(H)
     logger.debug("gap_projection: %s eigh, N = %d",
                  "complex" if r is None else "real-form", H.shape[0])
-    if r is None:
-        evals, vecs = np.linalg.eigh(H)
-    else:
-        evals, vecs = np.linalg.eigh(H.real - H.imag[:, r])
-    gap = float(np.min(np.abs(evals - fermi)))
-    if gap < min_gap:
-        raise ValueError(
-            f"no spectral gap at fermi energy {fermi:.6f}: nearest eigenvalue "
-            f"is {gap:.3e} away; the Fermi projection needs an open gap"
-        )
-    sel = evals < fermi
-    V = vecs[:, sel]
-    if r is not None:
-        # (1 - i)/2 = exp(-i pi/4)/sqrt(2) exactly; for the identity r the
-        # imaginary part cancels exactly and P comes out real
-        V = (V + 1j * V[r]) * (0.5 - 0.5j)
-    P = V @ V.conj().T
-    P = 0.5 * (P + P.conj().T)
-    return GapProjection(
-        projection=HermitianProjection(P, idempotency_tol=1e-8),
-        fermi_energy=float(fermi),
-        gap_width=gap,
-        real_form=r is not None,
-    )
+    return _dense_projection(H, fermi, min_gap, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,11 +513,15 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
         )
     pos = U.site_array
     cx, cy = U.center
-    margin = min(
-        cx - pos[:, 0].min(), pos[:, 0].max() - cx,
-        cy - pos[:, 1].min(), pos[:, 1].max() - cy,
-    )
-    if margin < 5.0:
+    (x0, y0), (x1, y1) = pos.min(axis=0), pos.max(axis=0)
+    margin = min(cx - x0, x1 - cx, cy - y0, y1 - cy)
+    if margin < 0.0:
+        logger.warning(
+            "flux center (%.1f, %.1f) lies outside the domain (sites span "
+            "x %.0f..%.0f, y %.0f..%.0f); the domain encloses no flux",
+            cx, cy, x0, x1, y0, y1,
+        )
+    elif margin < 5.0:
         logger.warning(
             "flux center (%.1f, %.1f) is %.1f sites from the domain boundary; "
             "finite-size effects may dominate", cx, cy, margin,

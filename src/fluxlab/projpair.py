@@ -63,6 +63,17 @@ class HermitianProjection:
         proj._validate(b, idempotency_tol)
         return proj
 
+    @classmethod
+    def with_residuals(cls, blocks: np.ndarray, idempotency_tol: float,
+                       hermitian_residual: float, idempotency_residual: float):
+        """The (k, n, n) stack blocks with residuals its producer has bounded
+        from quantities it already holds, instead of measuring them; rejected
+        like any projection when a residual exceeds idempotency_tol."""
+        proj = cls.__new__(cls)
+        proj._validate(np.asarray(blocks), idempotency_tol, hermitian_residual,
+                       idempotency_residual)
+        return proj
+
     def _validate(self, b: np.ndarray, tol: float, herm=None, resid=None):
         """Keep the blocks b with their residuals, measured unless given."""
         if herm is None:
@@ -158,11 +169,10 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
         blocks = np.roll(P.blocks, winding, axis=0) if winding else P.blocks
     else:
         blocks, c = P.matrix[None], d
-    Q = HermitianProjection.__new__(HermitianProjection)
-    Q._validate(blocks * np.outer(c, c.conj()), P.idempotency_tol,
-                (1.0 + eps) * P.hermitian_residual,
-                (1.0 + eps) * (P.idempotency_residual + eps * rho))
-    return Q
+    return HermitianProjection.with_residuals(
+        blocks * np.outer(c, c.conj()), P.idempotency_tol,
+        (1.0 + eps) * P.hermitian_residual,
+        (1.0 + eps) * (P.idempotency_residual + eps * rho))
 
 
 @dataclass(frozen=True, eq=False)

@@ -228,7 +228,25 @@ def test_lattice_index_command(tmp_path):
     for row in read_json(out)["rows"]:
         assert row["oracle"] == -1.0
         assert row["residual"] <= 5e-2
-        assert row["parameters"]["real_form"] is True
+        # the square, even-sided box takes the four rotation-mode blocks
+        assert row["parameters"]["modes"] == 4
+        assert row["parameters"]["real_form"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-index", "--size", "25"],
+    ["disorder", "--size", "25", "--n-seeds", "2"],
+    ["wedge", "--size", "25"],
+], ids=["lattice-index", "disorder", "wedge"])
+def test_odd_size_centers_the_flux_off_the_middle_site(tmp_path, argv):
+    # the flux sits half a lattice constant off the middle site (12, 12)
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    rows = read_json(out)["rows"]
+    assert all(row["pass"] for row in rows)
+    if argv[0] == "lattice-index":
+        assert len(rows) == 2
+        assert all(row["parameters"]["modes"] == 1 for row in rows)
 
 
 @pytest.mark.parametrize("powers", ["1.5", "0", "1,two"])

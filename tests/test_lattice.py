@@ -1,11 +1,14 @@
 """Magnetic tight-binding models, gap projections, windowed lattice index."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
-                             _real_form_permutation, build_hamiltonian,
+                             _real_form_permutation, _rotation_gauge,
+                             build_hamiltonian,
                              decay_fit, disorder_constancy, gap_projection,
                              lattice_flux_unitary, lattice_index,
                              plaquette_phase, wedge_experiment)
@@ -214,9 +217,9 @@ def test_gap_projection_min_gap_threshold():
         gap_projection(H, FERMI, min_gap=10.0)
 
 
-def _complex_oracle(H, fermi):
+def _complex_oracle(H, fermi, eigh=None):
     # the complex eigh route: eigenvectors of H itself, P = V V*, symmetrized
-    evals, vecs = np.linalg.eigh(H)
+    evals, vecs = np.linalg.eigh(H) if eigh is None else eigh
     V = vecs[:, evals < fermi]
     P = V @ V.conj().T
     return 0.5 * (P + P.conj().T), float(np.min(np.abs(evals - fermi)))
@@ -233,20 +236,30 @@ def _y_symmetric_potential(width, height, seed, amplitude=0.1):
     return a + a[:, ::-1]
 
 
-@pytest.mark.parametrize("model", [
-    bench(24), bench(32), bench(40),
-    MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None))),
-    MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(12, None), slice(12, None))),
-    MagneticLatticeModel(24, 24, 0.0),
-    MagneticLatticeModel(24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5)),
+def _route_line(gp, n):
+    # the DEBUG line gap_projection logs for the route it took
+    if gp.modes == 4:
+        return f"4 rotation blocks of {n // 4} eigh, N = {n}"
+    return f"{'real-form' if gp.real_form else 'complex'} eigh, N = {n}"
+
+
+# the square, even-sided boxes with a complex H have a magnetic rotation and
+# take the four mode blocks; the others keep the real form
+@pytest.mark.parametrize("model, modes", [
+    (bench(24), 4), (bench(32), 4), (bench(40), 4),
+    (MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None))), 1),
+    (MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(12, None), slice(12, None))),
+     4),
+    (MagneticLatticeModel(24, 24, 0.0), 1),
+    (MagneticLatticeModel(24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5)), 1),
 ], ids=["L24", "L32", "L40", "half-plane", "quarter-wedge", "flux-zero",
         "y-symmetric-potential"])
-def test_real_form_matches_complex_oracle(model, caplog):
+def test_real_form_matches_complex_oracle(model, modes, caplog):
     H = build_hamiltonian(model)
     with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
         gp = gap_projection(H, FERMI)
-    assert gp.real_form
-    assert f"real-form eigh, N = {H.shape[0]}" in caplog.text
+    assert (gp.modes, gp.real_form) == (modes, modes == 1)
+    assert _route_line(gp, H.shape[0]) in caplog.text
     P, gap = _complex_oracle(H, FERMI)
     assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
     assert abs(gp.gap_width - gap) <= 1e-12
@@ -268,7 +281,7 @@ def test_real_form_matches_complex_oracle_on_random_boxes(width, height, q, p, s
     k = int(np.argmax(np.diff(evals)))
     fermi = 0.5 * (evals[k] + evals[k + 1])
     gp = gap_projection(H, fermi)
-    assert gp.real_form
+    assert gp.real_form or gp.modes == 4
     P, gap = _complex_oracle(H, fermi)
     assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
     assert abs(gp.gap_width - gap) <= 1e-12
@@ -286,10 +299,151 @@ def test_complex_fallback_is_bitwise_the_oracle(case, caplog):
     with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
         gp = gap_projection(H, FERMI)
     assert not gp.real_form
-    assert f"complex eigh, N = {H.shape[0]}" in caplog.text
+    assert _route_line(gp, H.shape[0]) in caplog.text
     P, gap = _complex_oracle(H, FERMI)
+    if case == "symmetric-gauge":
+        # the square box has a magnetic rotation in this gauge too: the four
+        # mode blocks, matched to the oracle like every block route
+        assert gp.modes == 4
+        assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
+        assert abs(gp.gap_width - gap) <= 1e-12
+        return
+    assert gp.modes == 1
     assert np.array_equal(gp.projection.matrix, P)
     assert gp.gap_width == gap
+
+
+def _oracle_at_widest_gap(H):
+    # the complex oracle, with the Fermi energy in the middle of the widest gap
+    evals, vecs = np.linalg.eigh(H)
+    k = int(np.argmax(np.diff(evals)))
+    fermi = 0.5 * (evals[k] + evals[k + 1])
+    return fermi, k + 1, *_complex_oracle(H, fermi, (evals, vecs))
+
+
+@pytest.mark.parametrize("flux", [0.0, 0.25, 0.4])
+@pytest.mark.parametrize("size", [12, 24, 32, 40])
+def test_rotation_blocks_match_complex_oracle(size, flux):
+    # the symmetric gauge, which the reflection check rejects; a real H (flux
+    # 0) keeps the real form, whose P is exactly real
+    H = build_hamiltonian(MagneticLatticeModel(size, size, flux), gauge="symmetric")
+    fermi, rank, P, gap = _oracle_at_widest_gap(H)
+    gp = gap_projection(H, fermi)
+    assert gp.modes == (4 if flux else 1)
+    assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
+    assert abs(gp.gap_width - gap) <= 1e-12
+    assert gp.projection.rank() == rank
+    if not flux:
+        assert np.max(np.abs(gp.projection.matrix.imag)) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(half=st.integers(1, 6), q=st.integers(1, 5), p=st.integers(0, 4),
+       gauge_name=st.sampled_from(["landau", "symmetric"]))
+def test_rotation_blocks_match_complex_oracle_on_random_boxes(half, q, p, gauge_name):
+    model = MagneticLatticeModel(2 * half, 2 * half, (p % q) / q)
+    H = build_hamiltonian(model, gauge=gauge_name)
+    fermi, rank, P, gap = _oracle_at_widest_gap(H)
+    gp = gap_projection(H, fermi)
+    assert gp.modes == (4 if H.imag.any() else 1)
+    assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
+    assert abs(gp.gap_width - gap) <= 1e-12
+    assert gp.projection.rank() == rank
+
+
+def _dense_route(H, fermi):
+    # the one-eigh routes as written before the rotation blocks: the real form
+    # when the reflection holds, else the complex eigh
+    r = _real_form_permutation(H)
+    if r is None:
+        return _complex_oracle(H, fermi)
+    evals, vecs = np.linalg.eigh(H.real - H.imag[:, r])
+    V = vecs[:, evals < fermi]
+    V = (V + 1j * V[r]) * (0.5 - 0.5j)
+    P = V @ V.conj().T
+    return 0.5 * (P + P.conj().T), float(np.min(np.abs(evals - fermi)))
+
+
+def _rotated_bond_perturbed():
+    H = build_hamiltonian(bench())
+    H[30, 31] *= np.exp(1e-9j)
+    H[31, 30] = np.conj(H[30, 31])
+    return H
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_hamiltonian(bench(23)),
+    lambda: build_hamiltonian(MagneticLatticeModel(24, 20, FLUX)),
+    lambda: build_hamiltonian(MagneticLatticeModel(
+        24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None)))),
+    lambda: build_hamiltonian(bench()) + np.diag(
+        np.random.default_rng(3).uniform(-0.01, 0.01, 576)),
+    lambda: build_hamiltonian(MagneticLatticeModel(
+        24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5))),
+    _rotated_bond_perturbed,
+    lambda: build_hamiltonian(MagneticLatticeModel(24, 20, FLUX), gauge="symmetric"),
+], ids=["odd-side", "rectangle", "half-plane", "disorder", "y-symmetric-potential",
+        "perturbed-bond", "symmetric-rectangle"])
+def test_fallback_routes_are_bitwise_the_dense_ones(build):
+    H = build()
+    gp = gap_projection(H, FERMI)
+    assert gp.modes == 1
+    P, gap = _dense_route(H, FERMI)
+    assert np.array_equal(gp.projection.matrix, P)
+    assert gp.gap_width == gap
+
+
+@pytest.mark.parametrize("H, modes", [
+    (build_hamiltonian(bench(12)), 4),
+    (build_hamiltonian(bench(24), gauge="symmetric"), 4),
+    (build_hamiltonian(MagneticLatticeModel(
+        24, 24, FLUX, domain_mask=_mask(slice(12, None), slice(12, None)))), 4),
+    (build_hamiltonian(MagneticLatticeModel(
+        24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None)))), 1),
+    (build_hamiltonian(MagneticLatticeModel(24, 24, 0.0)), 1),
+    (build_hamiltonian(bench()) + np.diag(np.random.default_rng(3).uniform(-0.01, 0.01, 576)),
+     1),
+], ids=["blocks", "blocks-symmetric", "blocks-wedge", "real-form", "real", "complex"])
+def test_carried_residuals_bound_measured_ones(H, modes):
+    gp = gap_projection(H, FERMI)
+    assert gp.modes == modes
+    P = gp.projection
+    measured = HermitianProjection(P.matrix, idempotency_tol=1e-8)
+    assert P.hermitian_residual == measured.hermitian_residual
+    assert measured.idempotency_residual <= P.idempotency_residual <= 1e-10
+
+
+def test_rotation_rejects_a_real_or_broken_box():
+    assert _rotation_gauge(build_hamiltonian(MagneticLatticeModel(24, 24, 0.0))) is None
+    assert _rotation_gauge(build_hamiltonian(bench(23))) is None
+    assert _rotation_gauge(_rotated_bond_perturbed()) is None
+    # a missing bond breaks the chain geometry before any ratio is taken
+    H = build_hamiltonian(bench(12))
+    H[5, 6] = H[6, 5] = 0.0
+    assert _rotation_gauge(H) is None
+
+
+@pytest.mark.parametrize("size", [2, 12, 24])
+def test_rotation_gauge_of_the_landau_box(size):
+    # solved from H alone, the gauge is the closed form of the Landau box
+    p, g, c = _rotation_gauge(build_hamiltonian(MagneticLatticeModel(size, size, 0.27)))
+    x, y = np.divmod(np.arange(size * size), size)
+    assert np.array_equal(p, (size - 1 - y) * size + x)
+    assert np.max(np.abs(g - np.exp(2j * np.pi * 0.27 * x * (y - size + 1)))) <= 1e-12
+    assert abs(c - np.prod(g[[0, p[0], p[p[0]], p[p[p[0]]]]])) <= 1e-12
+
+
+def test_block_route_memory_peak():
+    # the dense route with its measured P @ P peaked at 150 MiB here
+    H = build_hamiltonian(bench(40))
+    tracemalloc.start()
+    try:
+        gp = gap_projection(H, FERMI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gp.modes == 4
+    assert peak <= 150 * 2**20
 
 
 def test_flux_unitary_rejects_site_center():
@@ -388,6 +542,21 @@ def test_lattice_index_flags_unreliable_window(lattice_benchmark, caplog):
         rep = lattice_index(gp, U, window_radius=2.0)
     assert rep.residual > 0.1
     assert any("finite-size unreliable" in r.message for r in caplog.records)
+
+
+def test_lattice_index_says_where_the_flux_center_lies(lattice_benchmark, caplog):
+    model, _, gp, _ = lattice_benchmark
+    with caplog.at_level("WARNING", logger="fluxlab.lattice"):
+        lattice_index(gp, lattice_flux_unitary(model, (2.5, 11.5)))
+    assert "(2.5, 11.5) is 2.5 sites from the domain boundary" in caplog.text
+    assert "outside" not in caplog.text
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="fluxlab.lattice"):
+        wedge_experiment(MagneticLatticeModel(24, 24, FLUX, domain_mask=WEDGE),
+                         (11.4, 11.4), FERMI)
+    assert ("flux center (11.4, 11.4) lies outside the domain "
+            "(sites span x 12..23, y 12..23)") in caplog.text
+    assert "sites from the domain boundary" not in caplog.text
 
 
 def test_lattice_index_translation_invariance(lattice_benchmark):
