@@ -16,7 +16,10 @@ centre, up to a gauge transformation G: H[p][:, p] = G H G*
 (_rotation_gauge solves G from H).  T = G* R commutes with H and T^4 is a
 phase, so H splits into four rotation-mode blocks of N/4 sites each, as the
 angular-mode Landau engine splits its disk; gap_projection diagonalizes the
-blocks and assembles the same dense, site-ordered P.  Any other box in the
+blocks and assembles the same dense, site-ordered P.  The blocks are those
+of a rotation-symmetrized H' close to H; they are kept only while the
+Davis-Kahan bound on the distance of their P from H's own projection is
+small, and a box with a smaller gap takes a dense route.  Any other box in the
 Landau gauge has an antiunitary symmetry: the y-bond phases
 exp(2 pi i flux x) depend only on x, so the reflection
 y -> height - 1 - y within each column flips the field and complex
@@ -193,12 +196,20 @@ class GapProjection:
 # a 90-degree rotation is accepted when H[p][:, p] == G H G* holds to this
 # tolerance on every nonzero entry, and the orbit products of G agree to it
 _ROTATION_TOL = 1e-12
+# the blocks give the exact projection of a rotation-symmetrized H' = H - E;
+# they are kept when the bound on its distance from H's projection,
+# ||E|| / (2 gap - ||E||), is at most this, two orders of magnitude inside the
+# 1e-8 every projection is validated to.  The Landau phases exp(2 pi i flux x)
+# round unevenly in x, so ||E|| grows like N u ||H|| (5.7e-13 at 40 x 40),
+# and at the 40 x 40 box's gap of 7.3e-3 the bound reads 3.9e-11
+_ROTATION_DRIFT_TOL = 1e-10
 # the rounding of one double, u = eps / 2
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 
 
 def _rotation_gauge(H: np.ndarray) -> Optional[tuple]:
-    """(p, g, c) for a 90-degree magnetic rotation of H, or None.
+    """(p, g, c, i, j) for a 90-degree magnetic rotation of H, or None;
+    i, j are the rows and columns of H's nonzero entries.
 
     Only a complex H of side L = sqrt(N), L even, qualifies (a real H takes
     the real form, whose P is exactly real).  Its geometry is read the way
@@ -245,7 +256,7 @@ def _rotation_gauge(H: np.ndarray) -> Optional[tuple]:
     orbit = g * g[p] * g[p[p]] * g[p[p[p]]]
     if np.max(np.abs(orbit - orbit[0])) > _ROTATION_TOL:
         return None
-    return p, g, orbit[0]
+    return p, g, orbit[0], i, j
 
 
 def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
@@ -258,15 +269,17 @@ def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
     return gap
 
 
-def _hermitian_residual(P: np.ndarray, rows: int = 128) -> float:
-    """max |P - P*|, measured on the upper triangle in bands of rows, without
-    an N x N temporary."""
+def _hermitian_residual(P: np.ndarray) -> float:
+    """max |P - P*|, measured on the upper triangle in bands of 128 rows,
+    without an N x N temporary."""
+    rows = 128
     return max(float(np.max(np.abs(P[k:k + rows, k:] - P[k:, k:k + rows].conj().T)))
                for k in range(0, len(P), rows))
 
 
-def _block_projection(H, fermi, min_gap, p, g, c) -> GapProjection:
-    """The Fermi projection of H from its four rotation-mode blocks.
+def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[GapProjection]:
+    """The Fermi projection of H from its four rotation-mode blocks, or None
+    when the blocks' H drifts too far from H.
 
     With mu = conj(c)^(1/4), S = T / mu has S^4 = 1 and commutes with H.
     The orbit representatives s_i are the quadrant x, y < L/2, and the node
@@ -275,7 +288,21 @@ def _block_projection(H, fermi, min_gap, p, g, c) -> GapProjection:
     shifts the angle a, so H is block-circulant in the projpair convention
     M[(i,a),(j,b)] = (1/4) sum_q B_q[i,j] exp(-2 pi i q (b - a) / 4), and
     its first angular row H[s_i, p^d s_j] phi_(j,d) gives the blocks B_q
-    by one FFT over d.  Each block is diagonalized on its own and P_q =
+    by one FFT over d.  That row is made Hermitian, (k, 0), (l, d) averaged
+    with the conjugate of (l, 0), (k, -d), so the blocks are exactly those of
+    a Hermitian H' = F M F*.
+
+    H' agrees with H only as far as the rotation holds, up to
+    _ROTATION_TOL per entry, and it has H's nonzero pattern.  E = H - H' is
+    measured on that pattern, and ||E|| <= sqrt(||E||_1 ||E||_inf).  The
+    Davis-Kahan sin theta theorem bounds the distance of the blocks' P
+    from H's own projection: H' keeps the gap g' at fermi, H keeps at
+    least g' - ||E|| (Weyl), so ||P - P_H|| <= ||E|| / (2 g' - ||E||).
+    Above _ROTATION_DRIFT_TOL the blocks are dropped (None), and the caller
+    takes a dense route; the FFT's own rounding, like the dense eigh's, is
+    left out of the bound.
+
+    Each block is diagonalized on its own and P_q =
     V_q V_q* validated by the measured from_blocks check.  P is assembled in
     one N x N array: the nodal block (b - a) mod 4 goes to the quadrant
     pair (a, b) through rotated views of the site grid, then each row and
@@ -310,8 +337,21 @@ def _block_projection(H, fermi, min_gap, p, g, c) -> GapProjection:
     first = np.stack([
         np.rot90(H8[0, :, 0, :, qx, :, qy, :], -a, axes=(2, 3)).reshape(len(reps), -1)
         * phi[a] for a, (qx, qy) in enumerate(quadrants)])
+    first = 0.5 * (first + first[[0, 3, 2, 1]].conj().transpose(0, 2, 1))
+    phase = np.empty(n, dtype=complex)
+    phase[np.concatenate(orbit)] = np.concatenate(phi)
+    node = np.empty(n, dtype=int)
+    node[np.concatenate(orbit)] = np.arange(n)
+    rep, turn = node % len(reps), node // len(reps)
+    err = np.abs(H[i, j] - phase[i] * first[(turn[j] - turn[i]) % 4, rep[i], rep[j]]
+                 * phase[j].conj())
+    drift = float(np.sqrt(np.max(np.bincount(i, err, n)) * np.max(np.bincount(j, err, n))))
     evals, vecs = np.linalg.eigh(4.0 * np.fft.ifft(first, axis=0))
     gap = _gap_width(evals, fermi, min_gap)
+    if drift >= gap or drift / (2.0 * gap - drift) > _ROTATION_DRIFT_TOL:
+        logger.debug("gap_projection: rotation blocks drift %.1e from H at gap %.3e",
+                     drift, gap)
+        return None
     blocks = np.empty_like(vecs)
     for q in range(4):
         V = vecs[q][:, evals[q] < fermi]
@@ -327,8 +367,6 @@ def _block_projection(H, fermi, min_gap, p, g, c) -> GapProjection:
             P8[ax, :, ay, :, bx, :, by, :] = np.rot90(np.rot90(
                 nodal[(b - a) % 4].reshape(half, half, half, half), a, axes=(0, 1)),
                 b, axes=(2, 3))
-    phase = np.empty(n, dtype=complex)
-    phase[np.concatenate(orbit)] = np.concatenate(phi)
     P *= phase[:, None]
     P *= phase.conj()
     eps = float(np.max(np.abs(np.abs(phase) ** 2 - 1.0)))
@@ -431,7 +469,8 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     - a 90-degree magnetic rotation about the box centre (_rotation_gauge:
       a square, even-sided box) splits H into four N/4 x N/4
       rotation-mode blocks, each diagonalized on its own
-      (_block_projection);
+      (_block_projection), kept when the blocks' H drifts from H by too
+      little to move P beyond rounding;
     - otherwise, when an involutive permutation R with R H R = conj(H)
       holds exactly (_real_form_permutation), S = exp(-i pi/4)(1 + iR)/sqrt 2
       is unitary and S* H S = Re H - (Im H)[:, r] is real symmetric: the
@@ -446,9 +485,11 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     """
     rotation = _rotation_gauge(H)
     if rotation is not None:
-        logger.debug("gap_projection: 4 rotation blocks of %d eigh, N = %d",
-                     H.shape[0] // 4, H.shape[0])
-        return _block_projection(H, fermi, min_gap, *rotation)
+        gp = _block_projection(H, fermi, min_gap, *rotation)
+        if gp is not None:
+            logger.debug("gap_projection: 4 rotation blocks of %d eigh, N = %d",
+                         H.shape[0] // 4, H.shape[0])
+            return gp
     r = _real_form_permutation(H)
     logger.debug("gap_projection: %s eigh, N = %d",
                  "complex" if r is None else "real-form", H.shape[0])

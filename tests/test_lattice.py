@@ -294,20 +294,14 @@ def test_complex_fallback_is_bitwise_the_oracle(case, caplog):
         H = build_hamiltonian(bench())
         H += np.diag(np.random.default_rng(3).uniform(-0.01, 0.01, H.shape[0]))
     else:
-        H = build_hamiltonian(bench(), gauge="symmetric")
+        # a rectangle, which has no magnetic rotation either
+        H = build_hamiltonian(MagneticLatticeModel(24, 20, FLUX), gauge="symmetric")
     assert _real_form_permutation(H) is None
     with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
         gp = gap_projection(H, FERMI)
     assert not gp.real_form
     assert _route_line(gp, H.shape[0]) in caplog.text
     P, gap = _complex_oracle(H, FERMI)
-    if case == "symmetric-gauge":
-        # the square box has a magnetic rotation in this gauge too: the four
-        # mode blocks, matched to the oracle like every block route
-        assert gp.modes == 4
-        assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
-        assert abs(gp.gap_width - gap) <= 1e-12
-        return
     assert gp.modes == 1
     assert np.array_equal(gp.projection.matrix, P)
     assert gp.gap_width == gap
@@ -393,6 +387,29 @@ def test_fallback_routes_are_bitwise_the_dense_ones(build):
     assert gp.gap_width == gap
 
 
+@pytest.mark.parametrize("gap", [1e-2, 3e-3, 1e-5, 1e-8])
+def test_block_route_keeps_its_drift_bound_at_small_gaps(gap, caplog):
+    # the Landau box is rotation-symmetric only to 1.9e-13 per entry, so the
+    # blocks' P, that of a symmetrized H, is kept while that moves it by at
+    # most 1e-10 from H's own projection, and the dense route takes over below
+    H = build_hamiltonian(bench(24))
+    evals, vecs = np.linalg.eigh(H)
+    k = int(np.argmax(np.diff(evals)))
+    fermi = evals[k] + gap
+    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
+        gp = gap_projection(H, fermi)
+    assert gp.modes == (4 if gap >= 3e-3 else 1)
+    if gp.modes == 4:
+        P, oracle_gap = _complex_oracle(H, fermi, (evals, vecs))
+        assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-10
+        assert abs(gp.gap_width - oracle_gap) <= 1e-12
+    else:
+        assert "rotation blocks drift" in caplog.text
+        P, oracle_gap = _dense_route(H, fermi)
+        assert np.array_equal(gp.projection.matrix, P)
+        assert gp.gap_width == oracle_gap
+
+
 @pytest.mark.parametrize("H, modes", [
     (build_hamiltonian(bench(12)), 4),
     (build_hamiltonian(bench(24), gauge="symmetric"), 4),
@@ -426,7 +443,8 @@ def test_rotation_rejects_a_real_or_broken_box():
 @pytest.mark.parametrize("size", [2, 12, 24])
 def test_rotation_gauge_of_the_landau_box(size):
     # solved from H alone, the gauge is the closed form of the Landau box
-    p, g, c = _rotation_gauge(build_hamiltonian(MagneticLatticeModel(size, size, 0.27)))
+    p, g, c, _, _ = _rotation_gauge(
+        build_hamiltonian(MagneticLatticeModel(size, size, 0.27)))
     x, y = np.divmod(np.arange(size * size), size)
     assert np.array_equal(p, (size - 1 - y) * size + x)
     assert np.max(np.abs(g - np.exp(2j * np.pi * 0.27 * x * (y - size + 1)))) <= 1e-12
