@@ -292,7 +292,7 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[GapProjectio
     with the conjugate of (l, 0), (k, -d), so the blocks are exactly those of
     a Hermitian H' = F M F*.
 
-    H' agrees with H only as far as the rotation holds, up to
+    H' agrees with H only as far as the rotation holds, to a few
     _ROTATION_TOL per entry, and it has H's nonzero pattern.  E = H - H' is
     measured on that pattern, and ||E|| <= sqrt(||E||_1 ||E||_inf).  The
     Davis-Kahan sin theta theorem bounds the distance of the blocks' P
@@ -469,8 +469,9 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     - a 90-degree magnetic rotation about the box centre (_rotation_gauge:
       a square, even-sided box) splits H into four N/4 x N/4
       rotation-mode blocks, each diagonalized on its own
-      (_block_projection), kept when the blocks' H drifts from H by too
-      little to move P beyond rounding;
+      (_block_projection), kept while the Davis-Kahan bound on the
+      distance of their P from H's own projection is at most
+      _ROTATION_DRIFT_TOL;
     - otherwise, when an involutive permutation R with R H R = conj(H)
       holds exactly (_real_form_permutation), S = exp(-i pi/4)(1 + iR)/sqrt 2
       is unitary and S* H S = Re H - (Im H)[:, r] is real symmetric: the
