@@ -148,27 +148,24 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     return out
 
 
-def hall_transport_closed_form(p: CovariantKernel, spec: QuadratureSpec = None,
-                               identity_tol: float = 1e-6) -> float:
+def hall_transport_closed_form(p: CovariantKernel) -> float:
     """Closed-form transport Q = 2 pi i * triple-product wedge integral.
 
     The box limit collapses to the 4D integral of p(0,y) p(y,z) p(z,0) (y^z),
     triple_wedge on the transport grid; the same integral with opposite
     prefactor is the charge deficiency, so before returning, the
-    transport/deficiency identity Q = -Index is checked against the index
-    engine on its own (different) grid.
+    transport/deficiency identity Q = -Index is checked to 1e-6 against the
+    index engine on its own (different) grid.  The imaginary residual is
+    checked against 1e-8.
     """
-    q = 2.0j * np.pi * triple_wedge(p, level_square_grid(p.level, "transport", spec))
-    tol = 1e-8
-    if spec is not None and spec.target_tol is not None:
-        tol = spec.target_tol
-    if abs(q.imag) > tol:
+    q = 2.0j * np.pi * triple_wedge(p, level_square_grid(p.level, "transport"))
+    if abs(q.imag) > 1e-8:
         raise ValueError(
             f"imaginary residual {abs(q.imag):.2e} of the transport integral "
-            f"exceeds {tol:.1e}"
+            "exceeds 1e-8"
         )
     deficiency = index_integral_4d(p, winding=1)
-    if abs(q.real + deficiency.real) > identity_tol:
+    if abs(q.real + deficiency.real) > 1e-6:
         raise RuntimeError(
             "transport/deficiency identity violated: "
             f"Q = {q.real:.9f} but -Index = {-deficiency.real:.9f}"

@@ -12,7 +12,6 @@ builders (DiskGrid, polar_disk_grid, level_disk_*) this module re-exports.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,10 +23,6 @@ from fluxlab.gauge import GaugeUnitary
 from fluxlab.grids import (DiskGrid, gauss_legendre, level_disk_grid,  # noqa: F401
                            level_disk_radius, polar_disk_grid, polar_nodes)
 from fluxlab.projpair import HermitianProjection, check_unitary, conjugated
-
-logger = logging.getLogger(__name__)
-
-_NORMALIZATION_NOTED = set()
 
 
 @lru_cache(maxsize=None)
@@ -58,16 +53,6 @@ def _norm_constant(n: int, m: int) -> float:
     return 1.0 / math.sqrt(math.pi * math.factorial(n) * math.factorial(m))
 
 
-def _note_normalization(n: int, m: int):
-    if m >= 1 and (n, m) not in _NORMALIZATION_NOTED:
-        _NORMALIZATION_NOTED.add((n, m))
-        logger.info(
-            "normalization of state (n=%d, m=%d) enforced numerically as "
-            "(pi n! m!)^(-1/2); the (m+1)! variant fails the norm identity",
-            n, m,
-        )
-
-
 def _as_complex_points(z) -> np.ndarray:
     z = np.asarray(z)
     if z.ndim >= 1 and z.shape[-1] == 2 and not np.iscomplexobj(z):
@@ -83,7 +68,6 @@ def basis_wavefunction(n: int, m: int, z) -> np.ndarray:
     """
     if n < 0 or m < 0:
         raise ValueError(f"state indices must be nonnegative, got n={n}, m={m}")
-    _note_normalization(n, m)
     zc = _as_complex_points(z)
     zb = np.conj(zc)
     val = np.zeros_like(zc, dtype=complex)

@@ -277,9 +277,10 @@ def _hermitian_residual(P: np.ndarray) -> float:
                for k in range(0, len(P), rows))
 
 
-def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[GapProjection]:
-    """The Fermi projection of H from its four rotation-mode blocks, or None
-    when the blocks' H drifts too far from H.
+def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
+    """(P, gap width, idempotency residual) of the Fermi projection of H from
+    its four rotation-mode blocks, or None when the blocks' H drifts too far
+    from H.
 
     With mu = conj(c)^(1/4), S = T / mu has S^4 = 1 and commutes with H.
     The orbit representatives s_i are the quadrant x, y < L/2, and the node
@@ -372,14 +373,7 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[GapProjectio
     eps = float(np.max(np.abs(np.abs(phase) ** 2 - 1.0)))
     resid = ((1.0 + eps) * (Pf.idempotency_residual + eps * rho)
              + 8.0 * _UNIT_ROUNDOFF * (4.0 * rho + np.sqrt(rho)))
-    return GapProjection(
-        projection=HermitianProjection.with_residuals(
-            P[None], 1e-8, _hermitian_residual(P), resid),
-        fermi_energy=float(fermi),
-        gap_width=gap,
-        real_form=False,
-        modes=4,
-    )
+    return P, gap, resid
 
 
 def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
@@ -406,9 +400,10 @@ def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
-def _dense_projection(H, fermi, min_gap, r) -> GapProjection:
-    """The Fermi projection of H from one N x N eigh: of the real form
-    Re H - (Im H)[:, r] when r is a real-form permutation, else of H.
+def _dense_projection(H, fermi, min_gap, r) -> tuple:
+    """(P, gap width, idempotency residual) of the Fermi projection of H from
+    one N x N eigh: of the real form Re H - (Im H)[:, r] when r is a
+    real-form permutation, else of H.
 
     P = V V*, symmetrized, with V of m columns from the eigh output X (V = X
     on the complex route, V = S X on the real one).  Its idempotency
@@ -447,14 +442,7 @@ def _dense_projection(H, fermi, min_gap, r) -> GapProjection:
     P += A
     del A
     P *= 0.5
-    return GapProjection(
-        projection=HermitianProjection.with_residuals(
-            P[None], 1e-8, _hermitian_residual(P), resid),
-        fermi_energy=float(fermi),
-        gap_width=gap,
-        real_form=r is not None,
-        modes=1,
-    )
+    return P, gap, resid
 
 
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
@@ -484,17 +472,25 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     _dense_projection), in place of the N^3 product P @ P; the Hermitian
     residual is measured, at O(N^2).
     """
+    n = H.shape[0]
     rotation = _rotation_gauge(H)
-    if rotation is not None:
-        gp = _block_projection(H, fermi, min_gap, *rotation)
-        if gp is not None:
-            logger.debug("gap_projection: 4 rotation blocks of %d eigh, N = %d",
-                         H.shape[0] // 4, H.shape[0])
-            return gp
-    r = _real_form_permutation(H)
-    logger.debug("gap_projection: %s eigh, N = %d",
-                 "complex" if r is None else "real-form", H.shape[0])
-    return _dense_projection(H, fermi, min_gap, r)
+    found = None if rotation is None else _block_projection(H, fermi, min_gap, *rotation)
+    if found is not None:
+        modes, r, route = 4, None, f"4 rotation blocks of {n // 4}"
+    else:
+        r = _real_form_permutation(H)
+        modes, route = 1, "complex" if r is None else "real-form"
+        found = _dense_projection(H, fermi, min_gap, r)
+    P, gap, resid = found
+    logger.debug("gap_projection: %s eigh, N = %d", route, n)
+    return GapProjection(
+        projection=HermitianProjection.with_residuals(
+            P[None], 1e-8, _hermitian_residual(P), resid),
+        fermi_energy=float(fermi),
+        gap_width=gap,
+        real_form=r is not None,
+        modes=modes,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,14 +640,16 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
     return reports
 
 
-def decay_fit(P, model: MagneticLatticeModel, d_min: float = 3.0) -> tuple:
+def decay_fit(P, model: MagneticLatticeModel) -> tuple:
     """Least-squares decay rate of log max|p(x, y)| against site distance.
 
     Accepts either a GapProjection or a bare HermitianProjection.  Bins all
-    site pairs by Euclidean distance in one pass (unit-width bins from d_min
-    to half the smaller side), takes the largest kernel magnitude per bin,
-    and fits a line to the logs.  Returns (slope, r_squared); a gapped Fermi
-    projection decays exponentially, so the slope must come out negative.
+    site pairs by Euclidean distance (unit-width bins from 3 to half the
+    smaller side), takes the largest kernel magnitude per bin, and fits a
+    line to the logs.  The pairs are binned in bands of 128 rows, so no
+    N x N temporary is formed; a maximum is exact in any order.  Returns
+    (slope, r_squared); a gapped Fermi projection decays exponentially, so
+    the slope must come out negative.
     """
     if model.width < 20 or model.height < 20:
         raise ValueError(
@@ -660,17 +658,18 @@ def decay_fit(P, model: MagneticLatticeModel, d_min: float = 3.0) -> tuple:
         )
     d_max = min(model.width, model.height) / 2.0
     pos = model.sites().astype(float)
-    dx = np.subtract.outer(pos[:, 0], pos[:, 0])
-    dy = np.subtract.outer(pos[:, 1], pos[:, 1])
-    dist = np.sqrt(dx ** 2 + dy ** 2).ravel()
-    bins = np.arange(d_min, d_max + 1.0)
-    # bin k holds the pairs with bins[k] - 0.5 <= dist < bins[k] + 0.5; a
-    # pair below the first bin gets k = -1 and meets the upper edge -inf
-    k = np.searchsorted(bins - 0.5, dist, side="right") - 1
-    inside = dist < np.append(bins + 0.5, -np.inf)[k]
+    bins = np.arange(3.0, d_max + 1.0)
+    lower, upper = bins - 0.5, np.append(bins + 0.5, -np.inf)
     top = np.full(len(bins), -1.0)
-    A = np.abs(getattr(P, "projection", P).matrix).ravel()
-    np.maximum.at(top, k[inside], A[inside])
+    matrix = getattr(P, "projection", P).matrix
+    for start in range(0, len(pos), 128):
+        d = pos[start:start + 128, None, :] - pos[None, :, :]
+        dist = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+        # bin k holds the pairs with bins[k] - 0.5 <= dist < bins[k] + 0.5; a
+        # pair below the first bin gets k = -1 and meets the upper edge -inf
+        k = np.searchsorted(lower, dist, side="right") - 1
+        inside = dist < upper[k]
+        np.maximum.at(top, k[inside], np.abs(matrix[start:start + 128])[inside])
     keep = top > 1e-14
     xs = bins[keep]
     ys = np.log(top[keep])

@@ -286,26 +286,18 @@ def _power_traces(A: np.ndarray, step: np.ndarray, count: int) -> list:
     return out
 
 
-def index_by_spectral_count(P: HermitianProjection, Q: HermitianProjection,
-                            eig_tol: float = 0.5) -> IndexReport:
+def index_by_spectral_count(P: HermitianProjection, Q: HermitianProjection) -> IndexReport:
     """Count eigenvalues of P − Q at +1 minus those at −1.
 
     Eigenvalues of a difference of projections lie in [−1, 1] and the ±1
-    eigenspaces are what the relative index counts.  eig_tol buckets
-    eigenvalues by proximity; the default 0.5 assigns every eigenvalue to the
-    nearest of {−1, 0, +1}, which is the right notion for truncated pairs,
-    while a strict tolerance like 1e−6 is appropriate for exact
-    finite-dimensional tests.  A pair of mode-block projections is
-    diagonalized block by block.
+    eigenspaces are what the relative index counts.  Each eigenvalue is
+    assigned to the nearest of {−1, 0, +1} (within 0.5 of ±1 counts), which
+    is the right notion for truncated pairs and exact for exact ones.  A
+    pair of mode-block projections is diagonalized block by block.
     """
     evals = np.linalg.eigvalsh(_difference(P, Q)).ravel()
-    near_plus = np.abs(evals - 1.0) <= eig_tol
-    near_minus = np.abs(evals + 1.0) <= eig_tol
-    both = near_plus & near_minus
-    if np.any(both):
-        raise ValueError(
-            f"eig_tol {eig_tol} buckets {int(both.sum())} eigenvalue(s) as both +1 and -1"
-        )
+    near_plus = np.abs(evals - 1.0) <= 0.5
+    near_minus = np.abs(evals + 1.0) <= 0.5
     value = int(near_plus.sum()) - int(near_minus.sum())
     return IndexReport(value=value, method="spectral-count", trace_power=0, residual=0.0)
 

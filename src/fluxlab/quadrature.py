@@ -36,20 +36,15 @@ logger = logging.getLogger(__name__)
 class QuadratureSpec:
     """Engine parameters; None means the operation picks its own default.
 
-    outer_radius bounds the integration domain (disk radius or box
-    half-side depending on the engine), puncture_radius the removed disks
-    around singular points, radial_nodes the nodes per axis of the index
-    and transport squares.  target_tol is the acceptance threshold for the
-    engine's own error estimate (tail bound, imaginary residual, or Monte
-    Carlo standard error).
+    outer_radius and radial_nodes set the half side and the nodes per axis
+    of the index and transport squares; mc_samples and seed fix the Monte
+    Carlo draw.
     """
 
     outer_radius: Optional[float] = None
-    puncture_radius: float = 1e-3
     radial_nodes: Optional[int] = None
     mc_samples: int = 10_000_000
     seed: int = 0
-    target_tol: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -119,20 +114,19 @@ def _triple_ratio_integrand(u: GaugeUnitary, z: np.ndarray, a: complex,
     return (1.0 - ua / ub) * (1.0 - ub / uc) * (1.0 - uc / ua)
 
 
-def connes_area(u: GaugeUnitary, tri: Triangle, spec: QuadratureSpec = None) -> complex:
+def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     """Punctured-plane integral whose value is 2 pi i N(u) (a^b + b^c + c^a).
 
     The plane splits into three regions: small patches around each singular
     point handled in local polar coordinates under a smooth partition of
     unity, the mollified remainder of a disk containing all singularities,
     and a log-radial far field out to a radius where the Lipschitz tail
-    bound of the integrand (decay like 1/|x|^3) falls below target_tol.
-    The tail bound and the removed-ball bound are checked, not assumed.
+    bound of the integrand (decay like 1/|x|^3) falls below 1e-4.  Disks of
+    radius 1e-3 are removed around the singular points.  The tail bound and
+    the removed-ball bound are checked, not assumed.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    eps = spec.puncture_radius
-    tol = spec.target_tol if spec.target_tol is not None else 1e-4
+    eps = 1e-3
+    tol = 1e-4
 
     a, b, c = tri.vertices_complex()
     if a == b or b == c or c == a:
@@ -155,17 +149,8 @@ def connes_area(u: GaugeUnitary, tri: Triangle, spec: QuadratureSpec = None) -> 
     pmax = float(max(abs(punct)))
     C1 = u.lipschitz_c1
 
-    if spec.outer_radius is not None:
-        Rfar = spec.outer_radius
-        if Rfar < 10.0 * pmax:
-            raise ValueError(
-                f"outer radius {Rfar:.2f} below 10x the largest singularity "
-                f"coordinate {pmax:.2f}"
-            )
-        Rfar = max(Rfar, 1.02 * R0)
-    else:
-        Rfar = max(pmax + 4.0 * np.pi * C1 ** 3 * d12 * d23 * d31 / tol,
-                   10.0 * pmax, 1.5 * R0)
+    Rfar = max(pmax + 4.0 * np.pi * C1 ** 3 * d12 * d23 * d31 / tol,
+               10.0 * pmax, 1.5 * R0)
 
     total = 0.0 + 0.0j
 
@@ -278,23 +263,20 @@ def index_integral_4d(p: CovariantKernel, winding: int,
     side 7 + 1.5 m, 46 + 8 m nodes per axis), which the outer_radius and
     radial_nodes of spec override.  The exact value is real for a Hermitian
     kernel, so the imaginary part of the result is a pure residual and is
-    checked against target_tol.
+    checked against 1e-8.
     """
     if int(winding) != winding:
         raise ValueError(f"winding must be an integer, got {winding}")
     winding = int(winding)
-    if spec is None:
-        spec = QuadratureSpec()
-    tol = spec.target_tol if spec.target_tol is not None else 1e-8
     if winding == 0:
         return 0.0 + 0.0j
     J = triple_wedge(p, level_square_grid(p.level, "index", spec))
     value = -2.0j * np.pi * winding * J
     resid = abs(value.imag)
-    if resid > tol:
+    if resid > 1e-8:
         raise ValueError(
             f"imaginary residual {resid:.2e} of the index integral exceeds "
-            f"{tol:.1e}; quadrature did not converge"
+            "1e-8; quadrature did not converge"
         )
     return complex(value)
 
@@ -406,15 +388,8 @@ def index_integral_6d_mc(p: CovariantKernel, u: GaugeUnitary,
         max_w = max(max_w, mw)
     mean = total / n_pairs_total
     var = max(total_re2 / n_pairs_total - mean.real ** 2, 0.0)
-    std_error = math.sqrt(var / n_pairs_total)
-    est = MonteCarloEstimate(value=mean, std_error=std_error,
-                             samples=2 * n_pairs_total, max_weight=max_w)
-    if spec.target_tol is not None and std_error > spec.target_tol:
-        raise ValueError(
-            f"standard error {std_error:.2e} above target {spec.target_tol:.1e} "
-            f"after {est.samples} samples"
-        )
-    return est
+    return MonteCarloEstimate(value=mean, std_error=math.sqrt(var / n_pairs_total),
+                              samples=2 * n_pairs_total, max_weight=max_w)
 
 
 def trace_from_diagonal(k, radius: float) -> complex:

@@ -168,7 +168,7 @@ def test_switch_shape_independence():
 @pytest.mark.criterion(5, "transport equals minus the charge deficiency")
 def test_transport_deficiency_identity():
     kern = landau.landau_kernel(0)
-    q = hall.hall_transport_closed_form(kern, identity_tol=1e-6)
+    q = hall.hall_transport_closed_form(kern)
     deficiency = quadrature.index_integral_4d(kern, winding=1)
     assert abs(q + deficiency.real) <= 1e-6
 

@@ -310,7 +310,7 @@ def test_fedosov_agrees_with_odd_trace_on_truncated_pair(
     assert exact.rank() == 64
     fed = projpair.index_by_fedosov(exact, grid_flux_unitary, n=1)
     odd = projpair.index_by_odd_trace(exact, conj, n=1)
-    count = projpair.index_by_spectral_count(exact, conj, eig_tol=1e-6)
+    count = projpair.index_by_spectral_count(exact, conj)
     assert abs(fed.value - odd.value) <= 1e-6
     assert abs(odd.value - count.value) <= 1e-6
 
@@ -369,13 +369,3 @@ def test_gauge_off_unit_circle_rejected(layout):
     scaled = gauge.GaugeUnitary(evaluate=lambda x: 1.1 * unit(x), winding=1)
     with pytest.raises(ValueError, match="not unimodular"):
         truncated_projection_pair(0, scaled, grid)
-
-
-def test_normalization_note_logged_once(caplog):
-    import fluxlab.landau as landau_mod
-    landau_mod._NORMALIZATION_NOTED.discard((2, 1))
-    with caplog.at_level("INFO", logger="fluxlab.landau"):
-        basis_wavefunction(2, 1, 0.3 + 0.1j)
-        basis_wavefunction(2, 1, 0.5 - 0.2j)
-    notes = [r for r in caplog.records if "normalization" in r.message]
-    assert len(notes) == 1

@@ -679,13 +679,13 @@ def test_decay_fit_benchmark(lattice_benchmark):
     assert slope < 0.0
 
 
-def _per_bin_loop_fit(P, model, d_min):
+def _per_bin_loop_fit(P, model):
     # one full scan of the distance matrix per bin, then the same line fit
     pos = np.array(model.sites(), dtype=float)
     D = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
     A = np.abs(P.matrix)
     xs, ys = [], []
-    for b in np.arange(d_min, min(model.width, model.height) / 2.0 + 1.0):
+    for b in np.arange(3.0, min(model.width, model.height) / 2.0 + 1.0):
         sel = (D >= b - 0.5) & (D < b + 0.5)
         if sel.any() and A[sel].max() > 1e-14:
             xs.append(b)
@@ -697,10 +697,25 @@ def _per_bin_loop_fit(P, model, d_min):
     return float(coef[0]), 1.0 - float((resid ** 2).sum()) / float(((ys - ys.mean()) ** 2).sum())
 
 
-@pytest.mark.parametrize("d_min", [3.0, 2.5, 3.3, 0.0])
-def test_decay_fit_bins_match_per_bin_loop(lattice_benchmark, d_min):
-    model, _, gp, _ = lattice_benchmark
-    assert decay_fit(gp, model, d_min=d_min) == _per_bin_loop_fit(gp.projection, model, d_min)
+# N = 576, 625 and 1600 sites: the last band of 128 rows is partial
+@pytest.mark.parametrize("size", [24, 25, 40])
+def test_decay_fit_bins_match_per_bin_loop(size):
+    model = bench(size)
+    gp = gap_projection(build_hamiltonian(model), FERMI)
+    assert decay_fit(gp, model) == _per_bin_loop_fit(gp.projection, model)
+
+
+def test_decay_fit_memory_peak():
+    # binning all N^2 site pairs at once peaked at 119 MiB on this box
+    model = bench(40)
+    gp = gap_projection(build_hamiltonian(model), FERMI)
+    tracemalloc.start()
+    try:
+        decay_fit(gp, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_decay_fit_wider_gap_decays_faster(lattice_benchmark):

@@ -1,0 +1,77 @@
+"""Every optional setting of fluxlab is set by a program, or kept for a reason.
+
+A parameter with a default, or a dataclass field with one, that no call in
+src/ or perfbench/ (the CLI and the benchmark harness) sets has one value
+in use, so it belongs in the code as a constant.  KEPT names the settings
+that only tests set, each with the reason it stays settable.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+KEPT = {
+    "CovariantKernel.evaluate": "the dense oracle path",
+    "MagneticLatticeModel.potential": "a model input",
+    "build_hamiltonian.gauge": "the gauge-invariance identity",
+    "curvature_diagonal.spec": "small grids for the dense-oracle tests",
+    "hall_transport_box.spec": "small grids for the dense-oracle tests",
+    "kubo_box.spec": "small grids for the dense-oracle tests",
+    "lattice_index.window_radius": "the ROADMAP item 1 window sweep",
+    "tanh_switch.center": "the switch-translation identity",
+    "weighted_triple_kernel.x0": "the oracle",
+}
+
+
+def _settings():
+    """(name, callee, position) of every optional setting in src/fluxlab;
+    position counts the positional arguments of a call that sets it, None
+    for a keyword-only parameter."""
+    for path in sorted((ROOT / "src" / "fluxlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            functions = [(node, "")] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                functions = [(f, node.name + ".") for f in node.body
+                             if isinstance(f, ast.FunctionDef)]
+                if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                    fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                              and "init=False" not in ast.unparse(f)]
+                    for position, f in enumerate(fields):
+                        if f.value is not None:
+                            yield f"{node.name}.{f.target.id}", node.name, position
+            for fn, owner in functions:
+                # a method's first parameter (self or cls) is not passed
+                params = (fn.args.posonlyargs + fn.args.args)[1 if owner else 0:]
+                for position, arg in enumerate(params):
+                    if position >= len(params) - len(fn.args.defaults):
+                        yield f"{owner}{fn.name}.{arg.arg}", fn.name, position
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        yield f"{owner}{fn.name}.{arg.arg}", fn.name, None
+
+
+def _program_calls():
+    """The (callee, keyword) pairs and the most positional arguments of each
+    callee name, over every call in src/ and perfbench/."""
+    keywords, positional = set(), {}
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords |= {(name, k.arg) for k in node.keywords}
+                count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                         else len(node.args))
+                positional[name] = max(positional.get(name, 0), count)
+    return keywords, positional
+
+
+def test_every_optional_setting_is_set_by_a_program_or_kept():
+    keywords, positional = _program_calls()
+    unset = {name for name, callee, position in _settings()
+             if (callee, name.rsplit(".", 1)[1]) not in keywords
+             and (position is None or positional.get(callee, 0) <= position)}
+    only_tests = sorted(unset - KEPT.keys())
+    assert not only_tests, f"settings that no program sets: {', '.join(only_tests)}"
+    stale = sorted(KEPT.keys() - unset)
+    assert not stale, f"KEPT settings that a program sets or that are gone: {stale}"

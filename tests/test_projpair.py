@@ -117,15 +117,6 @@ def test_index_report_rounding():
     assert rep.trace_power == 3
 
 
-def test_spectral_count_rejects_overlapping_buckets():
-    # a zero eigenvalue of P - Q falls in both the +1 and -1 buckets at
-    # eig_tol = 1
-    P = diag_projection([1, 0])
-    Q = diag_projection([1, 0])
-    with pytest.raises(ValueError, match="buckets"):
-        index_by_spectral_count(P, Q, eig_tol=1.0)
-
-
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="dimension mismatch"):
         index_by_odd_trace(diag_projection([1, 0]), diag_projection([1, 0, 0]))
