@@ -4,14 +4,17 @@ Each subcommand wires one cross-module study into a reproducible run:
 defaults < config file < explicit flags, with the resolved configuration
 echoed next to machine-readable CSV/JSON reports.  Exit status 0 means every
 row passed its stated tolerance, 1 means a tolerance failed, 2 means the
-configuration or a module precondition was invalid.
+configuration or a module precondition was invalid.  The top-level
+--log-level sends the fluxlab loggers to stderr at that level for the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import logging
 import sys
 import time
 from dataclasses import dataclass
@@ -436,6 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fluxlab",
         description="Index-theory experiments: projection pairs, flux "
                     "insertion, Hall transport, magnetic lattices.")
+    parser.add_argument("--log-level", choices=["WARNING", "INFO", "DEBUG"],
+                        help="log the fluxlab modules to stderr at this level")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON config file")
@@ -517,8 +522,33 @@ def _write_reports(out_dir: Path, command: str, cfg: dict, rows: list,
                 writer.writerow(r.as_csv())
 
 
+@contextlib.contextmanager
+def _logging_to_stderr(level):
+    """The fluxlab loggers write to stderr at level while the block runs;
+    None leaves logging as it is."""
+    if level is None:
+        yield
+        return
+    log = logging.getLogger("fluxlab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = log.level
+    log.addHandler(handler)
+    log.setLevel(level)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    with _logging_to_stderr(args.log_level):
+        return _main(args)
+
+
+def _main(args) -> int:
     try:
         cfg = _resolve_config(args)
     except SystemExit as exc:

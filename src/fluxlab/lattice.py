@@ -16,11 +16,17 @@ centre, up to a gauge transformation G: H[p][:, p] = G H G*
 (_rotation_gauge solves G from H).  T = G* R commutes with H and T^4 is a
 phase, so H splits into four rotation-mode blocks of N/4 sites each, as the
 angular-mode Landau engine splits its disk; gap_projection diagonalizes the
-blocks and assembles the same dense, site-ordered P.  The blocks are those
-of a rotation-symmetrized H' close to H; they are kept only while the
+blocks and keeps P as those blocks, each node placed on its site with a
+phase (projpair's site map).  The blocks are those of a
+rotation-symmetrized H' close to H; they are kept only while the
 Davis-Kahan bound on the distance of their P from H's own projection is
-small, and a box with a smaller gap takes a dense route.  Any other box in the
-Landau gauge has an antiunitary symmetry: the y-bond phases
+small, and a box with a smaller gap takes a dense route.  The unit flux
+z/|z| about the box centre is a rotation character, so lattice_index keeps
+the blocks for a flux there (with a window that is a disk about it), and
+decay_fit reads them whenever P has them; any other flux centre makes
+lattice_index run the same sum on the dense matrix on the nodes.  The
+dense, site-ordered P.matrix is assembled only when it is read.  Any other
+box in the Landau gauge has an antiunitary symmetry: the y-bond phases
 exp(2 pi i flux x) depend only on x, so the reflection
 y -> height - 1 - y within each column flips the field and complex
 conjugation flips it back.  A permutation r with H[r][:, r] == conj(H)
@@ -43,7 +49,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from fluxlab.projpair import (HermitianProjection, IndexReport, check_unitary,
-                              conjugated, trace_report)
+                              conjugated, difference, nodal_blocks, nodal_matrix,
+                              trace_report)
 
 logger = logging.getLogger(__name__)
 
@@ -278,8 +285,8 @@ def _hermitian_residual(P: np.ndarray) -> float:
 
 
 def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
-    """(P, gap width, idempotency residual) of the Fermi projection of H from
-    its four rotation-mode blocks, or None when the blocks' H drifts too far
+    """(P, gap width) of the Fermi projection of H as its four rotation-mode
+    blocks on their site map, or None when the blocks' H drifts too far
     from H.
 
     With mu = conj(c)^(1/4), S = T / mu has S^4 = 1 and commutes with H.
@@ -303,21 +310,20 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     takes a dense route; the FFT's own rounding, like the dense eigh's, is
     left out of the bound.
 
-    Each block is diagonalized on its own and P_q =
-    V_q V_q* validated by the measured from_blocks check.  P is assembled in
-    one N x N array: the nodal block (b - a) mod 4 goes to the quadrant
-    pair (a, b) through rotated views of the site grid, then each row and
-    column takes its phase, P[p^a s_i, p^b s_j] = phi_(i,a) conj(phi_(j,b))
-    P_f[(i,a),(j,b)].
+    Each block is diagonalized on its own and P_q = V_q V_q* validated by
+    the measured from_blocks check.  P keeps the blocks, with node i*4 + a
+    at site p^a s_i and phase phi_(i,a); its .matrix is the site-ordered
+    P[p^a s_i, p^b s_j] = phi_(i,a) conj(phi_(j,b)) P_f[(i,a),(j,b)].
 
-    The idempotency residual is carried.  P_f has the blocks' residual r_f
-    and largest squared row norm rho; eps = max ||phi|^2 - 1| widens them
-    as in projpair.conjugated, to (1 + eps)(r_f + eps rho).  Forming an
-    entry (the length-4 FFT, two complex products) errs by at most
-    8u s_ij, s_ij = (1/4) sum_q |B_q[i,j]|, so each row of the error E has
-    norm <= 16u sqrt(rho), and PE + EP - E adds at most 8u(4 rho +
-    sqrt(rho)) to each entry of P^2 - P, to first order in u and with no
-    factor of N.
+    P records the residuals of that matrix as .matrix forms it.  P_f has
+    the blocks' residuals h_f, r_f and largest squared row norm rho;
+    eps = max ||phi|^2 - 1| widens them as in projpair.conjugated, to
+    (1 + eps) h_f and (1 + eps)(r_f + eps rho).  Forming an entry (the
+    length-4 FFT, two complex products) errs by at most 8u s_ij,
+    s_ij = (1/4) sum_q |B_q[i,j]| <= sqrt(rho), which adds 16u sqrt(rho) to
+    the Hermitian residual.  Each row of the error E has norm
+    <= 16u sqrt(rho), so PE + EP - E adds at most 8u(4 rho + sqrt(rho)) to
+    each entry of P^2 - P, to first order in u and with no factor of N.
     """
     n = H.shape[0]
     side = math.isqrt(n)
@@ -333,17 +339,17 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     # the quadrant (x, y) that p^a takes the representatives to; np.rot90 by
     # a takes a representative grid to that quadrant's local grid
     quadrants = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    grid = (2, half, 2, half, 2, half, 2, half)
-    H8 = H.reshape(grid)
+    H8 = H.reshape(2, half, 2, half, 2, half, 2, half)
     first = np.stack([
         np.rot90(H8[0, :, 0, :, qx, :, qy, :], -a, axes=(2, 3)).reshape(len(reps), -1)
         * phi[a] for a, (qx, qy) in enumerate(quadrants)])
     first = 0.5 * (first + first[[0, 3, 2, 1]].conj().transpose(0, 2, 1))
-    phase = np.empty(n, dtype=complex)
-    phase[np.concatenate(orbit)] = np.concatenate(phi)
+    sites = np.stack(orbit, axis=1).ravel()
+    phases = np.stack(phi, axis=1).ravel()
     node = np.empty(n, dtype=int)
-    node[np.concatenate(orbit)] = np.arange(n)
-    rep, turn = node % len(reps), node // len(reps)
+    node[sites] = np.arange(n)
+    phase = phases[node]
+    rep, turn = np.divmod(node, 4)
     err = np.abs(H[i, j] - phase[i] * first[(turn[j] - turn[i]) % 4, rep[i], rep[j]]
                  * phase[j].conj())
     drift = float(np.sqrt(np.max(np.bincount(i, err, n)) * np.max(np.bincount(j, err, n))))
@@ -360,20 +366,13 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
         blocks[q] = 0.5 * (Pq + Pq.conj().T)
     Pf = HermitianProjection.from_blocks(blocks, idempotency_tol=1e-8)
     rho = float(np.max(np.sum(np.abs(blocks) ** 2, axis=(0, 2)))) / 4.0
-    nodal = np.fft.fft(blocks, axis=0) / 4.0
-    P = np.empty((n, n), dtype=complex)
-    P8 = P.reshape(grid)
-    for a, (ax, ay) in enumerate(quadrants):
-        for b, (bx, by) in enumerate(quadrants):
-            P8[ax, :, ay, :, bx, :, by, :] = np.rot90(np.rot90(
-                nodal[(b - a) % 4].reshape(half, half, half, half), a, axes=(0, 1)),
-                b, axes=(2, 3))
-    P *= phase[:, None]
-    P *= phase.conj()
-    eps = float(np.max(np.abs(np.abs(phase) ** 2 - 1.0)))
+    eps = float(np.max(np.abs(np.abs(phases) ** 2 - 1.0)))
+    u = _UNIT_ROUNDOFF
+    herm = (1.0 + eps) * Pf.hermitian_residual + 16.0 * u * np.sqrt(rho)
     resid = ((1.0 + eps) * (Pf.idempotency_residual + eps * rho)
-             + 8.0 * _UNIT_ROUNDOFF * (4.0 * rho + np.sqrt(rho)))
-    return P, gap, resid
+             + 8.0 * u * (4.0 * rho + np.sqrt(rho)))
+    return HermitianProjection.with_residuals(blocks, 1e-8, herm, resid,
+                                              sites, phases), gap
 
 
 def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
@@ -401,9 +400,9 @@ def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _dense_projection(H, fermi, min_gap, r) -> tuple:
-    """(P, gap width, idempotency residual) of the Fermi projection of H from
-    one N x N eigh: of the real form Re H - (Im H)[:, r] when r is a
-    real-form permutation, else of H.
+    """(P, gap width) of the Fermi projection of H from one N x N eigh: of
+    the real form Re H - (Im H)[:, r] when r is a real-form permutation,
+    else of H.  P is dense and site-ordered, the stack of one block.
 
     P = V V*, symmetrized, with V of m columns from the eigh output X (V = X
     on the complex route, V = S X on the real one).  Its idempotency
@@ -442,7 +441,8 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     P += A
     del A
     P *= 0.5
-    return P, gap, resid
+    return HermitianProjection.with_residuals(P[None], 1e-8, _hermitian_residual(P),
+                                              resid), gap
 
 
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
@@ -452,14 +452,16 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     gap; an eigenvalue within min_gap of fermi means the projection is not
     stably defined and the call is rejected.
 
-    Three routes give the same dense, site-ordered P, each chosen by a
-    symmetry checked on H itself:
+    Three routes give the same P, each chosen by a symmetry checked on H
+    itself:
     - a 90-degree magnetic rotation about the box centre (_rotation_gauge:
       a square, even-sided box) splits H into four N/4 x N/4
       rotation-mode blocks, each diagonalized on its own
       (_block_projection), kept while the Davis-Kahan bound on the
       distance of their P from H's own projection is at most
-      _ROTATION_DRIFT_TOL;
+      _ROTATION_DRIFT_TOL.  P keeps the four blocks on their site map, so
+      lattice_index and decay_fit stay in the blocks; P.matrix, the dense
+      site-ordered P, is assembled only when it is read;
     - otherwise, when an involutive permutation R with R H R = conj(H)
       holds exactly (_real_form_permutation), S = exp(-i pi/4)(1 + iR)/sqrt 2
       is unitary and S* H S = Re H - (Im H)[:, r] is real symmetric: the
@@ -467,10 +469,12 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
       (W + i W[r])(1 - i)/2 are those of H;
     - every other H takes the complex eigh, which is also the test oracle
       of the other two.
-    On every route P carries its idempotency residual, bounded from
+    The two dense routes give the dense, site-ordered P, the stack of one
+    block.  On every route P carries its idempotency residual, bounded from
     quantities the route already holds (_block_projection,
     _dense_projection), in place of the N^3 product P @ P; the Hermitian
-    residual is measured, at O(N^2).
+    residual is measured on the dense P, at O(N^2), and bounded on the
+    blocks.
     """
     n = H.shape[0]
     rotation = _rotation_gauge(H)
@@ -481,16 +485,10 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
         r = _real_form_permutation(H)
         modes, route = 1, "complex" if r is None else "real-form"
         found = _dense_projection(H, fermi, min_gap, r)
-    P, gap, resid = found
+    P, gap = found
     logger.debug("gap_projection: %s eigh, N = %d", route, n)
-    return GapProjection(
-        projection=HermitianProjection.with_residuals(
-            P[None], 1e-8, _hermitian_residual(P), resid),
-        fermi_energy=float(fermi),
-        gap_width=gap,
-        real_form=r is not None,
-        modes=modes,
-    )
+    return GapProjection(projection=P, fermi_energy=float(fermi), gap_width=gap,
+                         real_form=r is not None, modes=modes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,6 +542,14 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     vdot(Y, Y M) for the rows Y = M[W] M^(n-1) of M^n: |W| N^2 work per
     power, no N x N product.  A residual above 0.1 from the nearest integer
     is flagged as finite-size unreliable.
+
+    M is formed on P's nodes, where the site phases of a site map cancel
+    from every diagonal entry.  P's rotation-mode blocks (the clean square
+    box) are kept when conjugated keeps them, with the flux at the rotation
+    centre, and when the window is constant on every orbit, as a disk about
+    that centre is: the window then commutes with the rotation, and the sum
+    is taken block by block, on k blocks of N/k.  Otherwise M is the dense
+    matrix on the nodes, and the same sum runs on the stack of one.
     """
     if getattr(U, "site_array", None) is None:
         raise ValueError(
@@ -567,11 +573,25 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     if n < 1:
         raise ValueError(f"trace power n must be at least 1, got {n}")
     P = getattr(P, "projection", P)
-    M = P.matrix - conjugated(P, U.diagonal).matrix
-    Y = M[np.hypot(pos[:, 0] - cx, pos[:, 1] - cy) <= window_radius]
-    for _ in range(n - 1):
-        Y = Y @ M
-    rep = trace_report(complex(np.vdot(Y, Y @ M)), "windowed odd trace", 2 * n + 1)
+    M = difference(P, conjugated(P, U.diagonal))
+    window = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy) <= window_radius
+    if P.sites is not None:
+        window = window[P.sites]
+    orbits = window.reshape(-1, len(M))
+    if not np.all(orbits == orbits[:, :1]):
+        M, orbits = nodal_matrix(M)[None], window[:, None]
+    rows = orbits[:, 0]
+    count = np.count_nonzero(rows)
+    route = (f"on {len(M)} rotation blocks of {len(rows)}, {count} rows per block"
+             if len(M) > 1 else f"dense, N = {len(rows)}, {count} rows")
+    logger.debug("lattice_index: window trace %s", route)
+    t = 0j
+    for B in M:
+        Y = B[rows]
+        for _ in range(n - 1):
+            Y = Y @ B
+        t += np.vdot(Y, Y @ B)
+    rep = trace_report(complex(t), "windowed odd trace", 2 * n + 1)
     if rep.residual > 0.1:
         logger.warning(
             "windowed index %.4f is %.3f from the nearest integer; "
@@ -650,6 +670,14 @@ def decay_fit(P, model: MagneticLatticeModel) -> tuple:
     N x N temporary is formed; a maximum is exact in any order.  Returns
     (slope, r_squared); a gapped Fermi projection decays exponentially, so
     the slope must come out negative.
+
+    The magnitudes are read on P's nodes, where a site map's phases drop
+    out.  On the k rotation-mode blocks of the clean square box the nodal
+    blocks N_t = fft(B)/k hold every entry: node (i, a) sits at site
+    p^a s_i, and the rotation p is an isometry, so the pair ((i, a),
+    (j, a + t)) lies at the distance |s_i - p^t s_j| for every a, and k n^2
+    pairs cover all N^2.  A dense P is the one block, binned at the
+    distances of all its site pairs.
     """
     if model.width < 20 or model.height < 20:
         raise ValueError(
@@ -657,19 +685,24 @@ def decay_fit(P, model: MagneticLatticeModel) -> tuple:
             "need at least 20x20"
         )
     d_max = min(model.width, model.height) / 2.0
+    P = getattr(P, "projection", P)
+    nodal = nodal_blocks(P.blocks)
+    k = len(nodal)
     pos = model.sites().astype(float)
+    if P.sites is not None:
+        pos = pos[P.sites]
     bins = np.arange(3.0, d_max + 1.0)
     lower, upper = bins - 0.5, np.append(bins + 0.5, -np.inf)
     top = np.full(len(bins), -1.0)
-    matrix = getattr(P, "projection", P).matrix
-    for start in range(0, len(pos), 128):
-        d = pos[start:start + 128, None, :] - pos[None, :, :]
-        dist = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
-        # bin k holds the pairs with bins[k] - 0.5 <= dist < bins[k] + 0.5; a
-        # pair below the first bin gets k = -1 and meets the upper edge -inf
-        k = np.searchsorted(lower, dist, side="right") - 1
-        inside = dist < upper[k]
-        np.maximum.at(top, k[inside], np.abs(matrix[start:start + 128])[inside])
+    for t in range(k):
+        for start in range(0, P.dim // k, 128):
+            d = pos[k * start:k * (start + 128):k, None, :] - pos[None, t::k, :]
+            dist = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+            # bin b holds the pairs with bins[b] - 0.5 <= dist < bins[b] + 0.5; a
+            # pair below the first bin gets b = -1 and meets the upper edge -inf
+            b = np.searchsorted(lower, dist, side="right") - 1
+            inside = dist < upper[b]
+            np.maximum.at(top, b[inside], np.abs(nodal[t, start:start + 128])[inside])
     keep = top > 1e-14
     xs = bins[keep]
     ys = np.log(top[keep])

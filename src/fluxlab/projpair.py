@@ -11,11 +11,15 @@ distance to the nearest integer measures the truncation quality.
 A projection is kept as a stack of mode blocks (HermitianProjection.blocks).
 A projection that commutes with the rotations of a polar grid has one block
 per angular mode; any other projection is its dense matrix, the stack of
-one block.  Every route reduces a pair of projections with the same block
-layout block by block.  Every flux-inserted projection D P D*, for a
-diagonal unitary D, is formed from P by conjugated: it keeps P's blocks
-when D shifts the angular mode, and it carries P's residuals, widened by
-D's distance from the unit circle, instead of measuring them again.
+one block.  The nodes of the blocks may sit on the sites in another order
+and with a phase each (a site map, HermitianProjection.sites and .phases):
+the square lattice box keeps its rotation-mode blocks that way, while
+.matrix stays the site-ordered matrix.  Every route reduces a pair of
+projections with the same block layout and site map block by block.  Every
+flux-inserted projection D P D*, for a diagonal unitary D, is formed from P
+by conjugated: it keeps P's blocks when D shifts the angular mode, and it
+carries P's residuals, widened by D's distance from the unit circle, instead
+of measuring them again.
 """
 
 from __future__ import annotations
@@ -43,9 +47,22 @@ class HermitianProjection:
     block-circulant matrices B_q - B_q* and B_q² - B_q.  Truncated continuum
     projections are not exactly idempotent; they carry a loose tolerance and
     the residuals are kept in hermitian_residual and idempotency_residual.
-    .matrix is the nodal matrix: the block itself for one block, else built
-    on first access and cached; pickling keeps only the blocks.
+
+    sites and phases, None by default, place the nodes on the sites: node v
+    is site sites[v] with phase phases[v], so the site-ordered matrix is
+    S[sites[v], sites[w]] = phases[v] M[v, w] conj(phases[w]).  The
+    residuals a producer records for such a projection are those of S.
+    .matrix is the site-ordered matrix: the block itself for one block
+    without a site map, else built on first access and cached; nodes() is
+    the matrix on the nodes.  Pickling keeps the blocks and the site map;
+    two projections are equal when their tolerances, blocks and site maps
+    are.
     """
+
+    # the identity site map, kept on the class so that a projection without a
+    # site map holds no more attributes than its blocks and residuals
+    sites = None
+    phases = None
 
     def __init__(self, matrix: np.ndarray, idempotency_tol: float = 1e-10):
         m = np.asarray(matrix)
@@ -65,13 +82,17 @@ class HermitianProjection:
 
     @classmethod
     def with_residuals(cls, blocks: np.ndarray, idempotency_tol: float,
-                       hermitian_residual: float, idempotency_residual: float):
-        """The (k, n, n) stack blocks with residuals its producer has bounded
-        from quantities it already holds, instead of measuring them; rejected
-        like any projection when a residual exceeds idempotency_tol."""
+                       hermitian_residual: float, idempotency_residual: float,
+                       sites=None, phases=None):
+        """The (k, n, n) stack blocks, on the site map sites and phases when
+        given, with residuals its producer has bounded from quantities it
+        already holds, instead of measuring them; rejected like any
+        projection when a residual exceeds idempotency_tol."""
         proj = cls.__new__(cls)
         proj._validate(np.asarray(blocks), idempotency_tol, hermitian_residual,
                        idempotency_residual)
+        if sites is not None:
+            proj.__dict__.update(sites=np.asarray(sites), phases=np.asarray(phases))
         return proj
 
     def _validate(self, b: np.ndarray, tol: float, herm=None, resid=None):
@@ -89,17 +110,28 @@ class HermitianProjection:
 
     @property
     def matrix(self) -> np.ndarray:
-        a_count, r_count, _ = self.blocks.shape
-        if a_count == 1:
+        if self.sites is None and self.blocks.shape[0] == 1:
             return self.blocks[0]
         if self._matrix is None:
-            nodal = np.fft.fft(self.blocks, axis=0) / a_count
-            angle = np.arange(a_count)
-            shift = (angle[None, :] - angle[:, None]) % a_count
-            # nodal[shift] is indexed [a, b, i, j]; the nodes are i*A + a
-            self.__dict__["_matrix"] = nodal[shift].transpose(2, 0, 3, 1).reshape(
-                r_count * a_count, r_count * a_count)
+            m = nodal_matrix(self.blocks)
+            if self.sites is not None:
+                node = np.argsort(self.sites)
+                m = m[np.ix_(node, node)]
+                phase = self.phases[node]
+                m *= phase[:, None]
+                m *= phase.conj()
+            self.__dict__["_matrix"] = m
         return self._matrix
+
+    def nodes(self) -> np.ndarray:
+        """The N x N matrix on the nodes i*k + a: .matrix without a site
+        map, else built from the blocks on each call."""
+        return self.matrix if self.sites is None else nodal_matrix(self.blocks)
+
+    def same_sites(self, other) -> bool:
+        """Whether other places its nodes on the same sites with the same phases."""
+        return all(a is b or (a is not None and b is not None and np.array_equal(a, b))
+                   for a, b in ((self.sites, other.sites), (self.phases, other.phases)))
 
     @property
     def dim(self) -> int:
@@ -112,7 +144,8 @@ class HermitianProjection:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.idempotency_tol == other.idempotency_tol
-                and bool(np.array_equal(self.blocks, other.blocks)))
+                and bool(np.array_equal(self.blocks, other.blocks))
+                and self.same_sites(other))
 
     __hash__ = None
 
@@ -128,6 +161,27 @@ class HermitianProjection:
         return dict(self.__dict__, _matrix=None)
 
 
+def nodal_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The k nodal blocks N_t[i, j] = M[(i, a), (j, a + t)] of the
+    block-circulant matrix M with the (k, n, n) mode blocks blocks, fft(B)/k;
+    one block is its own nodal block."""
+    return blocks if blocks.shape[0] == 1 else np.fft.fft(blocks, axis=0) / blocks.shape[0]
+
+
+def nodal_matrix(blocks: np.ndarray) -> np.ndarray:
+    """The N x N matrix on the nodes i*k + a with the mode blocks blocks;
+    one block is the matrix itself."""
+    a_count, r_count, _ = blocks.shape
+    if a_count == 1:
+        return blocks[0]
+    nodal = nodal_blocks(blocks)
+    angle = np.arange(a_count)
+    shift = (angle[None, :] - angle[:, None]) % a_count
+    # nodal[shift] is indexed [a, b, i, j]; the nodes are i*A + a
+    return nodal[shift].transpose(2, 0, 3, 1).reshape(r_count * a_count,
+                                                      r_count * a_count)
+
+
 def _nodal_max(blocks: np.ndarray) -> float:
     """Max |entry| of the block-circulant matrix with the given mode blocks.
 
@@ -141,10 +195,12 @@ def _nodal_max(blocks: np.ndarray) -> float:
 def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
     """D P D* for the diagonal unitary D = diag(d), the one place that forms it.
 
-    On P's k mode blocks (node i*k + a) a rotation character
-    d = c[i] exp(2 pi i N a / k), within 1e-12, shifts the mode by N, and Q
-    keeps the layout with the blocks C B_{q-N} C*.  On one block every d is
-    one; any other d gives the dense matrix.
+    d is given on the sites and read on P's nodes, d[P.sites] under a site
+    map; Q keeps P's site map.  On P's k mode blocks (node i*k + a) a
+    rotation character d = c[i] exp(2 pi i N a / k), within 1e-12, shifts the
+    mode by N, and Q keeps the layout with the blocks C B_{q-N} C*.  On one
+    block every d is one; any other d gives the dense matrix on the nodes,
+    the stack of one.
 
     The residuals are carried, not measured: d passes check_unitary at 1e-10,
     eps = max_i ||d_i|^2 - 1| gives |d_i d_j| <= 1 + eps, and with E = D*D - 1,
@@ -160,6 +216,8 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
     check_unitary(d, 1e-10)
     eps = float(np.max(np.abs(np.abs(d) ** 2 - 1.0)))
     rho = float(np.max(np.sum(np.abs(P.blocks) ** 2, axis=(0, 2)))) / k
+    if P.sites is not None:
+        d = d[P.sites]
     v = d.reshape(n, k)
     c = v[:, 0]
     step = np.angle(v[0, 1 % k] * np.conj(c[0]))  # 0 on one block
@@ -168,11 +226,11 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
     if np.max(np.abs(v - c[:, None] * phase[None, :])) <= 1e-12:
         blocks = np.roll(P.blocks, winding, axis=0) if winding else P.blocks
     else:
-        blocks, c = P.matrix[None], d
+        blocks, c = P.nodes()[None], d
     return HermitianProjection.with_residuals(
         blocks * np.outer(c, c.conj()), P.idempotency_tol,
         (1.0 + eps) * P.hermitian_residual,
-        (1.0 + eps) * (P.idempotency_residual + eps * rho))
+        (1.0 + eps) * (P.idempotency_residual + eps * rho), P.sites, P.phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,13 +321,17 @@ def _check_same_dim(*ops):
         raise ValueError(f"dimension mismatch: {sorted(dims)}")
 
 
-def _difference(P: HermitianProjection, Q: HermitianProjection) -> np.ndarray:
-    """P − Q as a stack (k, n, n): its mode blocks when P and Q share a
-    block layout, else the dense matrix as a stack of one."""
+def difference(P: HermitianProjection, Q: HermitianProjection) -> np.ndarray:
+    """P − Q as a stack (k, n, n), up to a diagonal unitary: its mode blocks
+    when P and Q share a block layout and site map, the dense matrix on
+    their nodes when they share only the site map, else the site-ordered
+    matrix, each dense matrix as a stack of one."""
     _check_same_dim(P, Q)
+    if not P.same_sites(Q):
+        return (P.matrix - Q.matrix)[None]
     if P.blocks.shape == Q.blocks.shape:
         return P.blocks - Q.blocks
-    return (P.matrix - Q.matrix)[None]
+    return (P.nodes() - Q.nodes())[None]
 
 
 def _power_traces(A: np.ndarray, step: np.ndarray, count: int) -> list:
@@ -295,7 +357,7 @@ def index_by_spectral_count(P: HermitianProjection, Q: HermitianProjection) -> I
     is the right notion for truncated pairs and exact for exact ones.  A
     pair of mode-block projections is diagonalized block by block.
     """
-    evals = np.linalg.eigvalsh(_difference(P, Q)).ravel()
+    evals = np.linalg.eigvalsh(difference(P, Q)).ravel()
     near_plus = np.abs(evals - 1.0) <= 0.5
     near_minus = np.abs(evals + 1.0) <= 0.5
     value = int(near_plus.sum()) - int(near_minus.sum())
@@ -304,7 +366,7 @@ def index_by_spectral_count(P: HermitianProjection, Q: HermitianProjection) -> I
 
 def _odd_traces(P: HermitianProjection, Q: HermitianProjection, n_max: int) -> list:
     """Tr (P − Q)^(2n+1) for n = 0..n_max."""
-    M = _difference(P, Q)
+    M = difference(P, Q)
     return _power_traces(M, M @ M if n_max >= 1 else None, n_max + 1)
 
 
@@ -354,7 +416,7 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     if d is not None:
         upu = conjugated(P, d).blocks
         u_pu = conjugated(P, d.conj()).blocks
-        p = P.blocks if upu.shape == P.blocks.shape else P.matrix[None]
+        p = P.blocks if upu.shape == P.blocks.shape else P.nodes()[None]
     else:
         u = U.matrix
         upu = (u @ P.matrix @ u.conj().T)[None]

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import json
+import logging
 import re
 
 import pytest
@@ -363,3 +364,34 @@ def test_lattice_index_builds_pipeline_once(tmp_path, monkeypatch):
     rows = read_json(out)["rows"]
     assert [row["parameters"]["trace_power"] for row in rows] == [3, 5]
     assert len(calls) == 1
+
+
+def test_log_level_sends_route_lines_to_stderr(tmp_path, capsys):
+    code, out = run(tmp_path / "quiet", "lattice-index", "--size", "20")
+    quiet = capsys.readouterr()
+    assert code == 0 and quiet.err == ""
+    code = main(["--log-level", "DEBUG", "lattice-index", "--size", "20",
+                 "--out", str(tmp_path / "debug")])
+    loud = capsys.readouterr()
+    assert code == 0
+    assert ("DEBUG fluxlab.lattice: gap_projection: 4 rotation blocks of 100 eigh, "
+            "N = 400") in loud.err
+    assert loud.err.count("lattice_index: window trace on 4 rotation blocks of 100, "
+                          "28 rows per block") == 2
+    # the flag changes neither stdout nor the reports, up to their timings
+    assert loud.out == quiet.out
+    first = WALL.sub('"wall_time_s": X', (out / "report.json").read_text())
+    second = WALL.sub('"wall_time_s": X', (tmp_path / "debug" / "report.json").read_text())
+    assert first == second
+    log = logging.getLogger("fluxlab")
+    assert log.handlers == [] and log.level == logging.NOTSET
+
+
+def test_log_level_warning_keeps_debug_lines_out(tmp_path, capsys):
+    code = main(["--log-level", "WARNING", "lattice-index", "--size", "20",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "TRACE", "lattice-index"])
+    assert exc.value.code == 2

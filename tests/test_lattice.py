@@ -1,5 +1,6 @@
 """Magnetic tight-binding models, gap projections, windowed lattice index."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
                              decay_fit, disorder_constancy, gap_projection,
                              lattice_flux_unitary, lattice_index,
                              plaquette_phase, wedge_experiment)
-from fluxlab.projpair import HermitianProjection, UnitaryMatrix
+from fluxlab.projpair import HermitianProjection, UnitaryMatrix, conjugated
 
 FLUX = 1.0 / 3.0
 FERMI = -1.29
@@ -426,7 +427,11 @@ def test_carried_residuals_bound_measured_ones(H, modes):
     assert gp.modes == modes
     P = gp.projection
     measured = HermitianProjection(P.matrix, idempotency_tol=1e-8)
-    assert P.hermitian_residual == measured.hermitian_residual
+    if modes == 4:
+        # the blocks bound the Hermitian residual of the .matrix they form
+        assert measured.hermitian_residual <= P.hermitian_residual <= 1e-10
+    else:
+        assert P.hermitian_residual == measured.hermitian_residual
     assert measured.idempotency_residual <= P.idempotency_residual <= 1e-10
 
 
@@ -451,17 +456,52 @@ def test_rotation_gauge_of_the_landau_box(size):
     assert abs(c - np.prod(g[[0, p[0], p[p[0]], p[p[p[0]]]]])) <= 1e-12
 
 
-def test_block_route_memory_peak():
-    # the dense route with its measured P @ P peaked at 150 MiB here
-    H = build_hamiltonian(bench(40))
+def _peak(fn):
     tracemalloc.start()
     try:
-        gp = gap_projection(H, FERMI)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gp.modes == 4
-    assert peak <= 150 * 2**20
+
+
+def test_block_route_memory_peak():
+    # the dense route with its measured P @ P peaked at 150 MiB here;
+    # assembling the dense, site-ordered P at 81.9 MiB in gap_projection, and
+    # forming M densely at 78.1 MiB over the two index calls
+    model = bench(40)
+    H = build_hamiltonian(model)
+    gp, peak = _peak(lambda: gap_projection(H, FERMI))
+    assert gp.modes == 4 and gp.projection.blocks.shape == (4, 400, 400)
+    assert peak <= 72 * 2**20
+    U = lattice_flux_unitary(model, (19.5, 19.5))
+    _, peak = _peak(lambda: [lattice_index(gp, U, n=n) for n in (1, 2)])
+    assert peak <= 48 * 2**20
+    P = gp.projection
+    assert P.dim == 1600 and P.rank() > 0
+    decay_fit(gp, model)
+    assert P.__dict__["_matrix"] is None  # the dense P was never built
+
+
+def test_site_map_is_part_of_the_projection():
+    gp = gap_projection(build_hamiltonian(bench(12)), FERMI)
+    P = gp.projection
+    assert P.sites is not None and sorted(P.sites) == list(range(144))
+    assert np.max(np.abs(np.abs(P.phases) - 1.0)) <= 1e-15
+    elsewhere = HermitianProjection.with_residuals(
+        P.blocks, P.idempotency_tol, P.hermitian_residual, P.idempotency_residual,
+        P.sites[::-1], P.phases)
+    rephased = HermitianProjection.with_residuals(
+        P.blocks, P.idempotency_tol, P.hermitian_residual, P.idempotency_residual,
+        P.sites, np.ones(144))
+    bare = HermitianProjection.from_blocks(P.blocks, P.idempotency_tol)
+    for other in (elsewhere, rephased, bare):
+        assert (P == other) is False and (P != other) is True
+    back = pickle.loads(pickle.dumps(P))
+    assert (back == P) is True
+    assert np.array_equal(back.matrix, P.matrix)
+    assert (gp == gap_projection(build_hamiltonian(bench(12)), FERMI)) is True
+    assert (gp == gap_projection(build_hamiltonian(bench(12)), -1.2)) is False
 
 
 def test_flux_unitary_rejects_site_center():
@@ -539,6 +579,98 @@ def test_window_rows_match_dense_diagonal_sum(n, mask, center, window_radius):
     assert rep.trace_power == 2 * n + 1
     if window_radius > 24:
         assert abs(want) <= 1e-9  # the full trace vanishes by similarity
+
+
+def _dense_diagonal(P, U, n):
+    # the diagonal of the full power (P - UPU*)^(2n+1), for several windows
+    D = np.diag(U.diagonal)
+    M = P.matrix - D @ P.matrix @ D.conj().T
+    return np.einsum("ij,ji->i", np.linalg.matrix_power(M, 2 * n), M)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("size, gauge_name", [
+    (24, "landau"), (32, "landau"), (40, "landau"), (24, "symmetric"),
+], ids=["L24", "L32", "L40", "S24"])
+def test_block_window_trace_matches_dense_oracle(size, gauge_name, n, caplog):
+    model = bench(size)
+    gp = gap_projection(build_hamiltonian(model, gauge=gauge_name), FERMI)
+    assert gp.modes == 4
+    U = lattice_flux_unitary(model, (size / 2 - 0.5,) * 2)
+    diag = _dense_diagonal(gp.projection, U, n)
+    r = np.hypot(*(U.site_array - U.center).T)
+    for window_radius in (6.0, 1e6):
+        with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
+            rep = lattice_index(gp, U, n=n, window_radius=window_radius)
+        assert f"window trace on 4 rotation blocks of {size * size // 4}" in caplog.text
+        want = complex(np.sum(diag[r <= window_radius]))
+        assert abs(rep.value - want.real) <= 1e-12
+        assert abs(rep.imag_part - abs(want.imag)) <= 1e-12
+    assert abs(rep.value) <= 1e-9  # the full trace vanishes by similarity
+
+
+def test_window_splitting_an_orbit_takes_the_dense_sum(caplog):
+    # 1e-13 off the centre the flux still passes as a rotation character,
+    # but a window through site (17, 11) leaves out its image (12, 17)
+    model = bench()
+    gp = gap_projection(build_hamiltonian(model), FERMI)
+    U = lattice_flux_unitary(model, (11.5 + 1e-13, 11.5))
+    assert conjugated(gp.projection, U.diagonal).blocks.shape[0] == 4
+    radius = float(np.hypot(17 - U.center[0], 11 - U.center[1]))
+    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
+        rep = lattice_index(gp, U, window_radius=radius)
+    assert "window trace dense, N = 576" in caplog.text
+    assert abs(rep.value - _dense_window_sum(gp.projection, U, 1, radius).real) <= 1e-12
+
+
+def _site_window_rows(P, U, n, window_radius=6.0):
+    # the window rows of the site-ordered M = P - UPU*, as the dense path forms them
+    M = P.matrix - conjugated(P, U.diagonal).matrix
+    Y = M[np.hypot(*(U.site_array - U.center).T) <= window_radius]
+    for _ in range(n - 1):
+        Y = Y @ M
+    return complex(np.vdot(Y, Y @ M))
+
+
+def _disorder_draw():
+    model = bench()
+    H = build_hamiltonian(model) + np.diag(np.random.default_rng(3).uniform(-0.01, 0.01, 576))
+    return gap_projection(H, FERMI), lattice_flux_unitary(model, (11.5, 11.5))
+
+
+def _bare_projection():
+    model = bench()
+    gp = gap_projection(build_hamiltonian(model), FERMI)
+    P = HermitianProjection(gp.projection.matrix, idempotency_tol=1e-8)
+    return P, lattice_flux_unitary(model, (11.5, 11.5))
+
+
+def _pipeline(model, center):
+    return (gap_projection(build_hamiltonian(model), FERMI),
+            lattice_flux_unitary(model, center))
+
+
+@pytest.mark.parametrize("build, bitwise", [
+    (lambda: _pipeline(bench(), (12.5, 11.5)), False),
+    (lambda: _pipeline(bench(25), (11.5, 11.5)), True),
+    (lambda: _pipeline(MagneticLatticeModel(24, 24, FLUX, domain_mask=WEDGE), (11.4, 11.4)),
+     False),
+    (_bare_projection, True),
+    (_disorder_draw, True),
+], ids=["off-centre", "odd-box", "quarter-wedge", "bare", "disorder"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_dense_window_trace_keeps_its_value(build, bitwise, n, caplog):
+    gp, U = build()
+    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
+        rep = lattice_index(gp, U, n=n)
+    assert "lattice_index: window trace dense, N = " in caplog.text
+    P = getattr(gp, "projection", gp)
+    want = _site_window_rows(P, U, n)
+    if bitwise:
+        assert rep.value == want.real and rep.imag_part == abs(want.imag)
+    else:
+        assert abs(rep.value - want.real) <= 1e-14
+    assert abs(rep.value - _dense_window_sum(P, U, n).real) <= 1e-12
 
 
 def test_lattice_index_requires_geometry(lattice_benchmark):
@@ -679,11 +811,11 @@ def test_decay_fit_benchmark(lattice_benchmark):
     assert slope < 0.0
 
 
-def _per_bin_loop_fit(P, model):
-    # one full scan of the distance matrix per bin, then the same line fit
+def _per_bin_loop_fit(A, model):
+    # one full scan of the distance matrix per bin, then the same line fit, on
+    # the site-ordered magnitudes A
     pos = np.array(model.sites(), dtype=float)
     D = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
-    A = np.abs(P.matrix)
     xs, ys = [], []
     for b in np.arange(3.0, min(model.width, model.height) / 2.0 + 1.0):
         sel = (D >= b - 0.5) & (D < b + 0.5)
@@ -697,12 +829,39 @@ def _per_bin_loop_fit(P, model):
     return float(coef[0]), 1.0 - float((resid ** 2).sum()) / float(((ys - ys.mean()) ** 2).sum())
 
 
-# N = 576, 625 and 1600 sites: the last band of 128 rows is partial
+def _nodal_magnitudes(P):
+    # |P| on the nodes, each node at its site without its phase: the entries
+    # decay_fit bins, the nodal blocks fft(B)/k (the matrix itself for k = 1)
+    k, n, _ = P.blocks.shape
+    nodal = np.fft.fft(P.blocks, axis=0) / k if k > 1 else P.blocks
+    a = np.arange(k)
+    nodes = nodal[(a[None, :] - a[:, None]) % k].transpose(2, 0, 3, 1).reshape(k * n, k * n)
+    sites = np.arange(k * n) if P.sites is None else P.sites
+    A = np.empty((k * n, k * n))
+    A[np.ix_(sites, sites)] = np.abs(nodes)
+    return A
+
+
+# N = 576, 625 and 1600 sites: the last band of 128 rows is partial; 24 and 40
+# take the rotation blocks, 25 the real form
 @pytest.mark.parametrize("size", [24, 25, 40])
 def test_decay_fit_bins_match_per_bin_loop(size):
     model = bench(size)
     gp = gap_projection(build_hamiltonian(model), FERMI)
-    assert decay_fit(gp, model) == _per_bin_loop_fit(gp.projection, model)
+    assert decay_fit(gp, model) == _per_bin_loop_fit(_nodal_magnitudes(gp.projection), model)
+
+
+@pytest.mark.parametrize("model", [
+    bench(24), bench(32), bench(40),
+    MagneticLatticeModel(24, 24, FLUX, domain_mask=WEDGE),
+], ids=["L24", "L32", "L40", "quarter-wedge"])
+def test_decay_fit_blocks_match_site_ordered_loop(model):
+    # the blocks leave out the site phases, which move each |P| by rounding only
+    gp = gap_projection(build_hamiltonian(model), FERMI)
+    assert gp.modes == 4
+    slope, r2 = decay_fit(gp, model)
+    want = _per_bin_loop_fit(np.abs(gp.projection.matrix), model)
+    assert abs(slope - want[0]) <= 1e-14 and abs(r2 - want[1]) <= 1e-14
 
 
 def test_decay_fit_memory_peak():

@@ -190,7 +190,10 @@ def _lattice_pair():
 @pytest.mark.parametrize("case", ["block", "dense", "translated", "lattice"])
 def test_conjugated_residuals_bound_fresh_ones(case):
     P, Q = _lattice_pair() if case == "lattice" else _disk_pair(case)
-    layouts = {"block": (25, 25), "translated": (25, 1)}.get(case, (1, 1))
+    # the 12 x 12 lattice box keeps its four rotation-mode blocks, and the flux
+    # at its centre keeps them in Q
+    layouts = {"block": (25, 25), "translated": (25, 1),
+               "lattice": (4, 4)}.get(case, (1, 1))
     assert (P.blocks.shape[0], Q.blocks.shape[0]) == layouts
     fresh = HermitianProjection(Q.matrix, Q.idempotency_tol)
     # the bounds hold in exact arithmetic; forming and measuring Q.matrix
@@ -203,6 +206,29 @@ def test_conjugated_residuals_bound_fresh_ones(case):
         assert measured <= carried + rounding
         assert carried - measured <= 1e-14
     assert Q.idempotency_residual >= P.idempotency_residual
+
+
+@pytest.mark.parametrize("center, modes", [((5.5, 5.5), 4), ((6.5, 5.5), 1)],
+                         ids=["centre", "off-centre"])
+def test_routes_reduce_a_site_mapped_pair_like_its_matrices(center, modes):
+    # the 12 x 12 box keeps its rotation blocks on their site map; Q keeps
+    # them for the flux at the centre and is dense on the nodes off it
+    model = lattice.MagneticLatticeModel(12, 12, 1.0 / 3.0)
+    P = lattice.gap_projection(lattice.build_hamiltonian(model), -1.29).projection
+    d = lattice.lattice_flux_unitary(model, center).diagonal
+    Q = conjugated(P, d)
+    assert (P.blocks.shape[0], Q.blocks.shape[0]) == (4, modes)
+    assert np.array_equal(Q.sites, P.sites) and np.array_equal(Q.phases, P.phases)
+    dense_p = HermitianProjection(P.matrix, 1e-8)
+    dense_q = HermitianProjection(Q.matrix, 1e-8)
+    assert np.max(np.abs(Q.matrix - conjugated(dense_p, d).matrix)) <= 1e-14
+    for pair in ((P, Q), (dense_p, Q)):
+        assert index_by_spectral_count(*pair).value == index_by_spectral_count(
+            dense_p, dense_q).value
+        assert abs(index_by_odd_trace(*pair, n=2).value
+                   - index_by_odd_trace(dense_p, dense_q, n=2).value) <= 1e-12
+    U = UnitaryMatrix(np.diag(d))
+    assert abs(index_by_fedosov(P, U).value - index_by_fedosov(dense_p, U).value) <= 1e-12
 
 
 def test_conjugated_rejects_what_its_bounds_exclude():
