@@ -215,6 +215,15 @@ def real_surrogate_kernel() -> CovariantKernel:
     return CovariantKernel(level=0, radial=(1.0 / math.pi,))
 
 
+def _basis_columns(m: int, n_max: int, z: np.ndarray) -> np.ndarray:
+    """The level-m states of angular momenta 0..n_max at the points z, one
+    column each, filled into one (len(z), n_max + 1) array."""
+    psi = np.empty((len(z), n_max + 1), dtype=complex)
+    for n in range(n_max + 1):
+        psi[:, n] = basis_wavefunction(n, m, z)
+    return psi
+
+
 def gram_matrix(m1: int, m2: int, n_max: int) -> np.ndarray:
     """Quadrature Gram matrix between levels m1 and m2, angular momenta
     0..n_max.  Identity for m1 = m2, zero for m1 != m2."""
@@ -224,9 +233,9 @@ def gram_matrix(m1: int, m2: int, n_max: int) -> np.ndarray:
     t, wt = gauss_legendre(0.0, t_max, max(160, int(1.5 * t_max)))
     z, w = polar_nodes(0.0, np.sqrt(t), 0.5 * wt, 256)
     z, w = z.ravel(), w.ravel()
-    psi1 = np.column_stack([basis_wavefunction(n, m1, z) for n in range(n_max + 1)])
-    psi2 = np.column_stack([basis_wavefunction(n, m2, z) for n in range(n_max + 1)])
-    return psi1.conj().T @ (w[:, None] * psi2)
+    psi1 = _basis_columns(m1, n_max, z)
+    psi2 = w[:, None] * _basis_columns(m2, n_max, z)
+    return np.conj(psi1, out=psi1).T @ psi2
 
 
 def flux_matrix(m: int, n_max: int) -> np.ndarray:
@@ -245,8 +254,10 @@ def flux_matrix(m: int, n_max: int) -> np.ndarray:
     grid = polar_disk_grid(np.sqrt(t_max), radial_nodes, 256)
     z = _as_complex_points(grid.nodes)
     u = z / np.abs(z)
-    psi = np.column_stack([basis_wavefunction(n, m, z) for n in range(n_max + 1)])
-    mat = psi.conj().T @ ((grid.weights * u)[:, None] * psi)
+    psi = _basis_columns(m, n_max, z)
+    weighted = (grid.weights * u)[:, None] * psi
+    # conjugated in place: the product keeps its layout and its bits
+    mat = np.conj(psi, out=psi).T @ weighted
     # admissible entries sit at (n, n') = (k+1, k)
     pattern = np.eye(n_max + 1, k=-1, dtype=bool)
     resid = float(np.max(np.abs(np.where(pattern, 0.0, mat))))

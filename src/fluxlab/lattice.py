@@ -49,8 +49,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from fluxlab.projpair import (HermitianProjection, IndexReport, check_unitary,
-                              conjugated, difference, nodal_blocks, nodal_matrix,
-                              trace_report)
+                              conjugated, conjugation_layout, difference,
+                              nodal_blocks, nodal_matrix, trace_report)
 
 logger = logging.getLogger(__name__)
 
@@ -549,7 +549,8 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     centre, and when the window is constant on every orbit, as a disk about
     that centre is: the window then commutes with the rotation, and the sum
     is taken block by block, on k blocks of N/k.  Otherwise M is the dense
-    matrix on the nodes, and the same sum runs on the stack of one.
+    matrix on the nodes, and the same sum runs on the stack of one; off the
+    centre, P's node matrix is built once (projpair.conjugation_layout).
     """
     if getattr(U, "site_array", None) is None:
         raise ValueError(
@@ -572,7 +573,7 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
         )
     if n < 1:
         raise ValueError(f"trace power n must be at least 1, got {n}")
-    P = getattr(P, "projection", P)
+    P = conjugation_layout(getattr(P, "projection", P), U.diagonal)
     M = difference(P, conjugated(P, U.diagonal))
     window = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy) <= window_radius
     if P.sites is not None:

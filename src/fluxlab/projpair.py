@@ -192,6 +192,34 @@ def _nodal_max(blocks: np.ndarray) -> float:
     return float(np.max(np.abs(np.fft.fft(blocks, axis=0)))) / blocks.shape[0]
 
 
+def _rotation_character(d: np.ndarray, k: int):
+    """(N, c) when d on the nodes i*k + a is c[i] exp(2 pi i N a / k) within
+    1e-12, else None; on one block every d is one."""
+    v = d.reshape(-1, k)
+    c = v[:, 0]
+    step = np.angle(v[0, 1 % k] * np.conj(c[0]))  # 0 on one block
+    winding = int(round(step * k / (2.0 * np.pi))) % k
+    phase = np.exp(2j * np.pi * winding * np.arange(k) / k)
+    if np.max(np.abs(v - c[:, None] * phase[None, :])) <= 1e-12:
+        return winding, c
+    return None
+
+
+def conjugation_layout(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
+    """P on the layout that conjugated(P, d) gives: P itself when d keeps
+    its mode blocks, else its matrix on the nodes as a stack of one, with
+    P's residuals and site map.  A caller that needs P and D P D* on one
+    layout conjugates the result, and so builds the node matrix once."""
+    d = np.asarray(d)
+    if P.sites is not None:
+        d = d[P.sites]
+    if len(P.blocks) == 1 or _rotation_character(d, len(P.blocks)) is not None:
+        return P
+    return HermitianProjection.with_residuals(
+        P.nodes()[None], P.idempotency_tol, P.hermitian_residual,
+        P.idempotency_residual, P.sites, P.phases)
+
+
 def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
     """D P D* for the diagonal unitary D = diag(d), the one place that forms it.
 
@@ -218,15 +246,12 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
     rho = float(np.max(np.sum(np.abs(P.blocks) ** 2, axis=(0, 2)))) / k
     if P.sites is not None:
         d = d[P.sites]
-    v = d.reshape(n, k)
-    c = v[:, 0]
-    step = np.angle(v[0, 1 % k] * np.conj(c[0]))  # 0 on one block
-    winding = int(round(step * k / (2.0 * np.pi))) % k
-    phase = np.exp(2j * np.pi * winding * np.arange(k) / k)
-    if np.max(np.abs(v - c[:, None] * phase[None, :])) <= 1e-12:
-        blocks = np.roll(P.blocks, winding, axis=0) if winding else P.blocks
-    else:
+    character = _rotation_character(d, k)
+    if character is None:
         blocks, c = P.nodes()[None], d
+    else:
+        winding, c = character
+        blocks = np.roll(P.blocks, winding, axis=0) if winding else P.blocks
     return HermitianProjection.with_residuals(
         blocks * np.outer(c, c.conj()), P.idempotency_tol,
         (1.0 + eps) * P.hermitian_residual,
@@ -414,9 +439,10 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     _check_same_dim(P, U)
     d = U.diagonal
     if d is not None:
+        P = conjugation_layout(P, d)
         upu = conjugated(P, d).blocks
         u_pu = conjugated(P, d.conj()).blocks
-        p = P.blocks if upu.shape == P.blocks.shape else P.nodes()[None]
+        p = P.blocks
     else:
         u = U.matrix
         upu = (u @ P.matrix @ u.conj().T)[None]

@@ -6,6 +6,12 @@ cross-check of the unreduced triple integral, and plain diagonal traces.
 All deterministic engines use fixed node sets; the Monte Carlo engine uses
 chunked, index-ordered reduction so a given seed reproduces bitwise.
 
+The Monte Carlo chunks and the connes_area disk run in row bands on every
+CPU in the affinity mask (_ordered_map; taskset pins them).  Each band
+writes its rows of one array and the array is summed whole, so the values
+are the same bits on any number of CPUs.  Bands hold at most 16384 pairs
+or 32 rings, so that a band's temporaries stay in a core's cache.
+
 The index and transport integrals share one core, triple_forms: bilinear
 forms against the weighted cyclic triple product of the kernel on a tensor
 Gauss-Legendre grid.  A kernel that records its closed form is contracted
@@ -17,8 +23,11 @@ fluxlab.grids; index_integral_4d runs on its level-sized index square.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +39,71 @@ from fluxlab.grids import (TensorGrid, gauss_legendre, level_square_grid,
 from fluxlab.landau import CovariantKernel
 
 logger = logging.getLogger(__name__)
+
+_task_state = threading.local()
+
+
+def _usable_cpus() -> int:
+    """The CPUs in this process's affinity mask."""
+    return len(os.sched_getaffinity(0))
+
+
+def _workers() -> int:
+    """The threads a call may spread its bands over: the usable CPUs, or
+    one inside a task of _ordered_map, which runs nested calls inline."""
+    return 1 if getattr(_task_state, "busy", False) else _usable_cpus()
+
+
+def _bands(n: int, most: int) -> list:
+    """Slices splitting range(n) into nonempty bands of at most most rows,
+    and at least min(_workers(), n) of them."""
+    k = max(min(_workers(), n), -(-n // most))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+@functools.lru_cache(maxsize=None)
+def _executor(threads: int):
+    # imported here: the pool costs nothing to a program that never bands
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="fluxlab")
+
+
+def _in_task(task):
+    busy = getattr(_task_state, "busy", False)
+    _task_state.busy = True
+    try:
+        return task()
+    finally:
+        _task_state.busy = busy
+
+
+def _ordered_map(tasks: list) -> list:
+    """Call each task of tasks and return their results in order.
+
+    The calling thread runs the first task, a pool of one thread fewer than
+    _workers() the others; once done, the caller takes back, last first,
+    every task the pool has not started.  With one worker, which includes
+    a call from inside a task, all run inline, so a nested call never waits
+    on the pool.  Which thread runs a task does not change its result.  No
+    task outlives the call, and the first error in task order is raised.
+    """
+    workers = _workers()
+    if workers == 1 or len(tasks) == 1:
+        return [_in_task(t) for t in tasks]
+    from concurrent.futures import wait
+    futures = [_executor(workers - 1).submit(_in_task, t) for t in tasks[1:]]
+    results = [None] * len(tasks)
+    try:
+        results[0] = _in_task(tasks[0])
+        for i in reversed(range(1, len(tasks))):
+            if futures[i - 1].cancel():
+                results[i] = _in_task(tasks[i])
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
+    return [r if i == 0 or futures[i - 1].cancelled() else futures[i - 1].result()
+            for i, r in enumerate(results)]
 
 
 @dataclass(frozen=True)
@@ -114,6 +188,11 @@ def _triple_ratio_integrand(u: GaugeUnitary, z: np.ndarray, a: complex,
     return (1.0 - ua / ub) * (1.0 - ub / uc) * (1.0 - uc / ua)
 
 
+# rings of 512 nodes per band of the connes_area disk, sized like the
+# Monte Carlo bands
+_DISK_BAND_ROWS = 32
+
+
 def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     """Punctured-plane integral whose value is 2 pi i N(u) (a^b + b^c + c^a).
 
@@ -152,35 +231,55 @@ def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     Rfar = max(pmax + 4.0 * np.pi * C1 ** 3 * d12 * d23 * d31 / tol,
                10.0 * pmax, 1.5 * R0)
 
-    total = 0.0 + 0.0j
-
     # patches: local polar around each singular point, weighted by the bump
     r, w = gauss_legendre(eps, r2, 40)
     zloc, wpatch = polar_nodes(0.0, r, w * r, 128)
     chi = _smooth_step(r, r1, r2)[:, None]
-    for v in punct:
-        total += np.sum(wpatch * chi * _triple_ratio_integrand(u, v + zloc, a, b, c))
 
-    # mollified global disk around the centroid
+    def patch(v):
+        return np.sum(wpatch * chi * _triple_ratio_integrand(u, v + zloc, a, b, c))
+
+    # mollified global disk around the centroid, in row bands of one array
     r, w = gauss_legendre(0.0, R0, 320)
     z, w2 = polar_nodes(c0, r, w * r, 512)
-    mol = np.ones(z.shape)
-    for v in punct:
-        mol *= 1.0 - _smooth_step(np.abs(z - v), r1, r2)
-    total += np.sum(w2 * mol * _triple_ratio_integrand(u, z, a, b, c))
+    terms = np.empty(z.shape, dtype=complex)
+
+    def disk_band(rows):
+        zb = z[rows]
+        mol = np.ones(zb.shape)
+        for v in punct:
+            # the step is exactly 0 from r2 out, where the factor is 1
+            dist = np.abs(zb - v)
+            near = dist < r2
+            mol[near] *= 1.0 - _smooth_step(dist[near], r1, r2)
+        np.multiply(w2[rows] * mol, _triple_ratio_integrand(u, zb, a, b, c),
+                    out=terms[rows])
 
     # far field: log-radial Gauss nodes on [R0, Rfar], r dr = r^2 d(log r)
     ndec = int(np.ceil(np.log10(Rfar / R0) * 14.0)) + 8
     s, w = gauss_legendre(np.log(R0), np.log(Rfar), ndec)
     r = np.exp(s)
     zf, w3 = polar_nodes(c0, r, w * r ** 2, 256)
-    total += np.sum(w3 * _triple_ratio_integrand(u, zf, a, b, c))
+
+    def far():
+        return np.sum(w3 * _triple_ratio_integrand(u, zf, a, b, c))
+
+    bands = _bands(len(terms), _DISK_BAND_ROWS)
+    parts = _ordered_map([functools.partial(disk_band, rows) for rows in bands]
+                         + [functools.partial(patch, v) for v in punct] + [far])
+    # the partial sums in the order patches, disk, far field
+    total = 0.0 + 0.0j
+    for part in parts[len(bands):-1]:
+        total += part
+    total += np.sum(terms)
+    total += parts[-1]
 
     tail = 2.0 * np.pi * C1 ** 3 * d12 * d23 * d31 * (
         1.0 / (Rfar - pmax) + pmax / (2.0 * (Rfar - pmax) ** 2))
     ball = 3.0 * 8.0 * np.pi * eps ** 2
-    logger.debug("connes_area tail bound %.2e, removed-ball bound %.2e, Rfar %.1f",
-                 tail, ball, Rfar)
+    logger.debug("connes_area tail bound %.2e, removed-ball bound %.2e, Rfar %.1f; "
+                 "disk of %d x %d nodes in %d bands on %d workers", tail, ball, Rfar,
+                 *terms.shape, len(bands), _workers())
     if tail > tol:
         raise ValueError(
             f"far-field tail bound {tail:.2e} exceeds target {tol:.1e}; "
@@ -289,15 +388,15 @@ _MC_COM_SCALE = 2.0
 _MC_VAR1 = (2.0 / 3.0) * 1.25
 _MC_VAR2 = 0.5 * 1.25
 _MC_CHUNK_PAIRS = 125_000
+# a band's temporaries fit a core's cache: on one core, 8 bands of a chunk
+# take about 20% less time than the whole chunk at once
+_MC_BAND_PAIRS = 16_384
 
 
-def _mc_draws(n_pairs: int, rng):
-    """One chunk of proposal draws: the base point (x0, x1), the edge vectors
-    r1 and r2 as (n_pairs, 2) arrays and the inverse proposal density."""
+def _mc_proposal(U, phi, g):
+    """The raw draws as the base point (x0, x1), the edge vectors r1 and r2
+    as (n_pairs, 2) arrays and the inverse proposal density."""
     s0 = _MC_COM_SCALE
-    U = rng.random(n_pairs)
-    phi = 2.0 * np.pi * rng.random(n_pairs)
-    g = rng.standard_normal((n_pairs, 4))
     rho = s0 * np.sqrt(1.0 / (1.0 - U) ** 2 - 1.0)
     x0, x1 = rho * np.cos(phi), rho * np.sin(phi)
     r1 = math.sqrt(_MC_VAR1) * g[:, 0:2]
@@ -311,8 +410,10 @@ def _mc_draws(n_pairs: int, rng):
     return x0, x1, r1, r2, 1.0 / (pdf_x * pdf_r)
 
 
-def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, rng):
-    x0, x1, r1, r2, inv_pdf = _mc_draws(n_pairs, rng)
+def _mc_band(p: CovariantKernel, alpha: int, U, phi, g, out) -> float:
+    """Write the antithetic pair means of the draws U, phi, g to out and
+    return the largest weight of either sign."""
+    x0, x1, r1, r2, inv_pdf = _mc_proposal(U, phi, g)
     # by covariance both antithetic triangles share this triple
     origin = np.zeros(2)
     T = p.evaluate(origin, r1) * p.evaluate(r1, r2) * p.evaluate(r2, origin)
@@ -333,7 +434,7 @@ def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, rng):
     S_plus += np.sin(alpha * np.arctan2(wedge + e_wedge, rho2 + dot + e_dot))
     S_minus += np.sin(alpha * np.arctan2(e_wedge - wedge, rho2 - dot + e_dot))
     # drop each product once both signs used it: kept to the end of the
-    # chunk, they set the memory peak of the integrals pass
+    # band, they set the memory peak of the integrals pass
     del e_wedge, e_dot
     wedge, dot = x0 * b1 - x1 * b0, x0 * b0 + x1 * b1
     S_plus += np.sin(alpha * np.arctan2(-wedge, rho2 + dot))
@@ -346,7 +447,22 @@ def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, rng):
         w = T * (2.0j * S) * inv_pdf
         max_w = max(max_w, float(np.max(np.abs(w))))
         pair_sum = w if pair_sum is None else pair_sum + w
-    pair_mean = 0.5 * pair_sum
+    np.multiply(0.5, pair_sum, out=out)
+    return max_w
+
+
+def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, rng):
+    """(sum, sum of squared real parts, largest weight) of the antithetic
+    pair means of one chunk.  The draws are made whole, the weights in row
+    bands on _ordered_map, and both sums run over the whole chunk, so the
+    bits do not depend on the bands."""
+    U = rng.random(n_pairs)
+    phi = 2.0 * np.pi * rng.random(n_pairs)
+    g = rng.standard_normal((n_pairs, 4))
+    pair_mean = np.empty(n_pairs, dtype=complex)
+    max_w = max(_ordered_map([
+        functools.partial(_mc_band, p, alpha, U[b], phi[b], g[b], pair_mean[b])
+        for b in _bands(n_pairs, _MC_BAND_PAIRS)]))
     return (complex(np.sum(pair_mean)),
             float(np.sum(pair_mean.real ** 2)),
             max_w)
@@ -377,6 +493,10 @@ def index_integral_6d_mc(p: CovariantKernel, u: GaugeUnitary,
     n_pairs_total = max(1, (spec.mc_samples + 1) // 2)
     n_chunks = (n_pairs_total + _MC_CHUNK_PAIRS - 1) // _MC_CHUNK_PAIRS
     children = np.random.SeedSequence(spec.seed).spawn(n_chunks)
+    logger.debug("mc: %d chunks of %d pairs, %d bands on %d workers", n_chunks,
+                 min(n_pairs_total, _MC_CHUNK_PAIRS),
+                 len(_bands(min(n_pairs_total, _MC_CHUNK_PAIRS), _MC_BAND_PAIRS)),
+                 _workers())
     total = 0.0 + 0.0j
     total_re2 = 0.0
     max_w = 0.0

@@ -13,6 +13,7 @@ from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
                              decay_fit, disorder_constancy, gap_projection,
                              lattice_flux_unitary, lattice_index,
                              plaquette_phase, wedge_experiment)
+from fluxlab import projpair
 from fluxlab.projpair import HermitianProjection, UnitaryMatrix, conjugated
 
 FLUX = 1.0 / 3.0
@@ -671,6 +672,40 @@ def test_dense_window_trace_keeps_its_value(build, bitwise, n, caplog):
     else:
         assert abs(rep.value - want.real) <= 1e-14
     assert abs(rep.value - _dense_window_sum(P, U, n).real) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_off_centre_flux_builds_the_node_matrix_once(monkeypatch, n):
+    # the rotation blocks of P are assembled into the node matrix once per
+    # call, for lattice_index and for a Fedosov trace with the same diagonal,
+    # and the values are those of the node matrix built per use
+    gp, U = _pipeline(bench(), (12.5, 11.5))
+    P = gp.projection
+    assert P.blocks.shape == (4, 144, 144)
+    Q = conjugated(P, U.diagonal)
+    M = P.nodes() - Q.nodes()
+    Y = M[(np.hypot(*(U.site_array - U.center).T) <= 6.0)[P.sites]]
+    for _ in range(n - 1):
+        Y = Y @ M
+    want = complex(np.vdot(Y, Y @ M))
+    D = UnitaryMatrix(np.diag(U.diagonal))
+    p, upu, u_pu = P.nodes()[None], Q.blocks, conjugated(P, D.diagonal.conj()).blocks
+    X, Z = p - p @ upu @ p, p - p @ u_pu @ p
+    fedosov = complex(np.trace(np.linalg.matrix_power(X[0], n + 1))
+                      - np.trace(np.linalg.matrix_power(Z[0], n + 1)))
+    builds = []
+    nodal_matrix = projpair.nodal_matrix
+
+    def counting(blocks):
+        builds.extend([blocks.shape] if len(blocks) > 1 else [])
+        return nodal_matrix(blocks)
+    monkeypatch.setattr(projpair, "nodal_matrix", counting)
+    rep = lattice_index(gp, U, n=n)
+    assert builds == [(4, 144, 144)]
+    assert rep.value == want.real and rep.imag_part == abs(want.imag)
+    builds.clear()
+    assert abs(projpair.index_by_fedosov(P, D, n=n).value - fedosov.real) <= 1e-12
+    assert builds == [(4, 144, 144)]
 
 
 def test_lattice_index_requires_geometry(lattice_benchmark):

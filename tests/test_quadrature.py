@@ -1,15 +1,21 @@
 """Area formula, 4D index quadrature, 6D Monte Carlo, diagonal traces."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fluxlab import gauge
+from fluxlab import gauge, quadrature
 from fluxlab.grids import square_grid
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
-from fluxlab.quadrature import (_MC_CHUNK_PAIRS, _MC_COM_SCALE, _MC_VAR1,
-                                _MC_VAR2, QuadratureSpec, Triangle, _mc_chunk,
+from fluxlab.quadrature import (_MC_BAND_PAIRS, _MC_CHUNK_PAIRS, _MC_COM_SCALE,
+                                _MC_VAR1, _MC_VAR2, QuadratureSpec, Triangle,
+                                _mc_chunk, _ordered_map,
                                 connes_area, index_integral_4d,
                                 index_integral_6d_mc,
                                 trace_from_diagonal, triple_forms,
@@ -176,23 +182,31 @@ def test_monte_carlo_real_surrogate_exact_zero():
 
 
 def _counting_kernel(calls):
+    # records the number of points of each call
     k0 = landau_kernel(0)
 
     def evaluate(x, y):
-        calls.append(1)
+        calls.append(np.broadcast(np.asarray(x)[..., 0], np.asarray(y)[..., 0]).size)
         return k0.evaluate(x, y)
     return CovariantKernel(level=0, evaluate=evaluate)
 
 
-def test_monte_carlo_one_triple_per_antithetic_pair():
+def test_monte_carlo_one_triple_per_antithetic_pair(monkeypatch):
     # both antithetic triangles share their edge vectors, hence one triple
-    # of three kernel calls per chunk of pairs
+    # of three kernel calls per band of pairs, and three evaluations per
+    # pair; one evaluation per sign would double both.  A chunk of 125000
+    # pairs runs in 8 bands of at most _MC_BAND_PAIRS on any of these
+    # worker counts
     u = gauge.flux_unitary(1)
-    for samples, want in ((250_000, 3), (500_000, 6)):
-        calls = []
-        index_integral_6d_mc(_counting_kernel(calls), u,
-                             QuadratureSpec(mc_samples=samples, seed=2))
-        assert len(calls) == want
+    assert -(-_MC_CHUNK_PAIRS // _MC_BAND_PAIRS) == 8
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
+        for samples, chunks in ((250_000, 1), (500_000, 2)):
+            calls = []
+            index_integral_6d_mc(_counting_kernel(calls), u,
+                                 QuadratureSpec(mc_samples=samples, seed=2))
+            assert len(calls) == 3 * 8 * chunks
+            assert sum(calls) == 3 * samples // 2
 
 
 def _reference_mc_chunk(p, alpha, n_pairs, rng):
@@ -260,6 +274,101 @@ def test_full_mc_chunk_bitwise_equals_reference():
     got = _mc_chunk(kern, 1, _MC_CHUNK_PAIRS, np.random.default_rng(2024))
     want = _reference_mc_chunk(kern, 1, _MC_CHUNK_PAIRS, np.random.default_rng(2024))
     assert _bits(got) == _bits(want)
+
+
+@pytest.fixture(scope="module")
+def serial_outputs():
+    """The Monte Carlo estimates and area values on one worker, in one band
+    per chunk and one per disk: the sums as they ran before the bands."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(quadrature, "_usable_cpus", lambda: 1)
+        m.setattr(quadrature, "_MC_BAND_PAIRS", _MC_CHUNK_PAIRS)
+        m.setattr(quadrature, "_DISK_BAND_ROWS", 320)
+        return _pool_outputs()
+
+
+def _pool_outputs():
+    # mc_samples = 1_000_001 ends in a chunk of one pair, fewer than the workers
+    u = gauge.flux_unitary(1)
+    out = []
+    for samples, seed in ((1_000_001, 9), (300_000, 4)):
+        est = index_integral_6d_mc(landau_kernel(0), u,
+                                   QuadratureSpec(mc_samples=samples, seed=seed))
+        out.append(_bits([est.value, est.std_error, est.max_weight]))
+    for tri in (TRI, Triangle((2.1, -0.4), (-0.3, 2.6), (-2.2, -1.9))):
+        out.append(_bits([connes_area(u, tri)]))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_bitwise_equals_serial(monkeypatch, serial_outputs, workers):
+    # each band writes its own rows of one array, summed once in full; the
+    # threads switch every microsecond, so a lost or misplaced row shows
+    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _pool_outputs() == serial_outputs
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_chunk_smaller_than_the_workers(monkeypatch, n_pairs):
+    # a chunk of fewer pairs than workers runs no empty band
+    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 4)
+    assert [len(range(n_pairs)[b]) for b in quadrature._bands(n_pairs, _MC_BAND_PAIRS)] \
+        == [1] * n_pairs
+    kern = landau_kernel(0)
+    got = _mc_chunk(kern, 1, n_pairs, np.random.default_rng(n_pairs))
+    want = _reference_mc_chunk(kern, 1, n_pairs, np.random.default_rng(n_pairs))
+    assert _bits(got) == _bits(want)
+
+
+def test_ordered_map_keeps_submission_order(monkeypatch):
+    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 3)
+    caller = threading.get_ident()
+    out = _ordered_map([lambda i=i: (i, threading.get_ident()) for i in range(20)])
+    assert [i for i, _ in out] == list(range(20))
+    assert out[0][1] == caller
+    with pytest.raises(ValueError, match="task 3"):
+        _ordered_map([lambda i=i: i if i != 3 else int("task 3") for i in range(6)])
+
+
+def test_nested_call_runs_inline(monkeypatch, serial_outputs):
+    # the area and the estimate run as tasks of an outer call: inside a
+    # task the worker count is one, the call ends, and the bits stay those
+    # of the serial sums
+    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+    out = []
+
+    def nested():
+        return quadrature._workers(), _pool_outputs()
+    outer = threading.Thread(target=lambda: out.extend(_ordered_map([nested, nested])),
+                             daemon=True)
+    outer.start()
+    outer.join(timeout=120)
+    assert not outer.is_alive()
+    assert out == [(1, serial_outputs), (1, serial_outputs)]
+
+
+def test_pool_logs_its_bands(monkeypatch, caplog):
+    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+    u = gauge.flux_unitary(1)
+    with caplog.at_level("DEBUG", logger="fluxlab.quadrature"):
+        index_integral_6d_mc(landau_kernel(0), u, QuadratureSpec(mc_samples=500_000, seed=1))
+        connes_area(u, TRI)
+    assert "mc: 2 chunks of 125000 pairs, 8 bands on 2 workers" in caplog.text
+    assert "disk of 320 x 512 nodes in 10 bands on 2 workers" in caplog.text
+
+
+def test_import_leaves_the_pool_unloaded():
+    # the pool's module is imported when a call first bands, not by import
+    code = "import sys, fluxlab; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_monte_carlo_requires_power_form_unitary():
