@@ -54,10 +54,10 @@ def _workers() -> int:
     return 1 if getattr(_task_state, "busy", False) else _usable_cpus()
 
 
-def _bands(n: int, most: int) -> list:
-    """Slices splitting range(n) into nonempty bands of at most most rows,
-    and at least min(_workers(), n) of them."""
-    k = max(min(_workers(), n), -(-n // most))
+def _bands(n: int, size: int) -> list:
+    """Slices splitting range(n) into nonempty bands of at most size rows,
+    and into at least min(_workers(), n) of them."""
+    k = max(min(_workers(), n), -(-n // size))
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
