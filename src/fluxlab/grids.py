@@ -128,7 +128,9 @@ def polar_grid(r: np.ndarray, w: np.ndarray, angular_nodes: int,
 def polar_disk_grid(radius: float = 8.0, radial_nodes: int = 40,
                     angular_nodes: int = 72) -> DiskGrid:
     """Gauss-Legendre radii on [0, radius] times equal angles; weights
-    include the area element."""
+    include the area element.  The radius must be positive and finite."""
+    if not 0.0 < radius < float("inf"):
+        raise ValueError(f"disk radius must be positive and finite, got {radius!r}")
     r, w = gauss_legendre(0.0, radius, radial_nodes)
     return polar_grid(r, w * r, angular_nodes, radius)
 

@@ -6,11 +6,13 @@ cross-check of the unreduced triple integral, and plain diagonal traces.
 All deterministic engines use fixed node sets; the Monte Carlo engine uses
 chunked, index-ordered reduction so a given seed reproduces bitwise.
 
-The Monte Carlo chunks and the connes_area disk run in row bands on every
-CPU in the affinity mask (_ordered_map; taskset pins them).  Each band
-writes its rows of one array and the array is summed whole, so the values
-are the same bits on any number of CPUs.  Bands hold at most 16384 pairs
-or 32 rings, so that a band's temporaries stay in a core's cache.
+The Monte Carlo chunks and the bands of the connes_area disk run as tasks
+on every CPU in the affinity mask (_ordered_map; taskset pins them).  Each
+task is whole in itself: a chunk draws its 16384 pairs from its own
+generator and returns its sums, a band of 32 rings returns its weighted
+sum, and the results are added in task order.  The tasks do not depend on
+the CPU count, so neither do the bits.  A task's temporaries stay in a
+core's cache.
 
 The index and transport integrals share one core, triple_forms: bilinear
 forms against the weighted cyclic triple product of the kernel on a tensor
@@ -49,21 +51,14 @@ def _usable_cpus() -> int:
 
 
 def _workers() -> int:
-    """The threads a call may spread its bands over: the usable CPUs, or
+    """The threads a call may spread its tasks over: the usable CPUs, or
     one inside a task of _ordered_map, which runs nested calls inline."""
     return 1 if getattr(_task_state, "busy", False) else _usable_cpus()
 
 
-def _bands(n: int, size: int) -> list:
-    """Slices splitting range(n) into nonempty bands of at most size rows,
-    and into at least min(_workers(), n) of them."""
-    k = max(min(_workers(), n), -(-n // size))
-    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
-
-
 @functools.lru_cache(maxsize=None)
 def _executor(threads: int):
-    # imported here: the pool costs nothing to a program that never bands
+    # imported here: the pool costs nothing to a program that never uses it
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="fluxlab")
 
@@ -188,8 +183,8 @@ def _triple_ratio_integrand(u: GaugeUnitary, z: np.ndarray, a: complex,
     return (1.0 - ua / ub) * (1.0 - ub / uc) * (1.0 - uc / ua)
 
 
-# rings of 512 nodes per band of the connes_area disk, sized like the
-# Monte Carlo bands
+# rings of 512 nodes per task of the connes_area disk: 16384 nodes, as
+# many as the pairs of a Monte Carlo chunk
 _DISK_BAND_ROWS = 32
 
 
@@ -239,10 +234,9 @@ def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     def patch(v):
         return np.sum(wpatch * chi * _triple_ratio_integrand(u, v + zloc, a, b, c))
 
-    # mollified global disk around the centroid, in row bands of one array
+    # mollified global disk around the centroid, in bands of rings
     r, w = gauss_legendre(0.0, R0, 320)
     z, w2 = polar_nodes(c0, r, w * r, 512)
-    terms = np.empty(z.shape, dtype=complex)
 
     def disk_band(rows):
         zb = z[rows]
@@ -252,8 +246,7 @@ def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
             dist = np.abs(zb - v)
             near = dist < r2
             mol[near] *= 1.0 - _smooth_step(dist[near], r1, r2)
-        np.multiply(w2[rows] * mol, _triple_ratio_integrand(u, zb, a, b, c),
-                    out=terms[rows])
+        return np.sum(w2[rows] * mol * _triple_ratio_integrand(u, zb, a, b, c))
 
     # far field: log-radial Gauss nodes on [R0, Rfar], r dr = r^2 d(log r)
     ndec = int(np.ceil(np.log10(Rfar / R0) * 14.0)) + 8
@@ -264,22 +257,16 @@ def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     def far():
         return np.sum(w3 * _triple_ratio_integrand(u, zf, a, b, c))
 
-    bands = _bands(len(terms), _DISK_BAND_ROWS)
-    parts = _ordered_map([functools.partial(disk_band, rows) for rows in bands]
-                         + [functools.partial(patch, v) for v in punct] + [far])
-    # the partial sums in the order patches, disk, far field
-    total = 0.0 + 0.0j
-    for part in parts[len(bands):-1]:
-        total += part
-    total += np.sum(terms)
-    total += parts[-1]
+    bands = [slice(i, i + _DISK_BAND_ROWS) for i in range(0, len(z), _DISK_BAND_ROWS)]
+    total = sum(_ordered_map([functools.partial(disk_band, rows) for rows in bands]
+                             + [functools.partial(patch, v) for v in punct] + [far]))
 
     tail = 2.0 * np.pi * C1 ** 3 * d12 * d23 * d31 * (
         1.0 / (Rfar - pmax) + pmax / (2.0 * (Rfar - pmax) ** 2))
     ball = 3.0 * 8.0 * np.pi * eps ** 2
     logger.debug("connes_area tail bound %.2e, removed-ball bound %.2e, Rfar %.1f; "
                  "disk of %d x %d nodes in %d bands on %d workers", tail, ball, Rfar,
-                 *terms.shape, len(bands), _workers())
+                 *z.shape, len(bands), _workers())
     if tail > tol:
         raise ValueError(
             f"far-field tail bound {tail:.2e} exceeds target {tol:.1e}; "
@@ -387,10 +374,9 @@ def index_integral_4d(p: CovariantKernel, winding: int,
 _MC_COM_SCALE = 2.0
 _MC_VAR1 = (2.0 / 3.0) * 1.25
 _MC_VAR2 = 0.5 * 1.25
-_MC_CHUNK_PAIRS = 125_000
-# a band's temporaries fit a core's cache: on one core, 8 bands of a chunk
-# take about 20% less time than the whole chunk at once
-_MC_BAND_PAIRS = 16_384
+# a chunk's temporaries fit a core's cache: on one core, 8 chunks of this
+# size take about 20% less time than one chunk of 125000 pairs
+_MC_CHUNK_PAIRS = 16_384
 
 
 def _mc_proposal(U, phi, g):
@@ -410,10 +396,16 @@ def _mc_proposal(U, phi, g):
     return x0, x1, r1, r2, 1.0 / (pdf_x * pdf_r)
 
 
-def _mc_band(p: CovariantKernel, alpha: int, U, phi, g, out) -> float:
-    """Write the antithetic pair means of the draws U, phi, g to out and
-    return the largest weight of either sign."""
+def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, seed):
+    """(sum, sum of squared real parts, largest weight of either sign) of
+    the antithetic pair means of n_pairs pairs drawn from
+    np.random.default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    U = rng.random(n_pairs)
+    phi = 2.0 * np.pi * rng.random(n_pairs)
+    g = rng.standard_normal((n_pairs, 4))
     x0, x1, r1, r2, inv_pdf = _mc_proposal(U, phi, g)
+    del U, phi, g
     # by covariance both antithetic triangles share this triple
     origin = np.zeros(2)
     T = p.evaluate(origin, r1) * p.evaluate(r1, r2) * p.evaluate(r2, origin)
@@ -434,38 +426,18 @@ def _mc_band(p: CovariantKernel, alpha: int, U, phi, g, out) -> float:
     S_plus += np.sin(alpha * np.arctan2(wedge + e_wedge, rho2 + dot + e_dot))
     S_minus += np.sin(alpha * np.arctan2(e_wedge - wedge, rho2 - dot + e_dot))
     # drop each product once both signs used it: kept to the end of the
-    # band, they set the memory peak of the integrals pass
+    # chunk, they set the memory peak of the Monte Carlo
     del e_wedge, e_dot
     wedge, dot = x0 * b1 - x1 * b0, x0 * b0 + x1 * b1
     S_plus += np.sin(alpha * np.arctan2(-wedge, rho2 + dot))
     S_minus += np.sin(alpha * np.arctan2(wedge, rho2 - dot))
     del wedge, dot, rho2
 
-    pair_sum = None
-    max_w = 0.0
-    for S in (S_plus, S_minus):
-        w = T * (2.0j * S) * inv_pdf
-        max_w = max(max_w, float(np.max(np.abs(w))))
-        pair_sum = w if pair_sum is None else pair_sum + w
-    np.multiply(0.5, pair_sum, out=out)
-    return max_w
-
-
-def _mc_chunk(p: CovariantKernel, alpha: int, n_pairs: int, rng):
-    """(sum, sum of squared real parts, largest weight) of the antithetic
-    pair means of one chunk.  The draws are made whole, the weights in row
-    bands on _ordered_map, and both sums run over the whole chunk, so the
-    bits do not depend on the bands."""
-    U = rng.random(n_pairs)
-    phi = 2.0 * np.pi * rng.random(n_pairs)
-    g = rng.standard_normal((n_pairs, 4))
-    pair_mean = np.empty(n_pairs, dtype=complex)
-    max_w = max(_ordered_map([
-        functools.partial(_mc_band, p, alpha, U[b], phi[b], g[b], pair_mean[b])
-        for b in _bands(n_pairs, _MC_BAND_PAIRS)]))
+    w_plus, w_minus = (T * (2.0j * S) * inv_pdf for S in (S_plus, S_minus))
+    pair_mean = 0.5 * (w_plus + w_minus)
     return (complex(np.sum(pair_mean)),
             float(np.sum(pair_mean.real ** 2)),
-            max_w)
+            max(float(np.max(np.abs(w_plus))), float(np.max(np.abs(w_minus)))))
 
 
 def index_integral_6d_mc(p: CovariantKernel, u: GaugeUnitary,
@@ -484,32 +456,27 @@ def index_integral_6d_mc(p: CovariantKernel, u: GaugeUnitary,
     """
     if spec is None:
         spec = QuadratureSpec()
+    if spec.mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {spec.mc_samples}")
     if u.flux_power is None:
         raise ValueError("the Monte Carlo integral needs a unitary (z/|z|)^alpha "
                          "that records its flux_power; this one has flux_power None")
     if u.flux_power == 0:
         # constant unitary: every ratio factor is exactly zero
         return MonteCarloEstimate(value=0j, std_error=0.0, samples=0, max_weight=0.0)
-    n_pairs_total = max(1, (spec.mc_samples + 1) // 2)
-    n_chunks = (n_pairs_total + _MC_CHUNK_PAIRS - 1) // _MC_CHUNK_PAIRS
-    children = np.random.SeedSequence(spec.seed).spawn(n_chunks)
-    logger.debug("mc: %d chunks of %d pairs, %d bands on %d workers", n_chunks,
-                 min(n_pairs_total, _MC_CHUNK_PAIRS),
-                 len(_bands(min(n_pairs_total, _MC_CHUNK_PAIRS), _MC_BAND_PAIRS)),
+    n_pairs = (spec.mc_samples + 1) // 2
+    sizes = [min(_MC_CHUNK_PAIRS, n_pairs - i)
+             for i in range(0, n_pairs, _MC_CHUNK_PAIRS)]
+    seeds = np.random.SeedSequence(spec.seed).spawn(len(sizes))
+    logger.debug("mc: %d chunks of %d pairs on %d workers", len(sizes), sizes[0],
                  _workers())
-    total = 0.0 + 0.0j
-    total_re2 = 0.0
-    max_w = 0.0
-    for i, child in enumerate(children):
-        n_here = min(_MC_CHUNK_PAIRS, n_pairs_total - i * _MC_CHUNK_PAIRS)
-        s, s2, mw = _mc_chunk(p, u.flux_power, n_here, np.random.default_rng(child))
-        total += s
-        total_re2 += s2
-        max_w = max(max_w, mw)
-    mean = total / n_pairs_total
-    var = max(total_re2 / n_pairs_total - mean.real ** 2, 0.0)
-    return MonteCarloEstimate(value=mean, std_error=math.sqrt(var / n_pairs_total),
-                              samples=2 * n_pairs_total, max_weight=max_w)
+    sums, sums_re2, max_ws = zip(*_ordered_map([
+        functools.partial(_mc_chunk, p, u.flux_power, n, seed)
+        for n, seed in zip(sizes, seeds)]))
+    mean = sum(sums) / n_pairs
+    var = max(sum(sums_re2) / n_pairs - mean.real ** 2, 0.0)
+    return MonteCarloEstimate(value=mean, std_error=math.sqrt(var / n_pairs),
+                              samples=2 * n_pairs, max_weight=max(max_ws))
 
 
 def trace_from_diagonal(k, radius: float) -> complex:

@@ -200,6 +200,15 @@ def test_connes_area_rows_meet_relative_tolerance(tmp_path):
         assert row["residual"] <= 1e-3 * abs(row["oracle"])
 
 
+def test_connes_area_winding_zero_has_absolute_residual(tmp_path):
+    # a constant unitary integrates to exactly the oracle 0
+    code, out = run(tmp_path, "connes-area", "--trials", "2", "--winding", "0")
+    assert code == 0
+    for row in read_json(out)["rows"]:
+        assert (row["value"], row["oracle"], row["residual"]) == (0.0, 0.0, 0.0)
+        assert row["parameters"]["tol"] == 1e-3
+
+
 def test_landau_index_routes_agree(tmp_path):
     code, out = run(tmp_path, "landau-index")
     assert code == 0
@@ -270,10 +279,14 @@ def test_lattice_index_rejects_bad_powers(tmp_path, capsys, powers):
     (["proj-suite", "--trials", "0"], None, "trials must be at least 1, got 0"),
     (["proj-suite"], {"dim_max": 3}, "dim_max must be at least 4, got 3"),
     (["disorder", "--n-seeds", "0"], None, "n_seeds must be at least 1, got 0"),
+    (["landau-index", "--pair-radius", "-5"], None,
+     "disk radius must be positive and finite, got -5.0"),
+    (["landau-index", "--pair-radius", "0"], None,
+     "disk radius must be positive and finite, got 0.0"),
 ], ids=["L-values", "flux-list", "flux-zero-denominator", "powers-empty",
         "L-values-empty", "L-values-empty-list", "connes-trials-zero",
         "connes-trials-negative", "proj-trials-zero", "dim-max-below-4",
-        "n-seeds-zero"])
+        "n-seeds-zero", "pair-radius-negative", "pair-radius-zero"])
 def test_bad_str_setting_is_usage_error(tmp_path, capsys, argv, config, message):
     if config is not None:
         cfg = tmp_path / "cfg.json"

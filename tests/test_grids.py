@@ -117,6 +117,13 @@ def test_polar_builder_measures_disk_and_annulus():
     assert np.max(np.hypot(*disk.nodes.T)) <= 3.0
 
 
+@pytest.mark.parametrize("radius", [0.0, -5.0, float("inf"), float("nan")])
+def test_polar_disk_grid_rejects_a_bad_radius(radius):
+    with pytest.raises(ValueError, match=f"disk radius must be positive and finite, "
+                                         f"got {radius!r}"):
+        polar_disk_grid(radius)
+
+
 def test_polar_builder_layout_takes_block_engine():
     r, w = gauss_legendre(0.0, 8.0, 40)
     grid = polar_grid(r, w * r, 72, 8.0)

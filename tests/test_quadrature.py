@@ -13,7 +13,7 @@ import pytest
 from fluxlab import gauge, quadrature
 from fluxlab.grids import square_grid
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
-from fluxlab.quadrature import (_MC_BAND_PAIRS, _MC_CHUNK_PAIRS, _MC_COM_SCALE,
+from fluxlab.quadrature import (_MC_CHUNK_PAIRS, _MC_COM_SCALE,
                                 _MC_VAR1, _MC_VAR2, QuadratureSpec, Triangle,
                                 _mc_chunk, _ordered_map,
                                 connes_area, index_integral_4d,
@@ -173,6 +173,13 @@ def test_monte_carlo_constant_gauge_short_circuits():
     assert est.samples == 0
 
 
+@pytest.mark.parametrize("samples", [0, -4])
+def test_monte_carlo_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match=f"mc_samples must be at least 1, got {samples}"):
+        index_integral_6d_mc(landau_kernel(0), gauge.flux_unitary(1),
+                             QuadratureSpec(mc_samples=samples, seed=0))
+
+
 def test_monte_carlo_real_surrogate_exact_zero():
     est = index_integral_6d_mc(real_surrogate_kernel(), gauge.flux_unitary(1),
                                QuadratureSpec(mc_samples=100_000, seed=3))
@@ -193,19 +200,17 @@ def _counting_kernel(calls):
 
 def test_monte_carlo_one_triple_per_antithetic_pair(monkeypatch):
     # both antithetic triangles share their edge vectors, hence one triple
-    # of three kernel calls per band of pairs, and three evaluations per
-    # pair; one evaluation per sign would double both.  A chunk of 125000
-    # pairs runs in 8 bands of at most _MC_BAND_PAIRS on any of these
-    # worker counts
+    # of three kernel calls per chunk of pairs, and three evaluations per
+    # pair; one evaluation per sign would double both.  The chunks do not
+    # depend on the worker count
     u = gauge.flux_unitary(1)
-    assert -(-_MC_CHUNK_PAIRS // _MC_BAND_PAIRS) == 8
     for workers in (1, 2, 3):
         monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
-        for samples, chunks in ((250_000, 1), (500_000, 2)):
+        for samples, chunks in ((250_000, 8), (500_000, 16)):
             calls = []
             index_integral_6d_mc(_counting_kernel(calls), u,
                                  QuadratureSpec(mc_samples=samples, seed=2))
-            assert len(calls) == 3 * 8 * chunks
+            assert len(calls) == 3 * chunks
             assert sum(calls) == 3 * samples // 2
 
 
@@ -278,17 +283,14 @@ def test_full_mc_chunk_bitwise_equals_reference():
 
 @pytest.fixture(scope="module")
 def serial_outputs():
-    """The Monte Carlo estimates and area values on one worker, in one band
-    per chunk and one per disk: the sums as they ran before the bands."""
+    """The Monte Carlo estimates and area values with every task run inline."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(quadrature, "_usable_cpus", lambda: 1)
-        m.setattr(quadrature, "_MC_BAND_PAIRS", _MC_CHUNK_PAIRS)
-        m.setattr(quadrature, "_DISK_BAND_ROWS", 320)
         return _pool_outputs()
 
 
 def _pool_outputs():
-    # mc_samples = 1_000_001 ends in a chunk of one pair, fewer than the workers
+    # mc_samples = 1_000_001 ends in a short chunk of 8481 pairs
     u = gauge.flux_unitary(1)
     out = []
     for samples, seed in ((1_000_001, 9), (300_000, 4)):
@@ -300,10 +302,10 @@ def _pool_outputs():
     return out
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_pool_bitwise_equals_serial(monkeypatch, serial_outputs, workers):
-    # each band writes its own rows of one array, summed once in full; the
-    # threads switch every microsecond, so a lost or misplaced row shows
+    # each task returns its own sums, added in task order; the threads
+    # switch every microsecond, so a lost or misplaced result shows
     monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -315,14 +317,17 @@ def test_pool_bitwise_equals_serial(monkeypatch, serial_outputs, workers):
 
 @pytest.mark.parametrize("n_pairs", [1, 2, 3])
 def test_chunk_smaller_than_the_workers(monkeypatch, n_pairs):
-    # a chunk of fewer pairs than workers runs no empty band
+    # a run of one chunk of fewer pairs than workers is that chunk's mean
     monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 4)
-    assert [len(range(n_pairs)[b]) for b in quadrature._bands(n_pairs, _MC_BAND_PAIRS)] \
-        == [1] * n_pairs
     kern = landau_kernel(0)
     got = _mc_chunk(kern, 1, n_pairs, np.random.default_rng(n_pairs))
     want = _reference_mc_chunk(kern, 1, n_pairs, np.random.default_rng(n_pairs))
     assert _bits(got) == _bits(want)
+    est = index_integral_6d_mc(kern, gauge.flux_unitary(1),
+                               QuadratureSpec(mc_samples=2 * n_pairs, seed=n_pairs))
+    child = np.random.SeedSequence(n_pairs).spawn(1)[0]
+    s, _, max_w = _reference_mc_chunk(kern, 1, n_pairs, np.random.default_rng(child))
+    assert _bits([est.value, est.max_weight]) == _bits([s / n_pairs, max_w])
 
 
 def test_ordered_map_keeps_submission_order(monkeypatch):
@@ -358,12 +363,12 @@ def test_pool_logs_its_bands(monkeypatch, caplog):
     with caplog.at_level("DEBUG", logger="fluxlab.quadrature"):
         index_integral_6d_mc(landau_kernel(0), u, QuadratureSpec(mc_samples=500_000, seed=1))
         connes_area(u, TRI)
-    assert "mc: 2 chunks of 125000 pairs, 8 bands on 2 workers" in caplog.text
+    assert "mc: 16 chunks of 16384 pairs on 2 workers" in caplog.text
     assert "disk of 320 x 512 nodes in 10 bands on 2 workers" in caplog.text
 
 
 def test_import_leaves_the_pool_unloaded():
-    # the pool's module is imported when a call first bands, not by import
+    # the pool's module is imported when a call first uses it, not by import
     code = "import sys, fluxlab; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
