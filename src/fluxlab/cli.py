@@ -206,6 +206,8 @@ def run_connes_area(cfg) -> list:
 
 def run_landau_index(cfg) -> list:
     m = cfg["m"]
+    # a bad pair radius is refused before any other work
+    grid = grids.level_disk_grid(m, cfg["pair_radius"])
     rows = []
     with _Timer() as t:
         mat = landau.flux_matrix(m, cfg["n_max"])
@@ -218,7 +220,6 @@ def run_landau_index(cfg) -> list:
     rows.append(_row("landau-index/integral-4d", {"m": m, "winding": 1},
                      val4.real, -1.0, 2e-2, timer=t))
     with _Timer() as t:
-        grid = grids.level_disk_grid(m, cfg["pair_radius"])
         P, Q = landau.truncated_projection_pair(m, gauge.flux_unitary(1), grid)
         # charge-deficiency orientation: the flux-conjugated projection leads
         rep = projpair.index_by_odd_trace(Q, P, n=1)

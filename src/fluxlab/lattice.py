@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from fluxlab.projpair import (HermitianProjection, IndexReport, check_unitary,
-                              conjugated, conjugation_layout, difference,
+                              conjugated, difference,
                               nodal_blocks, nodal_matrix, trace_report)
 
 logger = logging.getLogger(__name__)
@@ -276,14 +276,6 @@ def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
     return gap
 
 
-def _hermitian_residual(P: np.ndarray) -> float:
-    """max |P - P*|, measured on the upper triangle in bands of 128 rows,
-    without an N x N temporary."""
-    rows = 128
-    return max(float(np.max(np.abs(P[k:k + rows, k:] - P[k:, k:k + rows].conj().T)))
-               for k in range(0, len(P), rows))
-
-
 def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     """(P, gap width) of the Fermi projection of H as its four rotation-mode
     blocks on their site map, or None when the blocks' H drifts too far
@@ -436,13 +428,15 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     eta = 2.0 * (m + 3) * u
     resid = rho * (g + eta * (2.0 * f * np.sqrt(1.0 + g) + 1.0) + (eta * f) ** 2)
     A = V @ V.conj().T
-    # 0.5 (A + A*), formed with one N x N temporary
+    # 0.5 (A + A*), formed with one N x N temporary.  It is Hermitian bit
+    # for bit: P[j, i] = conj(A[i, j]) + A[j, i] rounds to the conjugate of
+    # P[i, j], since rounding commutes with conjugation and with the order
+    # of the addends, so its Hermitian residual is 0.0
     P = np.conjugate(A.T, out=np.empty_like(A))
     P += A
     del A
     P *= 0.5
-    return HermitianProjection.with_residuals(P[None], 1e-8, _hermitian_residual(P),
-                                              resid), gap
+    return HermitianProjection.with_residuals(P[None], 1e-8, 0.0, resid), gap
 
 
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
@@ -543,14 +537,15 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     power, no N x N product.  A residual above 0.1 from the nearest integer
     is flagged as finite-size unreliable.
 
-    M is formed on P's nodes, where the site phases of a site map cancel
-    from every diagonal entry.  P's rotation-mode blocks (the clean square
-    box) are kept when conjugated keeps them, with the flux at the rotation
-    centre, and when the window is constant on every orbit, as a disk about
-    that centre is: the window then commutes with the rotation, and the sum
-    is taken block by block, on k blocks of N/k.  Otherwise M is the dense
-    matrix on the nodes, and the same sum runs on the stack of one; off the
-    centre, P's node matrix is built once (projpair.conjugation_layout).
+    M is the difference of the pair that projpair.conjugated forms on one
+    layout, on P's nodes, where the site phases of a site map cancel from
+    every diagonal entry.  P's rotation-mode blocks (the clean square box)
+    are kept when the flux sits at the rotation centre, and the sum is taken
+    block by block, on k blocks of N/k, when the window is constant on every
+    orbit, as a disk about that centre is: the window then commutes with the
+    rotation.  Otherwise M is the dense matrix on the nodes, and the same
+    sum runs on the stack of one; off the centre, conjugated builds P's
+    node matrix once.
     """
     if getattr(U, "site_array", None) is None:
         raise ValueError(
@@ -573,8 +568,8 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
         )
     if n < 1:
         raise ValueError(f"trace power n must be at least 1, got {n}")
-    P = conjugation_layout(getattr(P, "projection", P), U.diagonal)
-    M = difference(P, conjugated(P, U.diagonal))
+    P, Q = conjugated(getattr(P, "projection", P), U.diagonal)
+    M = difference(P, Q)
     window = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy) <= window_radius
     if P.sites is not None:
         window = window[P.sites]

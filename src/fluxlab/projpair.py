@@ -15,11 +15,12 @@ one block.  The nodes of the blocks may sit on the sites in another order
 and with a phase each (a site map, HermitianProjection.sites and .phases):
 the square lattice box keeps its rotation-mode blocks that way, while
 .matrix stays the site-ordered matrix.  Every route reduces a pair of
-projections with the same block layout and site map block by block.  Every
-flux-inserted projection D P D*, for a diagonal unitary D, is formed from P
-by conjugated: it keeps P's blocks when D shifts the angular mode, and it
-carries P's residuals, widened by D's distance from the unit circle, instead
-of measuring them again.
+projections with the same block layout and site map block by block, and
+any other pair on its site-ordered matrices.  Every flux-inserted pair
+(P, D P D*), for a diagonal unitary D, is formed by conjugated on one
+layout: P's blocks when D shifts the angular mode, else P's matrix on the
+nodes, built once.  Q carries P's residuals, widened by D's distance from
+the unit circle, instead of measuring them again.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ class HermitianProjection:
     S[sites[v], sites[w]] = phases[v] M[v, w] conj(phases[w]).  The
     residuals a producer records for such a projection are those of S.
     .matrix is the site-ordered matrix: the block itself for one block
-    without a site map, else built on first access and cached; nodes() is
-    the matrix on the nodes.  Pickling keeps the blocks and the site map;
-    two projections are equal when their tolerances, blocks and site maps
-    are.
+    without a site map, else built on first access and cached.  Pickling
+    keeps the blocks and the site map; two projections are equal when their
+    tolerances, blocks and site maps are.
     """
 
     # the identity site map, kept on the class so that a projection without a
@@ -123,11 +123,6 @@ class HermitianProjection:
             self.__dict__["_matrix"] = m
         return self._matrix
 
-    def nodes(self) -> np.ndarray:
-        """The N x N matrix on the nodes i*k + a: .matrix without a site
-        map, else built from the blocks on each call."""
-        return self.matrix if self.sites is None else nodal_matrix(self.blocks)
-
     def same_sites(self, other) -> bool:
         """Whether other places its nodes on the same sites with the same phases."""
         return all(a is b or (a is not None and b is not None and np.array_equal(a, b))
@@ -192,43 +187,17 @@ def _nodal_max(blocks: np.ndarray) -> float:
     return float(np.max(np.abs(np.fft.fft(blocks, axis=0)))) / blocks.shape[0]
 
 
-def _rotation_character(d: np.ndarray, k: int):
-    """(N, c) when d on the nodes i*k + a is c[i] exp(2 pi i N a / k) within
-    1e-12, else None; on one block every d is one."""
-    v = d.reshape(-1, k)
-    c = v[:, 0]
-    step = np.angle(v[0, 1 % k] * np.conj(c[0]))  # 0 on one block
-    winding = int(round(step * k / (2.0 * np.pi))) % k
-    phase = np.exp(2j * np.pi * winding * np.arange(k) / k)
-    if np.max(np.abs(v - c[:, None] * phase[None, :])) <= 1e-12:
-        return winding, c
-    return None
-
-
-def conjugation_layout(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
-    """P on the layout that conjugated(P, d) gives: P itself when d keeps
-    its mode blocks, else its matrix on the nodes as a stack of one, with
-    P's residuals and site map.  A caller that needs P and D P D* on one
-    layout conjugates the result, and so builds the node matrix once."""
-    d = np.asarray(d)
-    if P.sites is not None:
-        d = d[P.sites]
-    if len(P.blocks) == 1 or _rotation_character(d, len(P.blocks)) is not None:
-        return P
-    return HermitianProjection.with_residuals(
-        P.nodes()[None], P.idempotency_tol, P.hermitian_residual,
-        P.idempotency_residual, P.sites, P.phases)
-
-
-def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
-    """D P D* for the diagonal unitary D = diag(d), the one place that forms it.
+def conjugated(P: HermitianProjection, d: np.ndarray) -> tuple:
+    """The pair (P, D P D*) on one block layout, for the diagonal unitary
+    D = diag(d): the one place that forms it.
 
     d is given on the sites and read on P's nodes, d[P.sites] under a site
-    map; Q keeps P's site map.  On P's k mode blocks (node i*k + a) a
+    map; both keep P's site map.  On P's k mode blocks (node i*k + a) a
     rotation character d = c[i] exp(2 pi i N a / k), within 1e-12, shifts the
-    mode by N, and Q keeps the layout with the blocks C B_{q-N} C*.  On one
-    block every d is one; any other d gives the dense matrix on the nodes,
-    the stack of one.
+    mode by N: the pair is P itself and Q on the blocks C B_{q-N} C*.  On one
+    block every d is one.  Any other d builds P's matrix on the nodes once,
+    and the pair is that matrix, with P's residuals, and Q formed from it,
+    each the stack of one.
 
     The residuals are carried, not measured: d passes check_unitary at 1e-10,
     eps = max_i ||d_i|^2 - 1| gives |d_i d_j| <= 1 + eps, and with E = D*D - 1,
@@ -246,13 +215,21 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> HermitianProjection:
     rho = float(np.max(np.sum(np.abs(P.blocks) ** 2, axis=(0, 2)))) / k
     if P.sites is not None:
         d = d[P.sites]
-    character = _rotation_character(d, k)
-    if character is None:
-        blocks, c = P.nodes()[None], d
-    else:
-        winding, c = character
+    v = d.reshape(-1, k)
+    c = v[:, 0]
+    step = np.angle(v[0, 1 % k] * np.conj(c[0]))  # 0 on one block
+    winding = int(round(step * k / (2.0 * np.pi))) % k
+    phase = np.exp(2j * np.pi * winding * np.arange(k) / k)
+    if np.max(np.abs(v - c[:, None] * phase[None, :])) <= 1e-12:
         blocks = np.roll(P.blocks, winding, axis=0) if winding else P.blocks
-    return HermitianProjection.with_residuals(
+    else:
+        # without a site map the node matrix is P's cached .matrix
+        nodes = P.matrix if P.sites is None else nodal_matrix(P.blocks)
+        P = HermitianProjection.with_residuals(
+            nodes[None], P.idempotency_tol, P.hermitian_residual,
+            P.idempotency_residual, P.sites, P.phases)
+        blocks, c = P.blocks, d
+    return P, HermitianProjection.with_residuals(
         blocks * np.outer(c, c.conj()), P.idempotency_tol,
         (1.0 + eps) * P.hermitian_residual,
         (1.0 + eps) * (P.idempotency_residual + eps * rho), P.sites, P.phases)
@@ -348,15 +325,12 @@ def _check_same_dim(*ops):
 
 def difference(P: HermitianProjection, Q: HermitianProjection) -> np.ndarray:
     """P − Q as a stack (k, n, n), up to a diagonal unitary: its mode blocks
-    when P and Q share a block layout and site map, the dense matrix on
-    their nodes when they share only the site map, else the site-ordered
-    matrix, each dense matrix as a stack of one."""
+    when P and Q share a block layout and site map, as the pair from
+    conjugated does, else the site-ordered matrix as a stack of one."""
     _check_same_dim(P, Q)
-    if not P.same_sites(Q):
-        return (P.matrix - Q.matrix)[None]
-    if P.blocks.shape == Q.blocks.shape:
+    if P.same_sites(Q) and P.blocks.shape == Q.blocks.shape:
         return P.blocks - Q.blocks
-    return (P.nodes() - Q.nodes())[None]
+    return (P.matrix - Q.matrix)[None]
 
 
 def _power_traces(A: np.ndarray, step: np.ndarray, count: int) -> list:
@@ -431,18 +405,18 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     boundary contribution that does not vanish with the truncation radius, so
     its value on truncated pairs is reported raw, never rounded silently.
 
-    A diagonal U conjugates P through conjugated; when that keeps P's mode
-    blocks, the compressions are reduced block by block.
+    A diagonal U conjugates P through conjugated: the first call puts P and
+    UPU* on one layout, building P's node matrix at most once, and U*PU is
+    formed on that layout.  When it is P's mode blocks, the compressions
+    are reduced block by block.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_same_dim(P, U)
     d = U.diagonal
     if d is not None:
-        P = conjugation_layout(P, d)
-        upu = conjugated(P, d).blocks
-        u_pu = conjugated(P, d.conj()).blocks
-        p = P.blocks
+        P, Q = conjugated(P, d)
+        p, upu, u_pu = P.blocks, Q.blocks, conjugated(P, d.conj())[1].blocks
     else:
         u = U.matrix
         upu = (u @ P.matrix @ u.conj().T)[None]

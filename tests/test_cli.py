@@ -298,6 +298,20 @@ def test_bad_str_setting_is_usage_error(tmp_path, capsys, argv, config, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radius", ["-5", "0"])
+def test_bad_pair_radius_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   radius):
+    from fluxlab import landau
+
+    def refuse(*args):
+        raise RuntimeError("flux_matrix ran before the radius was checked")
+    monkeypatch.setattr(landau, "flux_matrix", refuse)
+    code, out = run(tmp_path, "landau-index", "--pair-radius", radius)
+    assert code == 2
+    assert "disk radius must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fractional_flux_is_taken():
     args = _build_parser().parse_args(["lattice-index", "--flux", "1/4"])
     resolved = _resolve_config(args)

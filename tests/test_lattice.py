@@ -432,6 +432,8 @@ def test_carried_residuals_bound_measured_ones(H, modes):
         # the blocks bound the Hermitian residual of the .matrix they form
         assert measured.hermitian_residual <= P.hermitian_residual <= 1e-10
     else:
+        # the dense routes record 0.0: their P is Hermitian bit for bit
+        assert np.array_equal(P.matrix, P.matrix.conj().T)
         assert P.hermitian_residual == measured.hermitian_residual
     assert measured.idempotency_residual <= P.idempotency_residual <= 1e-10
 
@@ -550,12 +552,8 @@ def test_lattice_index_full_trace_is_zero(lattice_benchmark):
 
 def _dense_window_sum(P, U, n, window_radius=6.0):
     # the diagonal of the full power (P - UPU*)^(2n+1), summed over the window
-    D = np.diag(U.diagonal)
-    M = P.matrix - D @ P.matrix @ D.conj().T
-    diag = np.einsum("ij,ji->i", np.linalg.matrix_power(M, 2 * n), M)
-    pos = U.site_array
-    r = np.hypot(pos[:, 0] - U.center[0], pos[:, 1] - U.center[1])
-    return complex(np.sum(diag[r <= window_radius]))
+    r = np.hypot(*(U.site_array - U.center).T)
+    return complex(np.sum(_dense_diagonal(P, U, n)[r <= window_radius]))
 
 
 WEDGE = np.zeros((24, 24), dtype=bool)
@@ -616,7 +614,7 @@ def test_window_splitting_an_orbit_takes_the_dense_sum(caplog):
     model = bench()
     gp = gap_projection(build_hamiltonian(model), FERMI)
     U = lattice_flux_unitary(model, (11.5 + 1e-13, 11.5))
-    assert conjugated(gp.projection, U.diagonal).blocks.shape[0] == 4
+    assert conjugated(gp.projection, U.diagonal)[1].blocks.shape[0] == 4
     radius = float(np.hypot(17 - U.center[0], 11 - U.center[1]))
     with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
         rep = lattice_index(gp, U, window_radius=radius)
@@ -626,7 +624,7 @@ def test_window_splitting_an_orbit_takes_the_dense_sum(caplog):
 
 def _site_window_rows(P, U, n, window_radius=6.0):
     # the window rows of the site-ordered M = P - UPU*, as the dense path forms them
-    M = P.matrix - conjugated(P, U.diagonal).matrix
+    M = P.matrix - conjugated(P, U.diagonal)[1].matrix
     Y = M[np.hypot(*(U.site_array - U.center).T) <= window_radius]
     for _ in range(n - 1):
         Y = Y @ M
@@ -682,19 +680,20 @@ def test_off_centre_flux_builds_the_node_matrix_once(monkeypatch, n):
     gp, U = _pipeline(bench(), (12.5, 11.5))
     P = gp.projection
     assert P.blocks.shape == (4, 144, 144)
-    Q = conjugated(P, U.diagonal)
-    M = P.nodes() - Q.nodes()
+    nodal_matrix = projpair.nodal_matrix
+    Q = conjugated(P, U.diagonal)[1]
+    M = nodal_matrix(P.blocks) - nodal_matrix(Q.blocks)
     Y = M[(np.hypot(*(U.site_array - U.center).T) <= 6.0)[P.sites]]
     for _ in range(n - 1):
         Y = Y @ M
     want = complex(np.vdot(Y, Y @ M))
     D = UnitaryMatrix(np.diag(U.diagonal))
-    p, upu, u_pu = P.nodes()[None], Q.blocks, conjugated(P, D.diagonal.conj()).blocks
+    p, upu, u_pu = (nodal_matrix(P.blocks)[None], Q.blocks,
+                    conjugated(P, D.diagonal.conj())[1].blocks)
     X, Z = p - p @ upu @ p, p - p @ u_pu @ p
     fedosov = complex(np.trace(np.linalg.matrix_power(X[0], n + 1))
                       - np.trace(np.linalg.matrix_power(Z[0], n + 1)))
     builds = []
-    nodal_matrix = projpair.nodal_matrix
 
     def counting(blocks):
         builds.extend([blocks.shape] if len(blocks) > 1 else [])

@@ -177,24 +177,28 @@ def _disk_pair(case):
         grid = DiskGrid(nodes=grid.nodes, weights=grid.weights, radius=grid.radius)
     if case == "translated":
         u = gauge.translate_unitary(u, (0.5, -0.25))
-    return landau.truncated_projection_pair(0, u, grid)
+    return (*landau.truncated_projection_pair(0, u, grid), u.evaluate(grid.nodes))
 
 
 def _lattice_pair():
     model = lattice.MagneticLatticeModel(12, 12, 1.0 / 3.0)
     P = lattice.gap_projection(lattice.build_hamiltonian(model), -1.29).projection
     U = lattice.lattice_flux_unitary(model, (5.5, 5.5))
-    return P, conjugated(P, U.diagonal)
+    return P, conjugated(P, U.diagonal)[1], U.diagonal
 
 
 @pytest.mark.parametrize("case", ["block", "dense", "translated", "lattice"])
 def test_conjugated_residuals_bound_fresh_ones(case):
-    P, Q = _lattice_pair() if case == "lattice" else _disk_pair(case)
+    P, Q, d = _lattice_pair() if case == "lattice" else _disk_pair(case)
     # the 12 x 12 lattice box keeps its four rotation-mode blocks, and the flux
     # at its centre keeps them in Q
     layouts = {"block": (25, 25), "translated": (25, 1),
                "lattice": (4, 4)}.get(case, (1, 1))
     assert (P.blocks.shape[0], Q.blocks.shape[0]) == layouts
+    # conjugated puts P on Q's layout and site map, P itself on a rotation character
+    pair = conjugated(P, d)
+    assert pair[1] == Q and pair[0].blocks.shape == Q.blocks.shape
+    assert pair[0].same_sites(Q) and (pair[0] is P) == (case != "translated")
     fresh = HermitianProjection(Q.matrix, Q.idempotency_tol)
     # the bounds hold in exact arithmetic; forming and measuring Q.matrix
     # adds rounding of a few units in the last place of its entries (P's own
@@ -216,13 +220,15 @@ def test_routes_reduce_a_site_mapped_pair_like_its_matrices(center, modes):
     model = lattice.MagneticLatticeModel(12, 12, 1.0 / 3.0)
     P = lattice.gap_projection(lattice.build_hamiltonian(model), -1.29).projection
     d = lattice.lattice_flux_unitary(model, center).diagonal
-    Q = conjugated(P, d)
+    Pc, Q = conjugated(P, d)
     assert (P.blocks.shape[0], Q.blocks.shape[0]) == (4, modes)
+    assert Pc.blocks.shape == Q.blocks.shape and Pc.same_sites(Q)
+    assert (Pc is P) == (modes == 4)
     assert np.array_equal(Q.sites, P.sites) and np.array_equal(Q.phases, P.phases)
     dense_p = HermitianProjection(P.matrix, 1e-8)
     dense_q = HermitianProjection(Q.matrix, 1e-8)
-    assert np.max(np.abs(Q.matrix - conjugated(dense_p, d).matrix)) <= 1e-14
-    for pair in ((P, Q), (dense_p, Q)):
+    assert np.max(np.abs(Q.matrix - conjugated(dense_p, d)[1].matrix)) <= 1e-14
+    for pair in ((P, Q), (Pc, Q), (dense_p, Q)):
         assert index_by_spectral_count(*pair).value == index_by_spectral_count(
             dense_p, dense_q).value
         assert abs(index_by_odd_trace(*pair, n=2).value
@@ -241,7 +247,8 @@ def test_conjugated_rejects_what_its_bounds_exclude():
     # 0.25 of P past its tolerance 0.25
     with pytest.raises(ValueError, match="not idempotent"):
         conjugated(half, np.sqrt(1.0 + 1e-11) * np.ones(3))
-    same = conjugated(half, np.ones(3))
+    same_p, same = conjugated(half, np.ones(3))
+    assert same_p is half
     assert same == half and same.hermitian_residual == 0.0
 
 
