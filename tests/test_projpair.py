@@ -196,9 +196,9 @@ def test_conjugated_residuals_bound_fresh_ones(case):
                "lattice": (4, 4)}.get(case, (1, 1))
     assert (P.blocks.shape[0], Q.blocks.shape[0]) == layouts
     # conjugated puts P on Q's layout and site map, P itself on a rotation character
-    pair = conjugated(P, d)
-    assert pair[1] == Q and pair[0].blocks.shape == Q.blocks.shape
-    assert pair[0].same_sites(Q) and (pair[0] is P) == (case != "translated")
+    Pc, Qc = conjugated(P, d)
+    assert Qc == Q and Pc.blocks.shape == Q.blocks.shape
+    assert Pc.same_sites(Q) and (Pc is P) == (case != "translated")
     fresh = HermitianProjection(Q.matrix, Q.idempotency_tol)
     # the bounds hold in exact arithmetic; forming and measuring Q.matrix
     # adds rounding of a few units in the last place of its entries (P's own
