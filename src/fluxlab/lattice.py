@@ -9,7 +9,7 @@ so the lattice index must be localized: the diagonal carries a bump of
 integrated weight equal to the index near the flux insertion point,
 compensated by boundary weight far away, and the window isolates the bump.
 
-The Fermi projection uses two symmetries of the clean box, each checked on
+The Fermi projection uses the symmetries of the clean box, each checked on
 the matrix itself, not assumed from the model.  A square, even-sided box
 in a uniform field is invariant under the rotation by 90 degrees about its
 centre, up to a gauge transformation G: H[p][:, p] = G H G*
@@ -17,10 +17,15 @@ centre, up to a gauge transformation G: H[p][:, p] = G H G*
 phase, so H splits into four rotation-mode blocks of N/4 sites each, as the
 angular-mode Landau engine splits its disk; gap_projection diagonalizes the
 blocks and keeps P as those blocks, each node placed on its site with a
-phase (projpair's site map).  The blocks are those of a
-rotation-symmetrized H' close to H; they are kept only while the
-Davis-Kahan bound on the distance of their P from H's own projection is
-small, and a box with a smaller gap takes a dense route.  The unit flux
+phase (projpair's site map).  The diagonal reflection (x, y) -> (y, x)
+with complex conjugation inverts the rotation, so it keeps each mode; when
+it holds on the blocks, up to a diagonal gauge, each block is diagonalized
+in real arithmetic on a real symmetric form, as below, and otherwise (a
+rotation-invariant potential that the reflection does not keep) in complex
+arithmetic.  The blocks are those of a rotation- and reflection-symmetrized
+H' close to H; they are kept only while the Davis-Kahan bound on the
+distance of their P from H's own projection is small, and a box with a
+smaller gap takes a dense route.  The unit flux
 z/|z| about the box centre is a rotation character, so lattice_index keeps
 the blocks for a flux there (with a window that is a disk about it), and
 decay_fit reads them whenever P has them; any other flux centre makes
@@ -189,8 +194,9 @@ class GapProjection:
     eigenvalue; the projection sums every eigenvector below the Fermi
     energy.  modes and real_form record the route: modes is 4 when H was
     diagonalized in its four rotation-mode blocks and 1 for one N x N eigh;
-    real_form is True when that eigh ran on the real symmetric form of H,
-    False for the complex eigh (and for the blocks).
+    real_form is True when each eigh ran on a real symmetric form (of H, or
+    of each block when the box's diagonal reflection holds on the blocks),
+    False for the complex eigh.
     """
 
     projection: HermitianProjection
@@ -201,14 +207,16 @@ class GapProjection:
 
 
 # a 90-degree rotation is accepted when H[p][:, p] == G H G* holds to this
-# tolerance on every nonzero entry, and the orbit products of G agree to it
+# tolerance on every nonzero entry, and the orbit products of G agree to it;
+# the diagonal reflection of the blocks is accepted to it as well
 _ROTATION_TOL = 1e-12
-# the blocks give the exact projection of a rotation-symmetrized H' = H - E;
-# they are kept when the bound on its distance from H's projection,
-# ||E|| / (2 gap - ||E||), is at most this, two orders of magnitude inside the
-# 1e-8 every projection is validated to.  The Landau phases exp(2 pi i flux x)
-# round unevenly in x, so ||E|| grows like N u ||H|| (5.7e-13 at 40 x 40),
-# and at the 40 x 40 box's gap of 7.3e-3 the bound reads 3.9e-11
+# the blocks give the exact projection of a rotation- (and, on the real
+# blocks, reflection-) symmetrized H' = H - E; they are kept when the bound on
+# its distance from H's projection, ||E|| / (2 gap - ||E||), is at most this,
+# two orders of magnitude inside the 1e-8 every projection is validated to.
+# The Landau phases exp(2 pi i flux x) round unevenly in x, so ||E|| grows
+# like N u ||H||: 5.66e-13 at 40 x 40 with both averages, where the rotation's
+# alone gave 5.7e-13, and at that box's gap of 7.3e-3 the bound reads 3.9e-11
 _ROTATION_DRIFT_TOL = 1e-10
 # the rounding of one double, u = eps / 2
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
@@ -277,9 +285,9 @@ def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
 
 
 def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
-    """(P, gap width) of the Fermi projection of H as its four rotation-mode
-    blocks on their site map, or None when the blocks' H drifts too far
-    from H.
+    """(P, gap width, real form) of the Fermi projection of H as its four
+    rotation-mode blocks on their site map, or None when the blocks' H
+    drifts too far from H.
 
     With mu = conj(c)^(1/4), S = T / mu has S^4 = 1 and commutes with H.
     The orbit representatives s_i are the quadrant x, y < L/2, and the node
@@ -290,11 +298,17 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     its first angular row H[s_i, p^d s_j] phi_(j,d) gives the blocks B_q
     by one FFT over d.  That row is made Hermitian, (k, 0), (l, d) averaged
     with the conjugate of (l, 0), (k, -d), so the blocks are exactly those of
-    a Hermitian H' = F M F*.
+    a Hermitian H' = F M F*.  When the box's diagonal reflection holds on
+    that row (_reflection_form), a diagonal gauge gamma on the
+    representatives, folded into the phases phi_(i,a), makes the row exactly
+    reflection-symmetric too, and each block is diagonalized in real
+    arithmetic on its real form (_eigh_below); otherwise the blocks take
+    the complex eigh.
 
-    H' agrees with H only as far as the rotation holds, to a few
-    _ROTATION_TOL per entry, and it has H's nonzero pattern.  E = H - H' is
-    measured on that pattern, and ||E|| <= sqrt(||E||_1 ||E||_inf).  The
+    H' agrees with H only as far as the rotation and the reflection hold,
+    to a few _ROTATION_TOL per entry, and it has H's nonzero pattern.
+    E = H - H' is measured on that pattern, so it holds both
+    symmetrizations, and ||E|| <= sqrt(||E||_1 ||E||_inf).  The
     Davis-Kahan sin theta theorem bounds the distance of the blocks' P
     from H's own projection: H' keeps the gap g' at fermi, H keeps at
     least g' - ||E|| (Weyl), so ||P - P_H|| <= ||E|| / (2 g' - ||E||).
@@ -336,6 +350,11 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
         np.rot90(H8[0, :, 0, :, qx, :, qy, :], -a, axes=(2, 3)).reshape(len(reps), -1)
         * phi[a] for a, (qx, qy) in enumerate(quadrants)])
     first = 0.5 * (first + first[[0, 3, 2, 1]].conj().transpose(0, 2, 1))
+    reflection = _reflection_form(first)
+    r = None
+    if reflection is not None:
+        first, r, gamma = reflection
+        phi = [f * gamma for f in phi]
     sites = np.stack(orbit, axis=1).ravel()
     phases = np.stack(phi, axis=1).ravel()
     node = np.empty(n, dtype=int)
@@ -345,15 +364,15 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     err = np.abs(H[i, j] - phase[i] * first[(turn[j] - turn[i]) % 4, rep[i], rep[j]]
                  * phase[j].conj())
     drift = float(np.sqrt(np.max(np.bincount(i, err, n)) * np.max(np.bincount(j, err, n))))
-    evals, vecs = np.linalg.eigh(4.0 * np.fft.ifft(first, axis=0))
-    gap = _gap_width(evals, fermi, min_gap)
+    gap, _, vecs = _eigh_below(4.0 * np.fft.ifft(first, axis=0), fermi, min_gap, r)
     if drift >= gap or drift / (2.0 * gap - drift) > _ROTATION_DRIFT_TOL:
         logger.debug("gap_projection: rotation blocks drift %.1e from H at gap %.3e",
                      drift, gap)
         return None
-    blocks = np.empty_like(vecs)
-    for q in range(4):
-        V = vecs[q][:, evals[q] < fermi]
+    logger.debug("gap_projection: rotation blocks kept at a Davis-Kahan bound of "
+                 "%.2e (||E|| %.2e, gap %.3e)", drift / (2.0 * gap - drift), drift, gap)
+    blocks = np.empty((4, len(reps), len(reps)), dtype=complex)
+    for q, V in enumerate(vecs):
         Pq = V @ V.conj().T
         blocks[q] = 0.5 * (Pq + Pq.conj().T)
     Pf = HermitianProjection.from_blocks(blocks, idempotency_tol=1e-8)
@@ -364,7 +383,74 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     resid = ((1.0 + eps) * (Pf.idempotency_residual + eps * rho)
              + 8.0 * u * (4.0 * rho + np.sqrt(rho)))
     return HermitianProjection.with_residuals(blocks, 1e-8, herm, resid,
-                                              sites, phases), gap
+                                              sites, phases), gap, r is not None
+
+
+def _reflection_form(first: np.ndarray) -> Optional[tuple]:
+    """(F, r, gamma) when the diagonal reflection of the quadrant keeps every
+    rotation mode of the angular row first, else None.
+
+    The reflection sigma(x, y) = (y, x), with complex conjugation, maps the
+    quadrant x, y < L/2 of the representatives onto itself, as the
+    involution r of their indices, and inverts the rotation, so it keeps
+    each mode.  On the row it reads first[d][r][:, r] = L conj(first[-d]) L*
+    for a diagonal phase L, the same for every d, so that each block has
+    B_q[r][:, r] = L conj(B_q) L*.  L is solved on the quadrant's chains the
+    way _rotation_gauge solves g, l_j = l_i conj(first[0][r_i, r_j]) /
+    first[0][i, j] from l_0 = 1, and normalized to the unit circle.  The
+    diagonal gauge gamma with gamma_(r_i) = l_i conj(gamma_i) (1 at x < y,
+    l_i at the mirror site, sqrt(l_i) on the fixed points x = y) turns it
+    into F[d][r][:, r] == conj(F[-d]) for F = gamma* first gamma, which
+    makes each block's real form exact (_eigh_below).  The relation is
+    checked on every entry to _ROTATION_TOL, and F is then averaged with its
+    reflected conjugate, so that it holds bit for bit.
+    """
+    half = math.isqrt(first.shape[1])
+    k = np.arange(first.shape[1]).reshape(half, half)
+    r = k.T.ravel()
+    f = first[0]
+    col = np.conj(f[r[k[:, :-1]], r[k[:, 1:]]]) / f[k[:, :-1], k[:, 1:]]
+    row = np.conj(f[r[k[:-1, 0]], r[k[1:, 0]]]) / f[k[:-1, 0], k[1:, 0]]
+    lam = np.ones((half, half), dtype=complex)
+    lam[1:, 0] = np.cumprod(row)
+    lam[:, 1:] = lam[:, :1] * np.cumprod(col, axis=1)
+    lam = (lam / np.abs(lam)).ravel()
+    x, y = np.divmod(k.ravel(), half)
+    gamma = np.ones(len(r), dtype=complex)
+    gamma[r[x < y]] = lam[x < y]
+    gamma[x == y] = np.sqrt(lam[x == y])
+    F = first * (gamma.conj()[:, None] * gamma)
+    # conj(F[-d])[r][:, r]: r transposes the quadrant's (x, y) grid, so each
+    # block is a transposed view of F, copied once
+    mirror = np.empty_like(F)
+    view = F.reshape(4, half, half, half, half).transpose(0, 2, 1, 4, 3)
+    for d in range(4):
+        np.conjugate(view[-d % 4], out=mirror[d].reshape(half, half, half, half))
+    if np.max(np.abs(mirror - F)) > _ROTATION_TOL:
+        return None
+    F += mirror
+    F *= 0.5
+    return F, r, gamma
+
+
+def _eigh_below(H: np.ndarray, fermi: float, min_gap: float, r) -> tuple:
+    """(gap width, X, V) of the Hermitian stack H, (k, n, n), at fermi:
+    X[k] holds the eigh's eigenvectors below fermi, V[k] those of H[k].
+
+    With r None the eigh is that of H, and V = X.  Otherwise r is an
+    involutive permutation with H[k][r][:, r] == conj(H[k]), and
+    S = exp(-i pi/4)(1 + iR)/sqrt 2 is unitary with S* H S = Re H - (Im H)[:, r]
+    real symmetric: the eigh runs in real arithmetic on that form, and
+    V = S X = (X + i X[r])(1 - i)/2.
+    """
+    evals, vecs = np.linalg.eigh(H if r is None else H.real - H.imag[..., r])
+    gap = _gap_width(evals, fermi, min_gap)
+    X = [v[:, e < fermi] for e, v in zip(evals, vecs)]
+    del vecs
+    # (1 - i)/2 = exp(-i pi/4)/sqrt(2) exactly; for the identity r the
+    # imaginary part cancels exactly and V V* comes out real
+    V = X if r is None else [(x + 1j * x[r]) * (0.5 - 0.5j) for x in X]
+    return gap, X, V
 
 
 def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
@@ -385,6 +471,11 @@ def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     start = np.flatnonzero(np.r_[True, ~link])
     end = np.r_[start[1:], n] - 1
     r = np.repeat(start + end, end - start + 1) - np.arange(n)
+    # the diagonal first, in O(N): a potential that the reflection does not
+    # keep (a disorder draw) fails here, before the N^2 scan for the nonzeros
+    d = np.diagonal(H)
+    if not np.array_equal(d[r], np.conj(d)):
+        return None
     i, j = np.nonzero(H)
     if np.array_equal(H[r[i], r[j]], np.conj(H[i, j])):
         return r
@@ -406,20 +497,11 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     P^2 - P = V (V* V - I) V* + AE + EA + E^2 - E (A = V V*) is bounded
     entrywise by rho (g + eta (2f sqrt(1 + g) + 1) + eta^2 f^2).
     """
-    if r is None:
-        evals, vecs = np.linalg.eigh(H)
-    else:
-        evals, vecs = np.linalg.eigh(H.real - H.imag[:, r])
-    gap = _gap_width(evals, fermi, min_gap)
-    X = vecs[:, evals < fermi]
-    del vecs
+    gap, (X,), (V,) = _eigh_below(H[None], fermi, min_gap, r)
     m = X.shape[1]
     gram = X.conj().T @ X
     gram[np.diag_indices(m)] -= 1.0
     e = float(np.linalg.norm(gram))
-    # (1 - i)/2 = exp(-i pi/4)/sqrt(2) exactly; for the identity r the
-    # imaginary part cancels exactly and P comes out real
-    V = X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j)
     row2 = np.sum(V.real ** 2 + V.imag ** 2, axis=1)
     rho = float(np.max(row2))
     f = float(np.sqrt(np.sum(row2)))
@@ -436,7 +518,8 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     P += A
     del A
     P *= 0.5
-    return HermitianProjection.with_residuals(P[None], 1e-8, 0.0, resid), gap
+    P = HermitianProjection.with_residuals(P[None], 1e-8, 0.0, resid)
+    return P, gap, r is not None
 
 
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
@@ -451,16 +534,16 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     - a 90-degree magnetic rotation about the box centre (_rotation_gauge:
       a square, even-sided box) splits H into four N/4 x N/4
       rotation-mode blocks, each diagonalized on its own
-      (_block_projection), kept while the Davis-Kahan bound on the
-      distance of their P from H's own projection is at most
-      _ROTATION_DRIFT_TOL.  P keeps the four blocks on their site map, so
-      lattice_index and decay_fit stay in the blocks; P.matrix, the dense
-      site-ordered P, is assembled only when it is read;
+      (_block_projection), in real arithmetic on its real form when the
+      box's diagonal reflection holds on the blocks (_reflection_form), and
+      kept while the Davis-Kahan bound on the distance of their P from H's
+      own projection is at most _ROTATION_DRIFT_TOL.  P keeps the four
+      blocks on their site map, so lattice_index and decay_fit stay in the
+      blocks; P.matrix, the dense site-ordered P, is assembled only when it
+      is read;
     - otherwise, when an involutive permutation R with R H R = conj(H)
-      holds exactly (_real_form_permutation), S = exp(-i pi/4)(1 + iR)/sqrt 2
-      is unitary and S* H S = Re H - (Im H)[:, r] is real symmetric: the
-      real eigh of that matrix gives eigenvectors W, and V = S W =
-      (W + i W[r])(1 - i)/2 are those of H;
+      holds exactly (_real_form_permutation), H takes the same real form
+      (_eigh_below) with r the reflection y -> height - 1 - y;
     - every other H takes the complex eigh, which is also the test oracle
       of the other two.
     The two dense routes give the dense, site-ordered P, the stack of one
@@ -473,16 +556,16 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     n = H.shape[0]
     rotation = _rotation_gauge(H)
     found = None if rotation is None else _block_projection(H, fermi, min_gap, *rotation)
-    if found is not None:
-        modes, r, route = 4, None, f"4 rotation blocks of {n // 4}"
-    else:
-        r = _real_form_permutation(H)
-        modes, route = 1, "complex" if r is None else "real-form"
-        found = _dense_projection(H, fermi, min_gap, r)
-    P, gap = found
-    logger.debug("gap_projection: %s eigh, N = %d", route, n)
+    modes = 1 if found is None else 4
+    if found is None:
+        found = _dense_projection(H, fermi, min_gap, _real_form_permutation(H))
+    P, gap, real_form = found
+    route = f"{'real-form' if real_form else 'complex'} eigh, N = {n}"
+    if modes == 4:
+        route = f"4 rotation blocks of {n // 4}, {route}"
+    logger.debug("gap_projection: %s", route)
     return GapProjection(projection=P, fermi_energy=float(fermi), gap_width=gap,
-                         real_form=r is not None, modes=modes)
+                         real_form=real_form, modes=modes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -238,9 +238,10 @@ def test_lattice_index_command(tmp_path):
     for row in read_json(out)["rows"]:
         assert row["oracle"] == -1.0
         assert row["residual"] <= 5e-2
-        # the square, even-sided box takes the four rotation-mode blocks
+        # the square, even-sided box takes the four rotation-mode blocks, each
+        # in real form
         assert row["parameters"]["modes"] == 4
-        assert row["parameters"]["real_form"] is False
+        assert row["parameters"]["real_form"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,8 +402,8 @@ def test_log_level_sends_route_lines_to_stderr(tmp_path, capsys):
                  "--out", str(tmp_path / "debug")])
     loud = capsys.readouterr()
     assert code == 0
-    assert ("DEBUG fluxlab.lattice: gap_projection: 4 rotation blocks of 100 eigh, "
-            "N = 400") in loud.err
+    assert ("DEBUG fluxlab.lattice: gap_projection: 4 rotation blocks of 100, "
+            "real-form eigh, N = 400") in loud.err
     assert loud.err.count("lattice_index: window trace on 4 rotation blocks of 100, "
                           "28 rows per block") == 2
     # the flag changes neither stdout nor the reports, up to their timings

@@ -1,6 +1,7 @@
 """Magnetic tight-binding models, gap projections, windowed lattice index."""
 
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -238,30 +239,51 @@ def _y_symmetric_potential(width, height, seed, amplitude=0.1):
     return a + a[:, ::-1]
 
 
+def _c4_potential(size, seed, amplitude=0.1):
+    # invariant under the 90-degree rotation bit for bit (one quadrant, copied
+    # by the rotations), not under the diagonal reflection
+    a = np.zeros((size, size))
+    a[:size // 2, :size // 2] = np.random.default_rng(seed).uniform(
+        -amplitude, amplitude, (size // 2, size // 2))
+    return a + np.rot90(a) + np.rot90(a, 2) + np.rot90(a, 3)
+
+
+def _logged(text, label):
+    # a number the kept blocks' DEBUG line reports after label
+    return float(re.search(re.escape(label) + r" ([-+.e\d]+)", text).group(1))
+
+
 def _route_line(gp, n):
     # the DEBUG line gap_projection logs for the route it took
-    if gp.modes == 4:
-        return f"4 rotation blocks of {n // 4} eigh, N = {n}"
-    return f"{'real-form' if gp.real_form else 'complex'} eigh, N = {n}"
+    line = f"{'real-form' if gp.real_form else 'complex'} eigh, N = {n}"
+    return f"4 rotation blocks of {n // 4}, {line}" if gp.modes == 4 else line
 
 
 # the square, even-sided boxes with a complex H have a magnetic rotation and
-# take the four mode blocks; the others keep the real form
-@pytest.mark.parametrize("model, modes", [
-    (bench(24), 4), (bench(32), 4), (bench(40), 4),
-    (MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None))), 1),
+# take the four mode blocks, each in real form while the diagonal reflection
+# holds on them; the others keep the real form
+@pytest.mark.parametrize("model, modes, real_form", [
+    (bench(24), 4, True), (bench(32), 4, True), (bench(40), 4, True),
+    (MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None))),
+     1, True),
     (MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(12, None), slice(12, None))),
-     4),
-    (MagneticLatticeModel(24, 24, 0.0), 1),
-    (MagneticLatticeModel(24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5)), 1),
+     4, True),
+    (MagneticLatticeModel(24, 24, 0.0), 1, True),
+    (MagneticLatticeModel(24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5)),
+     1, True),
+    (MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5)), 4, False),
 ], ids=["L24", "L32", "L40", "half-plane", "quarter-wedge", "flux-zero",
-        "y-symmetric-potential"])
-def test_real_form_matches_complex_oracle(model, modes, caplog):
+        "y-symmetric-potential", "c4-potential"])
+def test_real_form_matches_complex_oracle(model, modes, real_form, caplog):
     H = build_hamiltonian(model)
     with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
         gp = gap_projection(H, FERMI)
-    assert (gp.modes, gp.real_form) == (modes, modes == 1)
+    assert (gp.modes, gp.real_form) == (modes, real_form)
     assert _route_line(gp, H.shape[0]) in caplog.text
+    if modes == 4:
+        # the drift bound covers the rotation's and the reflection's averages;
+        # the Landau phases' rounding sets it, 3.9e-11 at 40 x 40
+        assert 0.0 < _logged(caplog.text, "Davis-Kahan bound of") <= 1e-10
     P, gap = _complex_oracle(H, FERMI)
     assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
     assert abs(gp.gap_width - gap) <= 1e-12
@@ -410,6 +432,23 @@ def test_block_route_keeps_its_drift_bound_at_small_gaps(gap, caplog):
         P, oracle_gap = _dense_route(H, fermi)
         assert np.array_equal(gp.projection.matrix, P)
         assert gp.gap_width == oracle_gap
+
+
+def test_reflection_average_enters_the_drift(caplog):
+    # a potential that the rotation keeps and the reflection negates, small
+    # enough to pass the reflection check: averaging the blocks with their
+    # reflected conjugates removes it, so E = H - H' holds it on its diagonal
+    a = _c4_potential(24, 9)
+    v = 2e-13 * (a - a.T) / np.max(np.abs(a - a.T))
+    model = MagneticLatticeModel(24, 24, FLUX, potential=v)
+    H = build_hamiltonian(model, gauge="symmetric")
+    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
+        gp = gap_projection(H, FERMI)
+    assert (gp.modes, gp.real_form) == (4, True)
+    assert _logged(caplog.text, "||E||") >= 2e-13
+    P, gap = _complex_oracle(H, FERMI)
+    assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
+    assert abs(gp.gap_width - gap) <= 1e-12
 
 
 @pytest.mark.parametrize("H, modes", [
