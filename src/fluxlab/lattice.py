@@ -316,8 +316,15 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     takes a dense route; the FFT's own rounding, like the dense eigh's, is
     left out of the bound.
 
-    Each block is diagonalized on its own and P_q = V_q V_q* validated by
-    the measured from_blocks check.  P keeps the blocks, with node i*4 + a
+    Each block is diagonalized on its own.  On the complex blocks
+    P_q = V_q V_q* is validated by the measured from_blocks check.  On the
+    real blocks P_q = S R_q S*, with R_q = W_q W_q^T symmetrized, is formed
+    entrywise (_quadrant_congruence) and is Hermitian bit for bit; its
+    idempotency residual is measured on S (R_q^2 - R_q) S*, which is
+    P_q^2 - P_q in exact arithmetic.  Each entry of P_q carries one
+    rounding, |delta| <= u |P_q[i,j]|, which moves P_q^2 - P_q on the nodes
+    by at most u(2 rho + sqrt(rho)) (rho and s_ij as below), and that is
+    added to the measured value.  P keeps the blocks, with node i*4 + a
     at site p^a s_i and phase phi_(i,a); its .matrix is the site-ordered
     P[p^a s_i, p^b s_j] = phi_(i,a) conj(phi_(j,b)) P_f[(i,a),(j,b)].
 
@@ -364,24 +371,33 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     err = np.abs(H[i, j] - phase[i] * first[(turn[j] - turn[i]) % 4, rep[i], rep[j]]
                  * phase[j].conj())
     drift = float(np.sqrt(np.max(np.bincount(i, err, n)) * np.max(np.bincount(j, err, n))))
-    gap, _, vecs = _eigh_below(4.0 * np.fft.ifft(first, axis=0), fermi, min_gap, r)
+    gap, vecs = _eigh_below(4.0 * np.fft.ifft(first, axis=0), fermi, min_gap, r)
     if drift >= gap or drift / (2.0 * gap - drift) > _ROTATION_DRIFT_TOL:
         logger.debug("gap_projection: rotation blocks drift %.1e from H at gap %.3e",
                      drift, gap)
         return None
     logger.debug("gap_projection: rotation blocks kept at a Davis-Kahan bound of "
                  "%.2e (||E|| %.2e, gap %.3e)", drift / (2.0 * gap - drift), drift, gap)
-    blocks = np.empty((4, len(reps), len(reps)), dtype=complex)
-    for q, V in enumerate(vecs):
-        Pq = V @ V.conj().T
-        blocks[q] = 0.5 * (Pq + Pq.conj().T)
-    Pf = HermitianProjection.from_blocks(blocks, idempotency_tol=1e-8)
+    if r is None:
+        blocks = np.empty((4, len(reps), len(reps)), dtype=complex)
+        for q, V in enumerate(vecs):
+            Pq = V @ V.conj().T
+            blocks[q] = 0.5 * (Pq + Pq.conj().T)
+        Pf = HermitianProjection.from_blocks(blocks, idempotency_tol=1e-8)
+        h_f, r_f = Pf.hermitian_residual, Pf.idempotency_residual
+    else:
+        R = np.stack([W @ W.T for W in vecs])
+        R = 0.5 * (R + R.transpose(0, 2, 1))
+        blocks = _quadrant_congruence(R)
+        h_f = 0.0
+        r_f = float(np.max(np.abs(nodal_blocks(_quadrant_congruence(R @ R - R)))))
     rho = float(np.max(np.sum(np.abs(blocks) ** 2, axis=(0, 2)))) / 4.0
-    eps = float(np.max(np.abs(np.abs(phases) ** 2 - 1.0)))
     u = _UNIT_ROUNDOFF
-    herm = (1.0 + eps) * Pf.hermitian_residual + 16.0 * u * np.sqrt(rho)
-    resid = ((1.0 + eps) * (Pf.idempotency_residual + eps * rho)
-             + 8.0 * u * (4.0 * rho + np.sqrt(rho)))
+    if r is not None:
+        r_f += u * (2.0 * rho + np.sqrt(rho))
+    eps = float(np.max(np.abs(np.abs(phases) ** 2 - 1.0)))
+    herm = (1.0 + eps) * h_f + 16.0 * u * np.sqrt(rho)
+    resid = (1.0 + eps) * (r_f + eps * rho) + 8.0 * u * (4.0 * rho + np.sqrt(rho))
     return HermitianProjection.with_residuals(blocks, 1e-8, herm, resid,
                                               sites, phases), gap, r is not None
 
@@ -433,24 +449,40 @@ def _reflection_form(first: np.ndarray) -> Optional[tuple]:
     return F, r, gamma
 
 
-def _eigh_below(H: np.ndarray, fermi: float, min_gap: float, r) -> tuple:
-    """(gap width, X, V) of the Hermitian stack H, (k, n, n), at fermi:
-    X[k] holds the eigh's eigenvectors below fermi, V[k] those of H[k].
+def _quadrant_congruence(R: np.ndarray) -> np.ndarray:
+    """S R S* for the real (k, n, n) stack R on the quadrant's n = h^2
+    representatives, with S = exp(-i pi/4)(1 + iR_r)/sqrt 2 and r the
+    transpose of the quadrant's (x, y) grid (_reflection_form):
+    ((R + R[r][:, r]) + i (R[r] - R[:, r])) / 2, formed on transposed
+    views.  For a symmetric R the result is Hermitian bit for bit: its
+    (j, i) entry is formed from the same two sums as the conjugate of its
+    (i, j) entry.
+    """
+    k, n, _ = R.shape
+    half = math.isqrt(n)
+    grid = R.reshape(k, half, half, half, half)
+    out = np.empty(R.shape, dtype=complex)
+    cells = out.reshape(grid.shape)
+    np.add(grid, grid.transpose(0, 2, 1, 4, 3), out=cells.real)
+    np.subtract(grid.transpose(0, 2, 1, 3, 4), grid.transpose(0, 1, 2, 4, 3), out=cells.imag)
+    out *= 0.5
+    return out
 
-    With r None the eigh is that of H, and V = X.  Otherwise r is an
-    involutive permutation with H[k][r][:, r] == conj(H[k]), and
+
+def _eigh_below(H: np.ndarray, fermi: float, min_gap: float, r) -> tuple:
+    """(gap width, X) of the Hermitian stack H, (k, n, n), at fermi: X[k]
+    holds the eigh's eigenvectors below fermi.
+
+    With r None the eigh is that of H.  Otherwise r is an involutive
+    permutation with H[k][r][:, r] == conj(H[k]), and
     S = exp(-i pi/4)(1 + iR)/sqrt 2 is unitary with S* H S = Re H - (Im H)[:, r]
-    real symmetric: the eigh runs in real arithmetic on that form, and
-    V = S X = (X + i X[r])(1 - i)/2.
+    real symmetric: the eigh runs in real arithmetic on that form, X is
+    real, and S X = (X + i X[r])(1 - i)/2 are the eigenvectors of H, whose
+    projection is S (X X^T) S*.
     """
     evals, vecs = np.linalg.eigh(H if r is None else H.real - H.imag[..., r])
     gap = _gap_width(evals, fermi, min_gap)
-    X = [v[:, e < fermi] for e, v in zip(evals, vecs)]
-    del vecs
-    # (1 - i)/2 = exp(-i pi/4)/sqrt(2) exactly; for the identity r the
-    # imaginary part cancels exactly and V V* comes out real
-    V = X if r is None else [(x + 1j * x[r]) * (0.5 - 0.5j) for x in X]
-    return gap, X, V
+    return gap, [v[:, e < fermi] for e, v in zip(evals, vecs)]
 
 
 def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
@@ -497,11 +529,14 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     P^2 - P = V (V* V - I) V* + AE + EA + E^2 - E (A = V V*) is bounded
     entrywise by rho (g + eta (2f sqrt(1 + g) + 1) + eta^2 f^2).
     """
-    gap, (X,), (V,) = _eigh_below(H[None], fermi, min_gap, r)
+    gap, (X,) = _eigh_below(H[None], fermi, min_gap, r)
     m = X.shape[1]
     gram = X.conj().T @ X
     gram[np.diag_indices(m)] -= 1.0
     e = float(np.linalg.norm(gram))
+    # (1 - i)/2 = exp(-i pi/4)/sqrt(2) exactly; for the identity r the
+    # imaginary part cancels exactly and P comes out real
+    V = X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j)
     row2 = np.sum(V.real ** 2 + V.imag ** 2, axis=1)
     rho = float(np.max(row2))
     f = float(np.sqrt(np.sum(row2)))

@@ -456,12 +456,14 @@ def test_reflection_average_enters_the_drift(caplog):
     (build_hamiltonian(bench(24), gauge="symmetric"), 4),
     (build_hamiltonian(MagneticLatticeModel(
         24, 24, FLUX, domain_mask=_mask(slice(12, None), slice(12, None)))), 4),
+    (build_hamiltonian(MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5))), 4),
     (build_hamiltonian(MagneticLatticeModel(
         24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None)))), 1),
     (build_hamiltonian(MagneticLatticeModel(24, 24, 0.0)), 1),
     (build_hamiltonian(bench()) + np.diag(np.random.default_rng(3).uniform(-0.01, 0.01, 576)),
      1),
-], ids=["blocks", "blocks-symmetric", "blocks-wedge", "real-form", "real", "complex"])
+], ids=["blocks", "blocks-symmetric", "blocks-wedge", "blocks-complex", "real-form", "real",
+        "complex"])
 def test_carried_residuals_bound_measured_ones(H, modes):
     gp = gap_projection(H, FERMI)
     assert gp.modes == modes
