@@ -215,8 +215,8 @@ _ROTATION_TOL = 1e-12
 # its distance from H's projection, ||E|| / (2 gap - ||E||), is at most this,
 # two orders of magnitude inside the 1e-8 every projection is validated to.
 # The Landau phases exp(2 pi i flux x) round unevenly in x, so ||E|| grows
-# like N u ||H||: 5.66e-13 at 40 x 40 with both averages, where the rotation's
-# alone gave 5.7e-13, and at that box's gap of 7.3e-3 the bound reads 3.9e-11
+# like N u ||H||: 5.7e-13 at 40 x 40 with both averages, and at that box's
+# gap of 7.3e-3 the bound reads 3.9e-11
 _ROTATION_DRIFT_TOL = 1e-10
 # the rounding of one double, u = eps / 2
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
