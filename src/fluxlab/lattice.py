@@ -18,14 +18,14 @@ phase, so H splits into four rotation-mode blocks of N/4 sites each, as the
 angular-mode Landau engine splits its disk; gap_projection diagonalizes the
 blocks and keeps P as those blocks, each node placed on its site with a
 phase (projpair's site map).  The diagonal reflection (x, y) -> (y, x)
-with complex conjugation inverts the rotation, so it keeps each mode; when
-it holds on the blocks, up to a diagonal gauge, each block is diagonalized
-in real arithmetic on a real symmetric form, as below, and otherwise (a
-rotation-invariant potential that the reflection does not keep) in complex
-arithmetic.  The blocks are those of a rotation- and reflection-symmetrized
-H' close to H; they are kept only while the Davis-Kahan bound on the
-distance of their P from H's own projection is small, and a box with a
-smaller gap takes a dense route.  The unit flux
+with complex conjugation inverts the rotation, so it keeps each mode; it
+must hold on the blocks, up to a diagonal gauge, and each block is then
+diagonalized in real arithmetic on a real symmetric form, as below.  The
+blocks are those of a rotation- and reflection-symmetrized H' close to H;
+they are kept only while the Davis-Kahan bound on the distance of their P
+from H's own projection is small.  A box whose blocks break the reflection
+(a rotation-invariant potential that the reflection does not keep) or
+drift too far (a smaller gap) takes a dense route.  The unit flux
 z/|z| about the box centre is a rotation character, so lattice_index keeps
 the blocks for a flux there (with a window that is a disk about it), and
 decay_fit reads them whenever P has them; any other flux centre makes
@@ -194,9 +194,8 @@ class GapProjection:
     eigenvalue; the projection sums every eigenvector below the Fermi
     energy.  modes and real_form record the route: modes is 4 when H was
     diagonalized in its four rotation-mode blocks and 1 for one N x N eigh;
-    real_form is True when each eigh ran on a real symmetric form (of H, or
-    of each block when the box's diagonal reflection holds on the blocks),
-    False for the complex eigh.
+    real_form is True when each eigh ran on a real symmetric form (always
+    on the blocks), False for the complex eigh.
     """
 
     projection: HermitianProjection
@@ -210,8 +209,8 @@ class GapProjection:
 # tolerance on every nonzero entry, and the orbit products of G agree to it;
 # the diagonal reflection of the blocks is accepted to it as well
 _ROTATION_TOL = 1e-12
-# the blocks give the exact projection of a rotation- (and, on the real
-# blocks, reflection-) symmetrized H' = H - E; they are kept when the bound on
+# the blocks give the exact projection of a rotation- and
+# reflection-symmetrized H' = H - E; they are kept when the bound on
 # its distance from H's projection, ||E|| / (2 gap - ||E||), is at most this,
 # two orders of magnitude inside the 1e-8 every projection is validated to.
 # The Landau phases exp(2 pi i flux x) round unevenly in x, so ||E|| grows
@@ -259,19 +258,29 @@ def _rotation_gauge(H: np.ndarray) -> Optional[tuple]:
     image = H[p[i], p[j]]
     if np.count_nonzero(image) != len(image):
         return None
-    grid = site.reshape(side, side)
-    col = np.conj(H[p[grid[:, :-1]], p[grid[:, 1:]]] / H[grid[:, :-1], grid[:, 1:]])
-    row = np.conj(H[p[grid[:-1, 0]], p[grid[1:, 0]]] / H[grid[:-1, 0], grid[1:, 0]])
-    g = np.ones((side, side), dtype=complex)
-    g[1:, 0] = np.cumprod(row)
-    g[:, 1:] = g[:, :1] * np.cumprod(col, axis=1)
-    g = (g / np.abs(g)).ravel()
+    g = _chain_phase(lambda a, b: np.conj(H[p[a], p[b]] / H[a, b]), side)
     if np.max(np.abs(image - g[i] * H[i, j] * np.conj(g[j]))) > _ROTATION_TOL:
         return None
     orbit = g * g[p] * g[p[p]] * g[p[p[p]]]
     if np.max(np.abs(orbit - orbit[0])) > _ROTATION_TOL:
         return None
     return p, g, orbit[0], i, j
+
+
+def _chain_phase(ratio, side: int) -> np.ndarray:
+    """The diagonal phase g, on the unit circle, of a side x side grid in
+    x-major order with g_0 = 1 and g_b = g_a ratio(a, b) for each step a -> b
+    along the first column and along every chain (row) of the grid.
+
+    ratio takes two equal-shaped index arrays and returns the step ratios
+    elementwise; the phase is their cumulative product, first down the
+    column, then along each chain.
+    """
+    grid = np.arange(side * side).reshape(side, side)
+    g = np.ones((side, side), dtype=complex)
+    g[1:, 0] = np.cumprod(ratio(grid[:-1, 0], grid[1:, 0]))
+    g[:, 1:] = g[:, :1] * np.cumprod(ratio(grid[:, :-1], grid[:, 1:]), axis=1)
+    return (g / np.abs(g)).ravel()
 
 
 def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
@@ -285,9 +294,9 @@ def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
 
 
 def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
-    """(P, gap width, real form) of the Fermi projection of H as its four
-    rotation-mode blocks on their site map, or None when the blocks' H
-    drifts too far from H.
+    """(P, gap width) of the Fermi projection of H as its four rotation-mode
+    blocks on their site map, or None when the blocks break the diagonal
+    reflection or their H drifts too far from H.
 
     With mu = conj(c)^(1/4), S = T / mu has S^4 = 1 and commutes with H.
     The orbit representatives s_i are the quadrant x, y < L/2, and the node
@@ -298,12 +307,12 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     its first angular row H[s_i, p^d s_j] phi_(j,d) gives the blocks B_q
     by one FFT over d.  That row is made Hermitian, (k, 0), (l, d) averaged
     with the conjugate of (l, 0), (k, -d), so the blocks are exactly those of
-    a Hermitian H' = F M F*.  When the box's diagonal reflection holds on
-    that row (_reflection_form), a diagonal gauge gamma on the
-    representatives, folded into the phases phi_(i,a), makes the row exactly
-    reflection-symmetric too, and each block is diagonalized in real
-    arithmetic on its real form (_eigh_below); otherwise the blocks take
-    the complex eigh.
+    a Hermitian H' = F M F*.  The box's diagonal reflection must hold on
+    that row (_reflection_form; else None, and the caller takes a dense
+    route): a diagonal gauge gamma on the representatives, folded into the
+    phases phi_(i,a), makes the row exactly reflection-symmetric too, and
+    each block is diagonalized in real arithmetic on its real form
+    (_eigh_below).
 
     H' agrees with H only as far as the rotation and the reflection hold,
     to a few _ROTATION_TOL per entry, and it has H's nonzero pattern.
@@ -316,9 +325,8 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     takes a dense route; the FFT's own rounding, like the dense eigh's, is
     left out of the bound.
 
-    Each block is diagonalized on its own.  On the complex blocks
-    P_q = V_q V_q* is validated by the measured from_blocks check.  On the
-    real blocks P_q = S R_q S*, with R_q = W_q W_q^T symmetrized, is formed
+    Each block is diagonalized on its own, and P_q = S R_q S*, with
+    R_q = W_q W_q^T symmetrized, is formed
     entrywise (_quadrant_congruence) and is Hermitian bit for bit; its
     idempotency residual is measured on S (R_q^2 - R_q) S*, which is
     P_q^2 - P_q in exact arithmetic.  Each entry of P_q carries one
@@ -329,7 +337,7 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
     P[p^a s_i, p^b s_j] = phi_(i,a) conj(phi_(j,b)) P_f[(i,a),(j,b)].
 
     P records the residuals of that matrix as .matrix forms it.  P_f has
-    the blocks' residuals h_f, r_f and largest squared row norm rho;
+    the blocks' residuals h_f = 0, r_f and largest squared row norm rho;
     eps = max ||phi|^2 - 1| widens them as in projpair.conjugated, to
     (1 + eps) h_f and (1 + eps)(r_f + eps rho).  Forming an entry (the
     length-4 FFT, two complex products) errs by at most 8u s_ij,
@@ -358,10 +366,11 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
         * phi[a] for a, (qx, qy) in enumerate(quadrants)])
     first = 0.5 * (first + first[[0, 3, 2, 1]].conj().transpose(0, 2, 1))
     reflection = _reflection_form(first)
-    r = None
-    if reflection is not None:
-        first, r, gamma = reflection
-        phi = [f * gamma for f in phi]
+    if reflection is None:
+        logger.debug("gap_projection: rotation blocks break the diagonal reflection")
+        return None
+    first, r, gamma = reflection
+    phi = [f * gamma for f in phi]
     sites = np.stack(orbit, axis=1).ravel()
     phases = np.stack(phi, axis=1).ravel()
     node = np.empty(n, dtype=int)
@@ -378,28 +387,18 @@ def _block_projection(H, fermi, min_gap, p, g, c, i, j) -> Optional[tuple]:
         return None
     logger.debug("gap_projection: rotation blocks kept at a Davis-Kahan bound of "
                  "%.2e (||E|| %.2e, gap %.3e)", drift / (2.0 * gap - drift), drift, gap)
-    if r is None:
-        blocks = np.empty((4, len(reps), len(reps)), dtype=complex)
-        for q, V in enumerate(vecs):
-            Pq = V @ V.conj().T
-            blocks[q] = 0.5 * (Pq + Pq.conj().T)
-        Pf = HermitianProjection.from_blocks(blocks, idempotency_tol=1e-8)
-        h_f, r_f = Pf.hermitian_residual, Pf.idempotency_residual
-    else:
-        R = np.stack([W @ W.T for W in vecs])
-        R = 0.5 * (R + R.transpose(0, 2, 1))
-        blocks = _quadrant_congruence(R)
-        h_f = 0.0
-        r_f = float(np.max(np.abs(nodal_blocks(_quadrant_congruence(R @ R - R)))))
+    R = np.stack([W @ W.T for W in vecs])
+    R = 0.5 * (R + R.transpose(0, 2, 1))
+    blocks = _quadrant_congruence(R)
     rho = float(np.max(np.sum(np.abs(blocks) ** 2, axis=(0, 2)))) / 4.0
     u = _UNIT_ROUNDOFF
-    if r is not None:
-        r_f += u * (2.0 * rho + np.sqrt(rho))
+    r_f = (float(np.max(np.abs(nodal_blocks(_quadrant_congruence(R @ R - R)))))
+           + u * (2.0 * rho + np.sqrt(rho)))
     eps = float(np.max(np.abs(np.abs(phases) ** 2 - 1.0)))
-    herm = (1.0 + eps) * h_f + 16.0 * u * np.sqrt(rho)
+    herm = 16.0 * u * np.sqrt(rho)
     resid = (1.0 + eps) * (r_f + eps * rho) + 8.0 * u * (4.0 * rho + np.sqrt(rho))
     return HermitianProjection.with_residuals(blocks, 1e-8, herm, resid,
-                                              sites, phases), gap, r is not None
+                                              sites, phases), gap
 
 
 def _reflection_form(first: np.ndarray) -> Optional[tuple]:
@@ -411,9 +410,9 @@ def _reflection_form(first: np.ndarray) -> Optional[tuple]:
     involution r of their indices, and inverts the rotation, so it keeps
     each mode.  On the row it reads first[d][r][:, r] = L conj(first[-d]) L*
     for a diagonal phase L, the same for every d, so that each block has
-    B_q[r][:, r] = L conj(B_q) L*.  L is solved on the quadrant's chains the
-    way _rotation_gauge solves g, l_j = l_i conj(first[0][r_i, r_j]) /
-    first[0][i, j] from l_0 = 1, and normalized to the unit circle.  The
+    B_q[r][:, r] = L conj(B_q) L*.  L is solved on the quadrant's chains by
+    _chain_phase, as _rotation_gauge solves g, with the step
+    l_j = l_i conj(first[0][r_i, r_j]) / first[0][i, j].  The
     diagonal gauge gamma with gamma_(r_i) = l_i conj(gamma_i) (1 at x < y,
     l_i at the mirror site, sqrt(l_i) on the fixed points x = y) turns it
     into F[d][r][:, r] == conj(F[-d]) for F = gamma* first gamma, which
@@ -425,12 +424,7 @@ def _reflection_form(first: np.ndarray) -> Optional[tuple]:
     k = np.arange(first.shape[1]).reshape(half, half)
     r = k.T.ravel()
     f = first[0]
-    col = np.conj(f[r[k[:, :-1]], r[k[:, 1:]]]) / f[k[:, :-1], k[:, 1:]]
-    row = np.conj(f[r[k[:-1, 0]], r[k[1:, 0]]]) / f[k[:-1, 0], k[1:, 0]]
-    lam = np.ones((half, half), dtype=complex)
-    lam[1:, 0] = np.cumprod(row)
-    lam[:, 1:] = lam[:, :1] * np.cumprod(col, axis=1)
-    lam = (lam / np.abs(lam)).ravel()
+    lam = _chain_phase(lambda a, b: np.conj(f[r[a], r[b]]) / f[a, b], half)
     x, y = np.divmod(k.ravel(), half)
     gamma = np.ones(len(r), dtype=complex)
     gamma[r[x < y]] = lam[x < y]
@@ -503,11 +497,6 @@ def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     start = np.flatnonzero(np.r_[True, ~link])
     end = np.r_[start[1:], n] - 1
     r = np.repeat(start + end, end - start + 1) - np.arange(n)
-    # the diagonal first, in O(N): a potential that the reflection does not
-    # keep (a disorder draw) fails here, before the N^2 scan for the nonzeros
-    d = np.diagonal(H)
-    if not np.array_equal(d[r], np.conj(d)):
-        return None
     i, j = np.nonzero(H)
     if np.array_equal(H[r[i], r[j]], np.conj(H[i, j])):
         return r
@@ -553,8 +542,7 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     P += A
     del A
     P *= 0.5
-    P = HermitianProjection.with_residuals(P[None], 1e-8, 0.0, resid)
-    return P, gap, r is not None
+    return HermitianProjection.with_residuals(P[None], 1e-8, 0.0, resid), gap
 
 
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
@@ -569,13 +557,13 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     - a 90-degree magnetic rotation about the box centre (_rotation_gauge:
       a square, even-sided box) splits H into four N/4 x N/4
       rotation-mode blocks, each diagonalized on its own
-      (_block_projection), in real arithmetic on its real form when the
-      box's diagonal reflection holds on the blocks (_reflection_form), and
-      kept while the Davis-Kahan bound on the distance of their P from H's
-      own projection is at most _ROTATION_DRIFT_TOL.  P keeps the four
-      blocks on their site map, so lattice_index and decay_fit stay in the
-      blocks; P.matrix, the dense site-ordered P, is assembled only when it
-      is read;
+      (_block_projection) in real arithmetic on its real form.  The
+      blocks are kept while the box's diagonal reflection holds on them
+      (_reflection_form) and the Davis-Kahan bound on the distance of their
+      P from H's own projection is at most _ROTATION_DRIFT_TOL.  P keeps
+      the four blocks on their site map, so lattice_index and decay_fit
+      stay in the blocks; P.matrix, the dense site-ordered P, is assembled
+      only when it is read;
     - otherwise, when an involutive permutation R with R H R = conj(H)
       holds exactly (_real_form_permutation), H takes the same real form
       (_eigh_below) with r the reflection y -> height - 1 - y;
@@ -585,20 +573,21 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     block.  On every route P carries its idempotency residual, bounded from
     quantities the route already holds (_block_projection,
     _dense_projection), in place of the N^3 product P @ P; the Hermitian
-    residual is measured on the dense P, at O(N^2), and bounded on the
-    blocks.
+    residual is 0.0 on the dense P, which is Hermitian bit for bit, and
+    bounded on the blocks.
     """
     n = H.shape[0]
     rotation = _rotation_gauge(H)
     found = None if rotation is None else _block_projection(H, fermi, min_gap, *rotation)
-    modes = 1 if found is None else 4
-    if found is None:
-        found = _dense_projection(H, fermi, min_gap, _real_form_permutation(H))
-    P, gap, real_form = found
-    route = f"{'real-form' if real_form else 'complex'} eigh, N = {n}"
-    if modes == 4:
-        route = f"4 rotation blocks of {n // 4}, {route}"
-    logger.debug("gap_projection: %s", route)
+    if found is not None:
+        modes, real_form, route = 4, True, f"4 rotation blocks of {n // 4}, real-form"
+    else:
+        r = _real_form_permutation(H)
+        modes, real_form = 1, r is not None
+        route = "real-form" if real_form else "complex"
+        found = _dense_projection(H, fermi, min_gap, r)
+    P, gap = found
+    logger.debug("gap_projection: %s eigh, N = %d", route, n)
     return GapProjection(projection=P, fermi_energy=float(fermi), gap_width=gap,
                          real_form=real_form, modes=modes)
 

@@ -260,8 +260,8 @@ def _route_line(gp, n):
 
 
 # the square, even-sided boxes with a complex H have a magnetic rotation and
-# take the four mode blocks, each in real form while the diagonal reflection
-# holds on them; the others keep the real form
+# take the four mode blocks, each in real form; a box whose blocks break the
+# diagonal reflection takes the complex eigh, the others keep the real form
 @pytest.mark.parametrize("model, modes, real_form", [
     (bench(24), 4, True), (bench(32), 4, True), (bench(40), 4, True),
     (MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None))),
@@ -271,7 +271,7 @@ def _route_line(gp, n):
     (MagneticLatticeModel(24, 24, 0.0), 1, True),
     (MagneticLatticeModel(24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5)),
      1, True),
-    (MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5)), 4, False),
+    (MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5)), 1, False),
 ], ids=["L24", "L32", "L40", "half-plane", "quarter-wedge", "flux-zero",
         "y-symmetric-potential", "c4-potential"])
 def test_real_form_matches_complex_oracle(model, modes, real_form, caplog):
@@ -280,6 +280,8 @@ def test_real_form_matches_complex_oracle(model, modes, real_form, caplog):
         gp = gap_projection(H, FERMI)
     assert (gp.modes, gp.real_form) == (modes, real_form)
     assert _route_line(gp, H.shape[0]) in caplog.text
+    assert ("rotation blocks break the diagonal reflection" in caplog.text) == (
+        modes == 1 and _rotation_gauge(H) is not None)
     if modes == 4:
         # the drift bound covers the rotation's and the reflection's averages;
         # the Landau phases' rounding sets it, 3.9e-11 at 40 x 40
@@ -456,14 +458,12 @@ def test_reflection_average_enters_the_drift(caplog):
     (build_hamiltonian(bench(24), gauge="symmetric"), 4),
     (build_hamiltonian(MagneticLatticeModel(
         24, 24, FLUX, domain_mask=_mask(slice(12, None), slice(12, None)))), 4),
-    (build_hamiltonian(MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5))), 4),
     (build_hamiltonian(MagneticLatticeModel(
         24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None)))), 1),
     (build_hamiltonian(MagneticLatticeModel(24, 24, 0.0)), 1),
     (build_hamiltonian(bench()) + np.diag(np.random.default_rng(3).uniform(-0.01, 0.01, 576)),
      1),
-], ids=["blocks", "blocks-symmetric", "blocks-wedge", "blocks-complex", "real-form", "real",
-        "complex"])
+], ids=["blocks", "blocks-symmetric", "blocks-wedge", "real-form", "real", "complex"])
 def test_carried_residuals_bound_measured_ones(H, modes):
     gp = gap_projection(H, FERMI)
     assert gp.modes == modes
