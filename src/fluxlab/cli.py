@@ -15,6 +15,7 @@ import contextlib
 import csv
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -102,14 +103,16 @@ def _split_list(text) -> list:
 
 
 def _parse_floats(text) -> list:
-    """L_values from a comma list or a config list; anything else is a usage
-    error naming the offending value."""
+    """L_values from a comma list or a config list; anything but a finite
+    number is a usage error naming the offending value."""
     values = []
     for item in _split_list(text):
         try:
             values.append(float(item))
         except (TypeError, ValueError):
             raise SystemExit(f"fluxlab: L_values must be numbers, got {item!r}") from None
+        if not math.isfinite(values[-1]):
+            raise SystemExit(f"fluxlab: L_values must be finite, got {item!r}")
     return values
 
 
@@ -484,12 +487,17 @@ def _resolve_config(args) -> dict:
             cfg[key] = value
     if args.command == "landau-index" and cfg["pair_radius"] is None:
         cfg["pair_radius"] = grids.level_disk_radius(cfg["m"])
+    # a NaN passes every bound unchecked and an infinite tol passes every row
+    for key, (_, typ) in _SETTINGS[args.command].items():
+        if typ is float and not math.isfinite(cfg[key]):
+            raise SystemExit(f"fluxlab: {key} must be finite, got {cfg[key]!r}")
     if "flux" in cfg:
         # checked here, kept as given: the reports echo the flux as written
         _parse_flux(cfg["flux"])
     # a run with no trial, seed, power or box length tests nothing and must
-    # not pass; proj-suite draws its dimensions from 4 to dim_max
-    for key, low in (("trials", 1), ("n_seeds", 1), ("dim_max", 4)):
+    # not pass, and a negative tolerance fails every row whatever its value;
+    # proj-suite draws its dimensions from 4 to dim_max
+    for key, low in (("trials", 1), ("n_seeds", 1), ("dim_max", 4), ("tol", 0)):
         if key in cfg and cfg[key] < low:
             raise SystemExit(f"fluxlab: {key} must be at least {low}, got {cfg[key]!r}")
     for key, parse in (("L_values", _parse_floats), ("powers", _parse_powers)):

@@ -139,7 +139,7 @@ class Switch:
 
 def tanh_switch(scale: float, center: float = 0.0) -> Switch:
     """(1 + tanh((x - center)/scale)) / 2 with a closed-form primitive."""
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
 
     def evaluate(x):

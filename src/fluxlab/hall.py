@@ -63,7 +63,7 @@ def switch_integral_1d(s: Switch, a: float) -> float:
     x, w = gauss_legendre(-T, T, 800)
     value = float(np.sum(w * (s.evaluate(x + a) - s.evaluate(x))))
     tail = abs(a) * float((1.0 - s.evaluate(T - abs(a))) + s.evaluate(-T + abs(a)))
-    if tail > 1e-10 * max(1.0, abs(a)):
+    if not tail <= 1e-10 * max(1.0, abs(a)):
         raise ValueError(f"tail truncation {tail:.2e} above tolerance; window too small")
     return value
 
@@ -129,7 +129,9 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     by e^-1 per unit L, while the scale-0.5 error is 8e-9 at L = 6.
     """
     Ls = [float(L) for L in L_values]
-    if any(b <= a for a, b in zip([0.0] + Ls, Ls)):
+    if not Ls:
+        raise ValueError("L_values must not be empty")
+    if not all(b > a for a, b in zip([0.0] + Ls, Ls)):
         raise ValueError(f"L values must be positive and strictly increasing, got {Ls}")
     grid = level_square_grid(p.level, "transport", spec)
     nodes = grid.nodes
@@ -159,13 +161,13 @@ def hall_transport_closed_form(p: CovariantKernel) -> float:
     checked against 1e-8.
     """
     q = 2.0j * np.pi * triple_wedge(p, level_square_grid(p.level, "transport"))
-    if abs(q.imag) > 1e-8:
+    if not abs(q.imag) <= 1e-8:
         raise ValueError(
             f"imaginary residual {abs(q.imag):.2e} of the transport integral "
             "exceeds 1e-8"
         )
     deficiency = index_integral_4d(p, winding=1)
-    if abs(q.real + deficiency.real) > 1e-6:
+    if not abs(q.real + deficiency.real) <= 1e-6:
         raise RuntimeError(
             "transport/deficiency identity violated: "
             f"Q = {q.real:.9f} but -Index = {-deficiency.real:.9f}"
@@ -183,7 +185,7 @@ def kubo_box(p: CovariantKernel, L: float, spec: QuadratureSpec = None) -> float
     it exactly, so L affects the result only through that exact
     cancellation.
     """
-    if L <= 0:
+    if not L > 0:
         raise ValueError(f"box half side must be positive, got {L}")
     val = 1j * triple_wedge(p, level_square_grid(p.level, "transport", spec))
     return float(val.real)

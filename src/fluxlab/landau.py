@@ -4,8 +4,9 @@ Everything is expressed in symmetric-gauge coordinates scaled so the field
 strength is 2: the level-m projection kernel is then
 p_m(x, y) = exp(-i x^y) q_m(|y-x|^2) exp(-|y-x|^2 / 2) with x^y the planar
 cross product, q_m a degree-m polynomial with q_m(0) = 1/pi, and the density
-of states per unit area is 1/pi.  Raising operators are applied symbolically
-once and the resulting monomial coefficient tables are cached.
+of states per unit area is 1/pi.  States and kernels come from one closed
+form, the generalized Laguerre polynomial: q_m = L_m / pi, and the (n, m)
+state carries L_min(n,m)^(|n-m|)(|z|^2).
 Every plane integral runs on a polar grid of fluxlab.grids, whose disk
 builders (DiskGrid, polar_disk_grid, level_disk_*) this module re-exports.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,32 +25,19 @@ from fluxlab.grids import (DiskGrid, gauss_legendre, level_disk_grid,  # noqa: F
 from fluxlab.projpair import HermitianProjection, check_unitary, conjugated
 
 
-@lru_cache(maxsize=None)
-def _raised_monomials(n: int, m: int) -> tuple:
-    """Coefficient table of the polynomial part of the (n, m) state.
-
-    The state is a polynomial in (z, conj z) times exp(-|z|^2/2), obtained by
-    applying the raising operator m times to z^n exp(-|z|^2/2).  On the
-    polynomial part one application acts as q -> -dq/dz + conj(z) q.  Returns
-    ((a, b, coeff), ...) for the monomials coeff * z^a * conj(z)^b.
-    """
-    terms = {(n, 0): 1.0}
-    for _ in range(m):
-        nxt = {}
-        for (a, b), c in terms.items():
-            if a >= 1:
-                key = (a - 1, b)
-                nxt[key] = nxt.get(key, 0.0) - c * a
-            key = (a, b + 1)
-            nxt[key] = nxt.get(key, 0.0) + c
-        terms = nxt
-    return tuple(sorted((a, b, c) for (a, b), c in terms.items()))
+def _laguerre(k: int, alpha: int) -> tuple:
+    """Coefficients of the generalized Laguerre polynomial L_k^(alpha)(t),
+    lowest power first: (-1)^j C(k + alpha, k - j) / j!."""
+    return tuple((-1) ** j * math.comb(k + alpha, k - j) / math.factorial(j)
+                 for j in range(k + 1))
 
 
-def _norm_constant(n: int, m: int) -> float:
-    # Numerically enforced normalization: the squared plane-integral norm of
-    # the raised state is pi * n! * m!.
-    return 1.0 / math.sqrt(math.pi * math.factorial(n) * math.factorial(m))
+def _horner(coeffs, t: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] t^k, lowest power first, by Horner's rule."""
+    poly = np.zeros_like(t)
+    for c in coeffs[::-1]:
+        poly = poly * t + c
+    return poly
 
 
 def _as_complex_points(z) -> np.ndarray:
@@ -63,34 +50,25 @@ def _as_complex_points(z) -> np.ndarray:
 def basis_wavefunction(n: int, m: int, z) -> np.ndarray:
     """Normalized level-m angular-momentum-n state at z (complex or (..,2)).
 
-    Normalization is enforced numerically (unit norm under the plane
-    integral), giving the constant (pi n! m!)^(-1/2).
+    The state the raising operator builds m times from z^n exp(-|z|^2/2),
+    in closed form: with lo = min(n, m), hi = max(n, m), d = hi - lo and
+    t = |z|^2 it is
+
+        (-1)^lo sqrt(lo! / (pi hi!)) w^d L_lo^(d)(t) exp(-t/2),
+
+    with w = z for n >= m and conj(z) otherwise, and unit norm under the
+    plane integral.
     """
     if n < 0 or m < 0:
         raise ValueError(f"state indices must be nonnegative, got n={n}, m={m}")
     zc = _as_complex_points(z)
-    zb = np.conj(zc)
-    val = np.zeros_like(zc, dtype=complex)
-    for a, b, c in _raised_monomials(n, m):
-        val = val + c * zc ** a * zb ** b
-    return _norm_constant(n, m) * val * np.exp(-np.abs(zc) ** 2 / 2.0)
-
-
-@lru_cache(maxsize=None)
-def _kernel_radial_coeffs(m: int) -> tuple:
-    """Coefficients r_k with p_m(0, z) = sum_k r_k t^k exp(-t/2), t = |z|^2.
-
-    Derived from the (m, m) state table: only that state is nonzero at the
-    origin, so the kernel at the origin is psi(0) * conj(psi(z)), whose
-    polynomial part depends on t alone.
-    """
-    coeffs = np.zeros(m + 1)
-    for a, b, c in _raised_monomials(m, m):
-        if a != b:
-            raise AssertionError("diagonal state table must be radial")
-        coeffs[a] += c
-    norm_sq = 1.0 / (math.pi * math.factorial(m) ** 2)
-    return tuple(norm_sq * coeffs[0] * coeffs)
+    lo, hi = min(n, m), max(n, m)
+    t = zc.real * zc.real + zc.imag * zc.imag
+    norm = (-1) ** lo * math.sqrt(math.factorial(lo) / (math.pi * math.factorial(hi)))
+    val = norm * _horner(_laguerre(lo, hi - lo), t) * np.exp(-t / 2.0)
+    if hi == lo:
+        return val.astype(complex)
+    return val * (zc if n >= m else np.conj(zc)) ** (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -172,7 +150,6 @@ class CovariantKernel:
 
 def _closed_form_evaluate(radial: tuple, magnetic: bool):
     """evaluate for the closed form recorded on CovariantKernel."""
-    coeffs = np.array(radial)
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
@@ -182,9 +159,7 @@ def _closed_form_evaluate(radial: tuple, magnetic: bool):
         d1 = y[..., 0] - x[..., 0]
         d2 = y[..., 1] - x[..., 1]
         t = d1 * d1 + d2 * d2
-        poly = np.zeros_like(t)
-        for c in coeffs[::-1]:
-            poly = poly * t + c
+        poly = _horner(radial, t)
         if not magnetic:
             return poly * np.exp(-t / 2.0)
         return np.exp(-1j * wedge) * poly * np.exp(-t / 2.0)
@@ -195,12 +170,13 @@ def _closed_form_evaluate(radial: tuple, magnetic: bool):
 def landau_kernel(m: int) -> CovariantKernel:
     """Closed-form level-m projection kernel.
 
-    The kernel records the radial coefficients of the cached coefficient
-    tables with the magnetic phase.
+    The kernel records radial = L_m(t) / pi, the Laguerre polynomial of the
+    level, with the magnetic phase: p_m(0, z) = sum_n psi_(n,m)(0)
+    conj(psi_(n,m)(z)), where only the (m, m) state is nonzero at the origin.
     """
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
-    radial = _kernel_radial_coeffs(m)
+    radial = tuple(c / math.pi for c in _laguerre(m, 0))
     return CovariantKernel(level=m, radial=radial, magnetic=True)
 
 
@@ -261,7 +237,7 @@ def flux_matrix(m: int, n_max: int) -> np.ndarray:
     # admissible entries sit at (n, n') = (k+1, k)
     pattern = np.eye(n_max + 1, k=-1, dtype=bool)
     resid = float(np.max(np.abs(np.where(pattern, 0.0, mat))))
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise ValueError(
             f"flux matrix off-pattern residual {resid:.3e} exceeds 1.0e-08; "
             "quadrature did not converge"
@@ -272,22 +248,22 @@ def flux_matrix(m: int, n_max: int) -> np.ndarray:
 def shift_index(M: np.ndarray) -> int:
     """Fredholm index of the semi-infinite shift operator truncated as M.
 
-    Scans all diagonal offsets for the unique one carrying every entry above
-    1e-8 and returns that offset (column minus row).  A matrix admitting
-    no offset is not a shift matrix; one admitting several (the zero matrix)
+    Reads the diagonal offsets (column minus row) of the entries above 1e-8,
+    a NaN entry among them, and returns the offset when they share one.  A
+    matrix admitting no offset is not a shift matrix; one admitting several
+    (the zero matrix, on which every offset carries all entries above 1e-8)
     is ambiguous.  Both are rejected.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"shift matrix must be square, got {M.shape}")
     dim = M.shape[0]
-    rows, cols = np.indices(M.shape)
-    offsets = cols - rows
-    admissible = []
-    for i in range(-(dim - 1), dim):
-        off_pattern = np.abs(np.where(offsets == i, 0.0, M))
-        if np.max(off_pattern) <= 1e-8:
-            admissible.append(i)
+    rows, cols = np.nonzero(~(np.abs(M) <= 1e-8))
+    carried = np.unique(cols - rows).tolist()
+    if not carried:
+        admissible = list(range(-(dim - 1), dim))
+    else:
+        admissible = carried if len(carried) == 1 else []
     if not admissible:
         raise ValueError("no admissible diagonal offset: not a shift matrix")
     if len(admissible) > 1:

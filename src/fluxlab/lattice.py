@@ -285,7 +285,7 @@ def _chain_phase(ratio, side: int) -> np.ndarray:
 
 def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
     gap = float(np.min(np.abs(evals - fermi)))
-    if gap < min_gap:
+    if not gap >= min_gap:
         raise ValueError(
             f"no spectral gap at fermi energy {fermi:.6f}: nearest eigenvalue "
             f"is {gap:.3e} away; the Fermi projection needs an open gap"

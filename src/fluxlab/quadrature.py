@@ -210,7 +210,7 @@ def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     punct = np.array([a + sing, b + sing, c + sing])
     d12, d23, d31 = abs(a - b), abs(b - c), abs(c - a)
     dmin, dmax = min(d12, d23, d31), max(d12, d23, d31)
-    if eps >= 0.1 * dmin:
+    if not eps < 0.1 * dmin:
         raise ValueError(
             f"puncture radius {eps:.2e} too large for singularity separation "
             f"{dmin:.3f}; need eps < 0.1 * separation"
@@ -267,7 +267,7 @@ def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     logger.debug("connes_area tail bound %.2e, removed-ball bound %.2e, Rfar %.1f; "
                  "disk of %d x %d nodes in %d bands on %d workers", tail, ball, Rfar,
                  *z.shape, len(bands), _workers())
-    if tail > tol:
+    if not tail <= tol:
         raise ValueError(
             f"far-field tail bound {tail:.2e} exceeds target {tol:.1e}; "
             "outer radius too small"
@@ -359,7 +359,7 @@ def index_integral_4d(p: CovariantKernel, winding: int,
     J = triple_wedge(p, level_square_grid(p.level, "index", spec))
     value = -2.0j * np.pi * winding * J
     resid = abs(value.imag)
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise ValueError(
             f"imaginary residual {resid:.2e} of the index integral exceeds "
             "1e-8; quadrature did not converge"

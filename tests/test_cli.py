@@ -313,6 +313,36 @@ def test_bad_pair_radius_is_refused_before_any_work(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["lattice-index", "--fermi", "nan"], None, "fermi must be finite, got nan"),
+    (["wedge", "--fermi", "nan"], None, "fermi must be finite, got nan"),
+    (["switch-check", "--tol", "inf"], None, "tol must be finite, got inf"),
+    (["hall-transport", "--scale", "nan"], None, "scale must be finite, got nan"),
+    (["disorder", "--amplitude-factor=-inf"], None,
+     "amplitude_factor must be finite, got -inf"),
+    (["lattice-index"], {"tol": float("nan")}, "tol must be finite, got nan"),
+    (["hall-transport", "--L-values", "nan"], None, "L_values must be finite, got 'nan'"),
+    (["hall-transport", "--L-values", "2,inf"], None,
+     "L_values must be finite, got 'inf'"),
+    (["hall-transport"], {"L_values": [2.0, float("nan")]},
+     "L_values must be finite, got nan"),
+    (["switch-check", "--tol=-1e-3"], None, "tol must be at least 0, got -0.001"),
+], ids=["lattice-fermi-nan", "wedge-fermi-nan", "tol-inf", "scale-nan",
+        "amplitude-minus-inf", "config-tol-nan", "L-values-nan", "L-values-inf",
+        "config-L-values-nan", "tol-negative"])
+def test_nonfinite_float_setting_is_usage_error(tmp_path, capsys, argv, config, message):
+    # a NaN compares False with every bound: --tol inf passed every row, and
+    # --fermi nan reported an index of 0 as passing
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fractional_flux_is_taken():
     args = _build_parser().parse_args(["lattice-index", "--flux", "1/4"])
     resolved = _resolve_config(args)

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from fluxlab import hall
-from fluxlab.gauge import Switch, tanh_switch
+from fluxlab import hall, landau
+from fluxlab.gauge import Switch, flux_unitary, tanh_switch
 from fluxlab.hall import (SwitchPair, _box_switch_integrals, curvature_diagonal,
                           hall_transport_box, hall_transport_closed_form,
                           kubo_box, switch_integral_1d, switch_integral_2d)
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
 from fluxlab.grids import square_grid
-from fluxlab.quadrature import QuadratureSpec, weighted_triple_kernel
+from fluxlab.quadrature import (QuadratureSpec, Triangle, connes_area,
+                                index_integral_4d, weighted_triple_kernel)
 
 # a small transport grid with an odd node count keeps the dense oracle cheap
 ORACLE_SPEC = QuadratureSpec(outer_radius=7.0, radial_nodes=31)
@@ -244,3 +245,43 @@ def test_box_and_kubo_match_dense_oracle(closed_form_kernel, unit_pair):
     x1, x2 = nodes.T
     want = 1j * (x1 @ T @ x2 - x2 @ T @ x1)
     assert abs(kubo_box(p, 6.0, ORACLE_SPEC) - want.real) <= 1e-13
+
+
+
+NAN = float("nan")
+TANH_PAIR = SwitchPair(tanh_switch(1.0), tanh_switch(1.0))
+
+
+def _flux_matrix_of_nan_states(monkeypatch):
+    monkeypatch.setattr(landau, "basis_wavefunction",
+                        lambda n, m, z: np.full(np.shape(z), NAN + 0j))
+    return landau.flux_matrix(0, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda mp: hall_transport_box(landau_kernel(0), TANH_PAIR, [NAN]),
+     "strictly increasing"),
+    (lambda mp: hall_transport_box(landau_kernel(0), TANH_PAIR, [2.0, NAN]),
+     "strictly increasing"),
+    (lambda mp: hall_transport_box(landau_kernel(0), TANH_PAIR, []),
+     "L_values must not be empty"),
+    (lambda mp: kubo_box(landau_kernel(0), NAN), "half side must be positive"),
+    (lambda mp: tanh_switch(NAN), "scale must be positive"),
+    (lambda mp: switch_integral_1d(tanh_switch(1.0, center=NAN), 1.0),
+     "tail truncation"),
+    (lambda mp: hall_transport_closed_form(
+        CovariantKernel(level=0, radial=(NAN,), magnetic=True)), "imaginary residual"),
+    (lambda mp: index_integral_4d(landau_kernel(0), 1, QuadratureSpec(outer_radius=NAN)),
+     "imaginary residual"),
+    (lambda mp: connes_area(flux_unitary(1),
+                            Triangle((NAN, 0.0), (1.0, 0.0), (0.0, 1.0))),
+     "puncture radius"),
+    (_flux_matrix_of_nan_states, "off-pattern residual nan"),
+], ids=["box-L-nan", "box-L-last-nan", "box-L-empty", "kubo-L-nan", "switch-scale-nan",
+        "switch-tail-nan", "closed-form-nan", "index-4d-radius-nan", "connes-vertex-nan",
+        "flux-matrix-nan"])
+def test_nan_inputs_are_refused(monkeypatch, call, message):
+    # each guard is written "not value <= bound", so a NaN, which compares
+    # False with everything, is refused instead of returned as a value
+    with pytest.raises(ValueError, match=message):
+        call(monkeypatch)

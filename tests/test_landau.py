@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,57 @@ def test_wavefunction_values_at_origin():
         val = basis_wavefunction(m, m, 0j)
         assert val == pytest.approx((-1) ** m / math.sqrt(math.pi), abs=1e-12)
     assert basis_wavefunction(1, 0, 0j) == pytest.approx(0.0, abs=1e-15)
+
+
+def _raised_state(n, m, z):
+    """The (n, m) state built the way the closed form is checked against:
+    the raising operator applied m times to z^n exp(-|z|^2/2).  On the
+    polynomial part one application acts as q -> -dq/dz + conj(z) q, kept as
+    a table of monomials coeff * z^a * conj(z)^b; the squared plane norm of
+    the raised state is pi n! m!."""
+    terms = {(n, 0): 1.0}
+    for _ in range(m):
+        nxt = {}
+        for (a, b), c in terms.items():
+            if a >= 1:
+                nxt[(a - 1, b)] = nxt.get((a - 1, b), 0.0) - c * a
+            nxt[(a, b + 1)] = nxt.get((a, b + 1), 0.0) + c
+        terms = nxt
+    val = sum(c * z ** a * np.conj(z) ** b for (a, b), c in sorted(terms.items()))
+    norm = 1.0 / math.sqrt(math.pi * math.factorial(n) * math.factorial(m))
+    return norm * val * np.exp(-np.abs(z) ** 2 / 2.0)
+
+
+def test_wavefunction_matches_raising_operator_reference():
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-6.0, 6.0, size=(5000, 2))
+    z = pts[:, 0] + 1j * pts[:, 1]
+    for m in range(4):
+        for n in range(41):
+            want = _raised_state(n, m, z)
+            got = basis_wavefunction(n, m, pts)
+            assert got.dtype == complex
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_wavefunction_sign_convention_by_hand():
+    # by hand: (2, 1) raises z^2 once and (1, 2) raises z twice, giving
+    # z (t - 2) and conj(z) (t - 2), each over sqrt(2 pi), times exp(-t/2)
+    # with t = |z|^2
+    z = 0.7 - 1.3j
+    t = abs(z) ** 2
+    radial = (t - 2.0) * math.exp(-t / 2.0) / math.sqrt(2.0 * math.pi)
+    assert basis_wavefunction(2, 1, z) == pytest.approx(z * radial, rel=1e-14)
+    assert basis_wavefunction(1, 2, z) == pytest.approx(z.conjugate() * radial,
+                                                        rel=1e-14)
+
+
+def test_kernel_radial_pinned_bitwise():
+    # the Laguerre coefficients L_m(t) / pi, bit for bit
+    pi = math.pi
+    assert landau_kernel(0).radial == (1 / pi,)
+    assert landau_kernel(1).radial == (1 / pi, -1 / pi)
+    assert landau_kernel(2).radial == (1 / pi, -2 / pi, 0.5 / pi)
 
 
 def test_wavefunction_accepts_planar_points():
@@ -186,6 +238,26 @@ def test_shift_index_conventions():
         shift_index(np.zeros((5, 5)))
     with pytest.raises(ValueError, match="square"):
         shift_index(np.zeros((2, 3)))
+
+
+def test_shift_index_reads_offsets_in_one_pass():
+    # a NaN entry counts as above 1e-8, on its offset or off it
+    M = np.eye(5, k=-1)
+    M[3, 2] = np.nan
+    assert shift_index(M) == -1
+    M[0, 4] = np.nan
+    with pytest.raises(ValueError, match="not a shift matrix"):
+        shift_index(M)
+    # entries at or below 1e-8 lie on every offset
+    M = np.eye(4, k=1) + 1e-8 * np.ones((4, 4))
+    assert shift_index(M) == 1
+    # the zero matrix admits every offset; a 0 x 0 matrix none
+    with pytest.raises(ValueError, match=re.escape("offsets [-2, -1, 0, 1, 2]")):
+        shift_index(np.zeros((3, 3)))
+    assert shift_index(np.zeros((1, 1))) == 0
+    with pytest.raises(ValueError, match="no admissible"):
+        shift_index(np.zeros((0, 0)))
+    assert type(shift_index(np.eye(3, k=2))) is int
 
 
 def test_polar_disk_grid_measures_area():

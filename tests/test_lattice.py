@@ -220,6 +220,14 @@ def test_gap_projection_min_gap_threshold():
         gap_projection(H, FERMI, min_gap=10.0)
 
 
+def test_gap_projection_refuses_nan_fermi():
+    # a NaN distance compares False with min_gap: the rank-0 P it let
+    # through read as a passing index of 0
+    H = build_hamiltonian(bench(12))
+    with pytest.raises(ValueError, match="no spectral gap at fermi energy nan"):
+        gap_projection(H, float("nan"))
+
+
 def _complex_oracle(H, fermi, eigh=None):
     # the complex eigh route: eigenvectors of H itself, P = V V*, symmetrized
     evals, vecs = np.linalg.eigh(H) if eigh is None else eigh
