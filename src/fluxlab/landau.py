@@ -259,7 +259,7 @@ def shift_index(M: np.ndarray) -> int:
         raise ValueError(f"shift matrix must be square, got {M.shape}")
     dim = M.shape[0]
     rows, cols = np.nonzero(~(np.abs(M) <= 1e-8))
-    carried = np.unique(cols - rows).tolist()
+    carried = sorted(set((cols - rows).tolist()))
     if not carried:
         admissible = list(range(-(dim - 1), dim))
     else:
