@@ -24,7 +24,8 @@ class GaugeUnitary:
     evaluate maps an (..., 2) array of points to unit-modulus complex values;
     it is undefined (nan) at the singularity itself.  lipschitz_c1 is the
     constant c1 of the ratio bound |u(x+y) - u(y)| <= c1 |x| / |y|, valid
-    for |x| <= |y| / 2, that sizes the connes_area far field.
+    for |x| <= |y| / 2, that sizes the connes_area far field; it must be
+    finite and nonnegative.
 
     flux_power is set for the pure power form (z/|z|)^alpha and lets
     downstream code evaluate phase differences of u by stable planar
@@ -36,6 +37,11 @@ class GaugeUnitary:
     singularity: tuple = (0.0, 0.0)
     lipschitz_c1: float = 2.0
     flux_power: Optional[int] = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.lipschitz_c1 < float("inf"):
+            raise ValueError(
+                f"lipschitz_c1 must be finite and nonnegative, got {self.lipschitz_c1!r}")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(points)
@@ -141,6 +147,8 @@ def tanh_switch(scale: float, center: float = 0.0) -> Switch:
     """(1 + tanh((x - center)/scale)) / 2 with a closed-form primitive."""
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    if not abs(center) < float("inf"):
+        raise ValueError(f"center must be finite, got {center}")
 
     def evaluate(x):
         return 0.5 * (1.0 + np.tanh((np.asarray(x, dtype=float) - center) / scale))

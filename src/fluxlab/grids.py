@@ -182,7 +182,10 @@ class TensorGrid(_ArrayFields):
 
 
 def square_grid(half_side: float, nodes_per_axis: int) -> TensorGrid:
-    """Gauss-Legendre nodes on [-L, L]^2 with product weights."""
+    """Gauss-Legendre nodes on [-L, L]^2 with product weights.  The half side
+    must be positive and finite."""
+    if not 0.0 < half_side < float("inf"):
+        raise ValueError(f"square half side must be positive and finite, got {half_side!r}")
     x, w = gauss_legendre(-half_side, half_side, nodes_per_axis)
     return TensorGrid(x, x, w, w)
 

@@ -12,15 +12,15 @@ A projection is kept as a stack of mode blocks (HermitianProjection.blocks).
 A projection that commutes with the rotations of a polar grid has one block
 per angular mode; any other projection is its dense matrix, the stack of
 one block.  The nodes of the blocks may sit on the sites in another order
-and with a phase each (a site map, HermitianProjection.sites and .phases):
-the square lattice box keeps its rotation-mode blocks that way, while
-.matrix stays the site-ordered matrix.  Every route reduces a pair of
-projections with the same block layout and site map block by block, and
-any other pair on its site-ordered matrices.  Every flux-inserted pair
-(P, D P D*), for a diagonal unitary D, is formed by conjugated on one
-layout: P's blocks when D shifts the angular mode, else P's matrix on the
-nodes, built once.  Q carries P's residuals, widened by D's distance from
-the unit circle, instead of measuring them again.
+(a site map, HermitianProjection.sites): the square lattice box keeps its
+rotation-mode blocks that way, while .matrix stays the site-ordered
+matrix.  Every route reduces a pair of projections with the same block
+layout and site map block by block, and any other pair on its
+site-ordered matrices.  Every flux-inserted pair (P, D P D*), for a
+diagonal unitary D, is formed by conjugated on one layout: P's blocks when
+D shifts the angular mode, else P's matrix on the nodes, built once.  Q
+carries P's residuals, widened by D's distance from the unit circle,
+instead of measuring them again.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ class HermitianProjection:
     projections are not exactly idempotent; they carry a loose tolerance and
     the residuals are kept in hermitian_residual and idempotency_residual.
 
-    sites and phases, None by default, place the nodes on the sites: node v
-    is site sites[v] with phase phases[v], so the site-ordered matrix is
-    S[sites[v], sites[w]] = phases[v] M[v, w] conj(phases[w]).  The
-    residuals a producer records for such a projection are those of S.
+    sites, None by default, places the nodes on the sites: node v is site
+    sites[v], so the site-ordered matrix is S[sites[v], sites[w]] = M[v, w].
+    The residuals a producer records for such a projection are those of S.
     .matrix is the site-ordered matrix: the block itself for one block
     without a site map, else built on first access and cached.  Pickling
     keeps the blocks and the site map; two projections are equal when their
@@ -62,7 +61,6 @@ class HermitianProjection:
     # the identity site map, kept on the class so that a projection without a
     # site map holds no more attributes than its blocks and residuals
     sites = None
-    phases = None
 
     def __init__(self, matrix: np.ndarray, idempotency_tol: float = 1e-10):
         m = np.asarray(matrix)
@@ -83,16 +81,16 @@ class HermitianProjection:
     @classmethod
     def with_residuals(cls, blocks: np.ndarray, idempotency_tol: float,
                        hermitian_residual: float, idempotency_residual: float,
-                       sites=None, phases=None):
-        """The (k, n, n) stack blocks, on the site map sites and phases when
-        given, with residuals its producer has bounded from quantities it
-        already holds, instead of measuring them; rejected like any
-        projection when a residual exceeds idempotency_tol."""
+                       sites=None):
+        """The (k, n, n) stack blocks, on the site map sites when given, with
+        residuals its producer has bounded from quantities it already holds,
+        instead of measuring them; rejected like any projection when a
+        residual exceeds idempotency_tol."""
         proj = cls.__new__(cls)
         proj._validate(np.asarray(blocks), idempotency_tol, hermitian_residual,
                        idempotency_residual)
         if sites is not None:
-            proj.__dict__.update(sites=np.asarray(sites), phases=np.asarray(phases))
+            proj.__dict__["sites"] = np.asarray(sites)
         return proj
 
     def _validate(self, b: np.ndarray, tol: float, herm=None, resid=None):
@@ -117,16 +115,13 @@ class HermitianProjection:
             if self.sites is not None:
                 node = np.argsort(self.sites)
                 m = m[np.ix_(node, node)]
-                phase = self.phases[node]
-                m *= phase[:, None]
-                m *= phase.conj()
             self.__dict__["_matrix"] = m
         return self._matrix
 
     def same_sites(self, other) -> bool:
-        """Whether other places its nodes on the same sites with the same phases."""
-        return all(a is b or (a is not None and b is not None and np.array_equal(a, b))
-                   for a, b in ((self.sites, other.sites), (self.phases, other.phases)))
+        """Whether other places its nodes on the same sites."""
+        a, b = self.sites, other.sites
+        return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
     @property
     def dim(self) -> int:
@@ -227,12 +222,12 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> tuple:
         nodes = P.matrix if P.sites is None else nodal_matrix(P.blocks)
         P = HermitianProjection.with_residuals(
             nodes[None], P.idempotency_tol, P.hermitian_residual,
-            P.idempotency_residual, P.sites, P.phases)
+            P.idempotency_residual, P.sites)
         blocks, c = P.blocks, d
     return P, HermitianProjection.with_residuals(
         blocks * np.outer(c, c.conj()), P.idempotency_tol,
         (1.0 + eps) * P.hermitian_residual,
-        (1.0 + eps) * (P.idempotency_residual + eps * rho), P.sites, P.phases)
+        (1.0 + eps) * (P.idempotency_residual + eps * rho), P.sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +319,7 @@ def _check_same_dim(*ops):
 
 
 def difference(P: HermitianProjection, Q: HermitianProjection) -> np.ndarray:
-    """P − Q as a stack (k, n, n), up to a diagonal unitary: its mode blocks
+    """P − Q as a stack (k, n, n), up to the order of the nodes: its mode blocks
     when P and Q share a block layout and site map, as the pair from
     conjugated does, else the site-ordered matrix as a stack of one."""
     _check_same_dim(P, Q)

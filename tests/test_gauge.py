@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fluxlab.gauge import (flux_unitary, numerical_winding, product_unitary,
-                           tanh_switch, translate_unitary)
+from fluxlab.gauge import (GaugeUnitary, flux_unitary, numerical_winding,
+                           product_unitary, tanh_switch, translate_unitary)
 
 
 def test_flux_unitary_is_phase_of_position():
@@ -113,3 +113,19 @@ def test_switch_no_overflow_far_out():
     assert np.isfinite(s.antiderivative(1e4))
     # F(x) - x stays bounded on the right tail
     assert abs(s.antiderivative(1e4) - 1e4) < 10.0
+
+
+@pytest.mark.parametrize("center", [float("nan"), float("inf"), -float("inf")])
+def test_tanh_switch_rejects_a_nonfinite_center(center):
+    with pytest.raises(ValueError, match=f"center must be finite, got {center}"):
+        tanh_switch(1.0, center)
+
+
+@pytest.mark.parametrize("c1", [float("nan"), float("inf"), -1.0])
+def test_gauge_unitary_rejects_a_bad_lipschitz_constant(c1):
+    # a NaN constant reached connes_area's far-field node count, which failed
+    # with "cannot convert float NaN to integer"
+    with pytest.raises(ValueError,
+                       match=f"lipschitz_c1 must be finite and nonnegative, got {c1!r}"):
+        GaugeUnitary(flux_unitary(1).evaluate, 1, lipschitz_c1=c1)
+    assert GaugeUnitary(flux_unitary(0).evaluate, 0, lipschitz_c1=0.0).lipschitz_c1 == 0.0

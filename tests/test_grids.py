@@ -124,6 +124,14 @@ def test_polar_disk_grid_rejects_a_bad_radius(radius):
         polar_disk_grid(radius)
 
 
+@pytest.mark.parametrize("half_side", [0.0, -7.0, float("inf"), float("nan")])
+def test_index_square_rejects_a_bad_half_side(half_side):
+    # a zero half side gave the index 0j, and -7.0 gave -1.0 from a reversed rule
+    with pytest.raises(ValueError, match=f"square half side must be positive and finite, "
+                                         f"got {half_side!r}"):
+        index_integral_4d(landau_kernel(0), 1, QuadratureSpec(outer_radius=half_side))
+
+
 def test_polar_builder_layout_takes_block_engine():
     r, w = gauss_legendre(0.0, 8.0, 40)
     grid = polar_grid(r, w * r, 72, 8.0)

@@ -1,7 +1,6 @@
 """Magnetic tight-binding models, gap projections, windowed lattice index."""
 
 import pickle
-import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
-                             _real_form_permutation, _rotation_gauge,
+                             _dense_projection, _real_form_permutation,
+                             _rotation_permutation,
                              build_hamiltonian,
                              decay_fit, disorder_constancy, gap_projection,
                              lattice_flux_unitary, lattice_index,
@@ -115,13 +115,16 @@ def test_plaquette_outside_mask_rejected():
         plaquette_phase(model, H, 2, 2)
 
 
-def _loop_hamiltonian(model, gauge="landau"):
-    # the per-site loop the bond table replaced: one scalar phase per bond
+def _loop_hamiltonian(model, gauge):
+    # the per-site loop the bond table replaced: one scalar phase per bond,
+    # the symmetric gauge centred on the active sites' bounding box
     flux = float(model.flux_per_plaquette)
     mask, pot = model.domain_mask, model.potential
     sites = [(x, y) for x in range(model.width) for y in range(model.height)
              if mask is None or mask[x, y]]
     idx = {s: i for i, s in enumerate(sites)}
+    xs, ys = [s[0] for s in sites], [s[1] for s in sites]
+    cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
     H = np.zeros((len(sites), len(sites)), dtype=complex)
     for (x, y) in sites:
         i = idx[(x, y)]
@@ -133,9 +136,9 @@ def _loop_hamiltonian(model, gauge="landau"):
                 if gauge == "landau":
                     phase = np.exp(2j * np.pi * flux * x) if dy else 1.0 + 0.0j
                 elif dy:
-                    phase = np.exp(1j * np.pi * flux * x)
+                    phase = np.exp(1j * np.pi * flux * (x - cx))
                 else:
-                    phase = np.exp(-1j * np.pi * flux * y)
+                    phase = np.exp(-1j * np.pi * flux * (y - cy))
                 H[i, j] = -phase
                 H[j, i] = -np.conj(phase)
     return H
@@ -173,7 +176,7 @@ def test_bond_table_hamiltonian_is_bitwise_the_loop(width, height, mask_name):
 @pytest.mark.parametrize("width, height", [(24, 24), (7, 5), (1, 6), (3, 1)])
 def test_bonds_count_and_landau_phase(width, height):
     model = MagneticLatticeModel(width, height, 0.27)
-    i, j, phase = model.bonds()
+    i, j, phase = model.bonds("landau")
     assert len(i) == len(j) == len(phase) == (width - 1) * height + width * (height - 1)
     sites = model.sites()
     step = sites[j] - sites[i]
@@ -256,20 +259,15 @@ def _c4_potential(size, seed, amplitude=0.1):
     return a + np.rot90(a) + np.rot90(a, 2) + np.rot90(a, 3)
 
 
-def _logged(text, label):
-    # a number the kept blocks' DEBUG line reports after label
-    return float(re.search(re.escape(label) + r" ([-+.e\d]+)", text).group(1))
-
-
 def _route_line(gp, n):
     # the DEBUG line gap_projection logs for the route it took
     line = f"{'real-form' if gp.real_form else 'complex'} eigh, N = {n}"
     return f"4 rotation blocks of {n // 4}, {line}" if gp.modes == 4 else line
 
 
-# the square, even-sided boxes with a complex H have a magnetic rotation and
-# take the four mode blocks, each in real form; a box whose blocks break the
-# diagonal reflection takes the complex eigh, the others keep the real form
+# the square, even-sided boxes with a complex H keep their rotation exactly
+# and take the four mode blocks, each in real form; a box whose blocks break
+# the diagonal reflection takes the complex eigh, the others keep the real form
 @pytest.mark.parametrize("model, modes, real_form", [
     (bench(24), 4, True), (bench(32), 4, True), (bench(40), 4, True),
     (MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None))),
@@ -280,20 +278,20 @@ def _route_line(gp, n):
     (MagneticLatticeModel(24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5)),
      1, True),
     (MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5)), 1, False),
+    (MagneticLatticeModel(24, 20, FLUX), 1, True),
+    (bench(23), 1, True),
 ], ids=["L24", "L32", "L40", "half-plane", "quarter-wedge", "flux-zero",
-        "y-symmetric-potential", "c4-potential"])
+        "y-symmetric-potential", "c4-potential", "rectangle", "odd-side"])
 def test_real_form_matches_complex_oracle(model, modes, real_form, caplog):
     H = build_hamiltonian(model)
     with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
         gp = gap_projection(H, FERMI)
     assert (gp.modes, gp.real_form) == (modes, real_form)
     assert _route_line(gp, H.shape[0]) in caplog.text
+    # the c4 potential, the one box here that keeps the rotation and breaks
+    # the diagonal reflection, is the one that takes the complex eigh
     assert ("rotation blocks break the diagonal reflection" in caplog.text) == (
-        modes == 1 and _rotation_gauge(H) is not None)
-    if modes == 4:
-        # the drift bound covers the rotation's and the reflection's averages;
-        # the Landau phases' rounding sets it, 3.9e-11 at 40 x 40
-        assert 0.0 < _logged(caplog.text, "Davis-Kahan bound of") <= 1e-10
+        not real_form)
     P, gap = _complex_oracle(H, FERMI)
     assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
     assert abs(gp.gap_width - gap) <= 1e-12
@@ -328,8 +326,11 @@ def test_complex_fallback_is_bitwise_the_oracle(case, caplog):
         H = build_hamiltonian(bench())
         H += np.diag(np.random.default_rng(3).uniform(-0.01, 0.01, H.shape[0]))
     else:
-        # a rectangle, which has no magnetic rotation either
-        H = build_hamiltonian(MagneticLatticeModel(24, 20, FLUX), gauge="symmetric")
+        # a rectangle, which has no rotation; its potential ramps along y,
+        # which the reflection of each column does not keep
+        ramp = np.outer(np.ones(24), 1e-3 * np.arange(20))
+        H = build_hamiltonian(MagneticLatticeModel(24, 20, FLUX, potential=ramp),
+                              gauge="symmetric")
     assert _real_form_permutation(H) is None
     with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
         gp = gap_projection(H, FERMI)
@@ -352,8 +353,9 @@ def _oracle_at_widest_gap(H):
 @pytest.mark.parametrize("flux", [0.0, 0.25, 0.4])
 @pytest.mark.parametrize("size", [12, 24, 32, 40])
 def test_rotation_blocks_match_complex_oracle(size, flux):
-    # the symmetric gauge, which the reflection check rejects; a real H (flux
-    # 0) keeps the real form, whose P is exactly real
+    # the symmetric gauge centred on the box, which keeps the rotation and the
+    # diagonal reflection exactly; a real H (flux 0) keeps the real form,
+    # whose P is exactly real
     H = build_hamiltonian(MagneticLatticeModel(size, size, flux), gauge="symmetric")
     fermi, rank, P, gap = _oracle_at_widest_gap(H)
     gp = gap_projection(H, fermi)
@@ -373,10 +375,65 @@ def test_rotation_blocks_match_complex_oracle_on_random_boxes(half, q, p, gauge_
     H = build_hamiltonian(model, gauge=gauge_name)
     fermi, rank, P, gap = _oracle_at_widest_gap(H)
     gp = gap_projection(H, fermi)
-    assert gp.modes == (4 if H.imag.any() else 1)
+    # the Landau box keeps its rotation only up to a gauge, and takes the
+    # dense real form
+    assert gp.modes == (4 if H.imag.any() and gauge_name == "symmetric" else 1)
+    assert gp.real_form
     assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
     assert abs(gp.gap_width - gap) <= 1e-12
     assert gp.projection.rank() == rank
+
+
+def _bond_entries(size, flux):
+    # H's off-diagonal entries as build_hamiltonian scatters them from the
+    # bond table, sorted by their key row * N + column: no N x N matrix
+    i, j, phase = MagneticLatticeModel(size, size, flux).bonds()
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    vals = np.concatenate([-phase, -np.conj(phase)])
+    key = rows * size * size + cols
+    order = np.argsort(key)
+    return rows, cols, vals, key[order], vals[order]
+
+
+@settings(max_examples=25, deadline=None)
+@given(half=st.integers(1, 32),
+       flux=st.one_of(st.builds(lambda p, q: (p % q) / q,
+                                st.integers(0, 12), st.integers(1, 13)),
+                      st.floats(0.0, 1.0, exclude_max=True)))
+def test_centred_gauge_keeps_rotation_and_reflection_bit_for_bit(half, flux):
+    # H[p][:, p] == H and H[t][:, t] == conj(H), compared on H's nonzero
+    # entries as gap_projection compares them, on boxes up to 64 x 64
+    size = 2 * half
+    n = size * size
+    rows, cols, vals, key, sorted_vals = _bond_entries(size, flux)
+    x, y = np.divmod(np.arange(n), size)
+    for perm, image in (((size - 1 - y) * size + x, vals), (y * size + x, np.conj(vals))):
+        mapped = perm[rows] * n + perm[cols]
+        at = np.minimum(np.searchsorted(key, mapped), len(key) - 1)
+        assert np.array_equal(key[at], mapped)
+        assert np.array_equal(sorted_vals[at], image)
+        if flux:
+            # bit for bit too; at flux 0 conjugation flips the sign of a zero
+            # imaginary part
+            assert np.array_equal(sorted_vals[at].view(np.uint64), image.view(np.uint64))
+
+
+def test_block_route_at_56_matches_the_dense_real_form():
+    # the largest box the suite runs; in the Landau gauge its rotation held
+    # only up to rounding, and it took the dense real form
+    H = build_hamiltonian(bench(56))
+    gp = gap_projection(H, FERMI)
+    assert (gp.modes, gp.real_form) == (4, True)
+    dense, gap = _dense_projection(H, FERMI, 1e-9, _real_form_permutation(H))
+    del H
+    assert abs(gp.gap_width - gap) <= 1e-12
+    # node block by node block: node (i, a) sits at site sites[4 i + a]
+    sites, D = gp.projection.sites, dense.matrix
+    nodal = projpair.nodal_blocks(gp.projection.blocks)
+    for a in range(4):
+        for t in range(4):
+            site_block = D[np.ix_(sites[a::4], sites[(a + t) % 4::4])]
+            assert np.max(np.abs(nodal[t] - site_block)) <= 1e-12
 
 
 def _dense_route(H, fermi):
@@ -401,7 +458,7 @@ def _rotated_bond_perturbed():
 
 @pytest.mark.parametrize("build", [
     lambda: build_hamiltonian(bench(23)),
-    lambda: build_hamiltonian(MagneticLatticeModel(24, 20, FLUX)),
+    lambda: build_hamiltonian(MagneticLatticeModel(24, 20, FLUX), gauge="landau"),
     lambda: build_hamiltonian(MagneticLatticeModel(
         24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None)))),
     lambda: build_hamiltonian(bench()) + np.diag(
@@ -410,8 +467,9 @@ def _rotated_bond_perturbed():
         24, 24, FLUX, potential=_y_symmetric_potential(24, 24, 5))),
     _rotated_bond_perturbed,
     lambda: build_hamiltonian(MagneticLatticeModel(24, 20, FLUX), gauge="symmetric"),
+    lambda: build_hamiltonian(bench(), gauge="landau"),
 ], ids=["odd-side", "rectangle", "half-plane", "disorder", "y-symmetric-potential",
-        "perturbed-bond", "symmetric-rectangle"])
+        "perturbed-bond", "symmetric-rectangle", "landau-box"])
 def test_fallback_routes_are_bitwise_the_dense_ones(build):
     H = build()
     gp = gap_projection(H, FERMI)
@@ -422,43 +480,19 @@ def test_fallback_routes_are_bitwise_the_dense_ones(build):
 
 
 @pytest.mark.parametrize("gap", [1e-2, 3e-3, 1e-5, 1e-8])
-def test_block_route_keeps_its_drift_bound_at_small_gaps(gap, caplog):
-    # the Landau box is rotation-symmetric only to 1.9e-13 per entry, so the
-    # blocks' P, that of a symmetrized H, is kept while that moves it by at
-    # most 1e-10 from H's own projection, and the dense route takes over below
+def test_block_route_keeps_its_drift_bound_at_small_gaps(gap):
+    # the rotation and the reflection hold exactly, so the blocks' P is H's
+    # own projection at every distance of the Fermi energy from the spectrum:
+    # the blocks are kept, within 1e-12 of the complex oracle
     H = build_hamiltonian(bench(24))
     evals, vecs = np.linalg.eigh(H)
     k = int(np.argmax(np.diff(evals)))
     fermi = evals[k] + gap
-    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
-        gp = gap_projection(H, fermi)
-    assert gp.modes == (4 if gap >= 3e-3 else 1)
-    if gp.modes == 4:
-        P, oracle_gap = _complex_oracle(H, fermi, (evals, vecs))
-        assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-10
-        assert abs(gp.gap_width - oracle_gap) <= 1e-12
-    else:
-        assert "rotation blocks drift" in caplog.text
-        P, oracle_gap = _dense_route(H, fermi)
-        assert np.array_equal(gp.projection.matrix, P)
-        assert gp.gap_width == oracle_gap
-
-
-def test_reflection_average_enters_the_drift(caplog):
-    # a potential that the rotation keeps and the reflection negates, small
-    # enough to pass the reflection check: averaging the blocks with their
-    # reflected conjugates removes it, so E = H - H' holds it on its diagonal
-    a = _c4_potential(24, 9)
-    v = 2e-13 * (a - a.T) / np.max(np.abs(a - a.T))
-    model = MagneticLatticeModel(24, 24, FLUX, potential=v)
-    H = build_hamiltonian(model, gauge="symmetric")
-    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
-        gp = gap_projection(H, FERMI)
-    assert (gp.modes, gp.real_form) == (4, True)
-    assert _logged(caplog.text, "||E||") >= 2e-13
-    P, gap = _complex_oracle(H, FERMI)
+    gp = gap_projection(H, fermi)
+    assert gp.modes == 4
+    P, oracle_gap = _complex_oracle(H, fermi, (evals, vecs))
     assert np.max(np.abs(gp.projection.matrix - P)) <= 1e-12
-    assert abs(gp.gap_width - gap) <= 1e-12
+    assert abs(gp.gap_width - oracle_gap) <= 1e-12
 
 
 @pytest.mark.parametrize("H, modes", [
@@ -488,24 +522,19 @@ def test_carried_residuals_bound_measured_ones(H, modes):
 
 
 def test_rotation_rejects_a_real_or_broken_box():
-    assert _rotation_gauge(build_hamiltonian(MagneticLatticeModel(24, 24, 0.0))) is None
-    assert _rotation_gauge(build_hamiltonian(bench(23))) is None
-    assert _rotation_gauge(_rotated_bond_perturbed()) is None
-    # a missing bond breaks the chain geometry before any ratio is taken
+    assert _rotation_permutation(build_hamiltonian(MagneticLatticeModel(24, 24, 0.0))) is None
+    assert _rotation_permutation(build_hamiltonian(bench(23))) is None
+    assert _rotation_permutation(_rotated_bond_perturbed()) is None
+    # the Landau box keeps its rotation only up to a gauge
+    assert _rotation_permutation(build_hamiltonian(bench(12), gauge="landau")) is None
+    # a potential that the rotation keeps and the diagonal reflection does not
+    assert _rotation_permutation(build_hamiltonian(MagneticLatticeModel(
+        24, 24, FLUX, potential=_c4_potential(24, 5)))) is None
+    assert _rotation_permutation(build_hamiltonian(bench(12))) is not None
+    # so does a box with a missing bond
     H = build_hamiltonian(bench(12))
     H[5, 6] = H[6, 5] = 0.0
-    assert _rotation_gauge(H) is None
-
-
-@pytest.mark.parametrize("size", [2, 12, 24])
-def test_rotation_gauge_of_the_landau_box(size):
-    # solved from H alone, the gauge is the closed form of the Landau box
-    p, g, c, _, _ = _rotation_gauge(
-        build_hamiltonian(MagneticLatticeModel(size, size, 0.27)))
-    x, y = np.divmod(np.arange(size * size), size)
-    assert np.array_equal(p, (size - 1 - y) * size + x)
-    assert np.max(np.abs(g - np.exp(2j * np.pi * 0.27 * x * (y - size + 1)))) <= 1e-12
-    assert abs(c - np.prod(g[[0, p[0], p[p[0]], p[p[p[0]]]]])) <= 1e-12
+    assert _rotation_permutation(H) is None
 
 
 def _peak(fn):
@@ -539,15 +568,11 @@ def test_site_map_is_part_of_the_projection():
     gp = gap_projection(build_hamiltonian(bench(12)), FERMI)
     P = gp.projection
     assert P.sites is not None and sorted(P.sites) == list(range(144))
-    assert np.max(np.abs(np.abs(P.phases) - 1.0)) <= 1e-15
     elsewhere = HermitianProjection.with_residuals(
         P.blocks, P.idempotency_tol, P.hermitian_residual, P.idempotency_residual,
-        P.sites[::-1], P.phases)
-    rephased = HermitianProjection.with_residuals(
-        P.blocks, P.idempotency_tol, P.hermitian_residual, P.idempotency_residual,
-        P.sites, np.ones(144))
+        P.sites[::-1])
     bare = HermitianProjection.from_blocks(P.blocks, P.idempotency_tol)
-    for other in (elsewhere, rephased, bare):
+    for other in (elsewhere, bare):
         assert (P == other) is False and (P != other) is True
     back = pickle.loads(pickle.dumps(P))
     assert (back == P) is True
@@ -638,19 +663,25 @@ def _dense_diagonal(P, U, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("size, gauge_name", [
-    (24, "landau"), (32, "landau"), (40, "landau"), (24, "symmetric"),
-], ids=["L24", "L32", "L40", "S24"])
+    (24, "landau"), (32, "landau"), (40, "landau"),
+    (24, "symmetric"), (32, "symmetric"), (40, "symmetric"),
+], ids=["L24", "L32", "L40", "S24", "S32", "S40"])
 def test_block_window_trace_matches_dense_oracle(size, gauge_name, n, caplog):
+    # the symmetric box sums the window on its rotation blocks; the Landau
+    # box, whose rotation holds only up to a gauge, takes the dense real form
+    # and sums it on the dense matrix
     model = bench(size)
     gp = gap_projection(build_hamiltonian(model, gauge=gauge_name), FERMI)
-    assert gp.modes == 4
+    assert gp.modes == (4 if gauge_name == "symmetric" else 1)
+    route = (f"on 4 rotation blocks of {size * size // 4}" if gp.modes == 4
+             else f"dense, N = {size * size}")
     U = lattice_flux_unitary(model, (size / 2 - 0.5,) * 2)
     diag = _dense_diagonal(gp.projection, U, n)
     r = np.hypot(*(U.site_array - U.center).T)
     for window_radius in (6.0, 1e6):
         with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
             rep = lattice_index(gp, U, n=n, window_radius=window_radius)
-        assert f"window trace on 4 rotation blocks of {size * size // 4}" in caplog.text
+        assert f"window trace {route}" in caplog.text
         want = complex(np.sum(diag[r <= window_radius]))
         assert abs(rep.value - want.real) <= 1e-12
         assert abs(rep.imag_part - abs(want.imag)) <= 1e-12
@@ -939,7 +970,7 @@ def test_decay_fit_bins_match_per_bin_loop(size):
     MagneticLatticeModel(24, 24, FLUX, domain_mask=WEDGE),
 ], ids=["L24", "L32", "L40", "quarter-wedge"])
 def test_decay_fit_blocks_match_site_ordered_loop(model):
-    # the blocks leave out the site phases, which move each |P| by rounding only
+    # the blocks' nodes are P's sites, so both read the same magnitudes
     gp = gap_projection(build_hamiltonian(model), FERMI)
     assert gp.modes == 4
     slope, r2 = decay_fit(gp, model)

@@ -18,7 +18,7 @@ KEPT = {
     "curvature_diagonal.spec": "small grids for the dense-oracle tests",
     "hall_transport_box.spec": "small grids for the dense-oracle tests",
     "kubo_box.spec": "small grids for the dense-oracle tests",
-    "lattice_index.window_radius": "the ROADMAP item 1 window sweep",
+    "lattice_index.window_radius": "the ROADMAP item 3 window sweep",
     "tanh_switch.center": "the switch-translation identity",
     "weighted_triple_kernel.x0": "the oracle",
 }
