@@ -40,6 +40,11 @@ with neither symmetry (a disorder draw) takes the complex eigh.  On every
 route P carries its idempotency residual, bounded from the eigenvectors'
 Gram matrix or the blocks' measured residual, instead of measuring it with
 the N^3 product P @ P.
+
+disorder_constancy takes the clean box's whole eigenbasis once from those
+routes and decouples each on-site draw in it by a Riccati sweep, with no
+eigh, when the clean gap certifies the draw (Weyl's inequality and
+Stewart's theorem); any other draw takes gap_projection.
 """
 
 from __future__ import annotations
@@ -225,11 +230,12 @@ def _rotation_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     the real form, whose P is exactly real).  The candidates are the
     rotation about the centre of the L x L box in x-major order,
     p(x, y) = (L-1-y, x), which with L even fixes no site, and the
-    reflection t(x, y) = (y, x).  Both relations are compared on H's nonzero
-    entries only, as _real_form_permutation compares its own: as p and t
-    permute the index pairs, the permuted matrix then has no other nonzero
-    entry, so each check is exact for the whole matrix without an N x N
-    temporary.
+    reflection t(x, y) = (y, x).  Both relations are compared on the box's
+    pattern only: its nearest-neighbour bonds, in both directions, and the
+    diagonal.  One count of H's nonzero entries that matches the count on
+    the pattern proves that H has no other nonzero entry, and p and t map
+    the pattern onto itself, so each check is exact for the whole matrix,
+    in O(N) gathers after that one count, without an N x N temporary.
     """
     n = H.shape[0]
     side = math.isqrt(n)
@@ -242,7 +248,11 @@ def _rotation_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     d = np.diagonal(H)
     if not np.array_equal(d[p], d):
         return None
-    i, j = np.nonzero(H)
+    xb, yb, s = np.arange(n - side), np.flatnonzero(y < side - 1), np.arange(n)
+    i = np.concatenate([xb, xb + side, yb, yb + 1, s])
+    j = np.concatenate([xb + side, xb, yb + 1, yb, s])
+    if np.count_nonzero(H) != np.count_nonzero(H[i, j]):
+        return None
     if not np.array_equal(H[p[i], p[j]], H[i, j]):
         return None
     if not np.array_equal(H[t[i], t[j]], np.conj(H[i, j])):
@@ -261,13 +271,15 @@ def _gap_width(evals: np.ndarray, fermi: float, min_gap: float) -> float:
     return gap
 
 
-def _block_projection(H, fermi, min_gap, p) -> tuple:
-    """(P, gap width) of the Fermi projection of H as its four rotation-mode
-    blocks on their site map, for the rotation p of _rotation_permutation.
+def _rotation_blocks(H, p) -> tuple:
+    """(B, r, sites): the four rotation-mode blocks B_q of H, (4, N/4, N/4),
+    for the rotation p of _rotation_permutation, the involution r of their
+    real form and the site of each node.
 
     p commutes with H and p^4 = 1.  The orbit representatives s_i are the
-    quadrant x, y < L/2, and node (i, a) is the site p^a s_i.  On the nodes
-    p shifts the angle a, so H is block-circulant in the projpair convention
+    quadrant x, y < L/2, and node (i, a), at index i*4 + a, is the site
+    sites[i*4 + a] = p^a s_i.  On the nodes p shifts the angle a, so H is
+    block-circulant in the projpair convention
     M[(i,a),(j,b)] = (1/4) sum_q B_q[i,j] exp(-2 pi i q (b - a) / 4), and
     its first angular row H[s_i, p^d s_j] gives the blocks B_q by one FFT
     over d.  As H[p][:, p] == H exactly, the row holds
@@ -281,6 +293,31 @@ def _block_projection(H, fermi, min_gap, p) -> tuple:
     first[d][r][:, r] == conj(first[-d]), each block
     B_q[r][:, r] == conj(B_q) bit for bit, and each block is diagonalized
     in real arithmetic on its real form (_eigh_below).
+    """
+    n = H.shape[0]
+    side = math.isqrt(n)
+    half = side // 2
+    reps = np.arange(n).reshape(side, side)[:half, :half].ravel()
+    orbit = [reps]
+    for _ in range(3):
+        orbit.append(p[orbit[-1]])
+    # the quadrant (x, y) that p^a takes the representatives to; np.rot90 by
+    # a takes a representative grid to that quadrant's local grid
+    quadrants = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    H8 = H.reshape(2, half, 2, half, 2, half, 2, half)
+    # the row is not read again once the FFT has run: not keeping it through
+    # the eigh took gap_projection's traced peak at 40 x 40 from 46 to 36 MiB
+    first = np.stack([
+        np.rot90(H8[0, :, 0, :, qx, :, qy, :], -a, axes=(2, 3)).reshape(len(reps), -1)
+        for a, (qx, qy) in enumerate(quadrants)])
+    r = np.arange(len(reps)).reshape(half, half).T.ravel()
+    return 4.0 * np.fft.ifft(first, axis=0), r, np.stack(orbit, axis=1).ravel()
+
+
+def _block_projection(H, fermi, min_gap, p) -> tuple:
+    """(P, gap width) of the Fermi projection of H as its four rotation-mode
+    blocks on their site map (_rotation_blocks), for the rotation p of
+    _rotation_permutation.
 
     P_q = S R_q S*, with R_q = W_q W_q^T symmetrized, is formed
     entrywise (_quadrant_congruence) and is Hermitian bit for bit; its
@@ -300,25 +337,9 @@ def _block_projection(H, fermi, min_gap, p) -> tuple:
     <= 16u sqrt(rho), so PE + EP - E adds at most 8u(4 rho + sqrt(rho)) to
     each entry of P^2 - P, to first order in u and with no factor of N.
     """
-    n = H.shape[0]
-    side = math.isqrt(n)
-    half = side // 2
-    reps = np.arange(n).reshape(side, side)[:half, :half].ravel()
-    orbit = [reps]
-    for _ in range(3):
-        orbit.append(p[orbit[-1]])
-    # the quadrant (x, y) that p^a takes the representatives to; np.rot90 by
-    # a takes a representative grid to that quadrant's local grid
-    quadrants = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    H8 = H.reshape(2, half, 2, half, 2, half, 2, half)
-    first = np.stack([
-        np.rot90(H8[0, :, 0, :, qx, :, qy, :], -a, axes=(2, 3)).reshape(len(reps), -1)
-        for a, (qx, qy) in enumerate(quadrants)])
-    r = np.arange(len(reps)).reshape(half, half).T.ravel()
-    gap, vecs = _eigh_below(4.0 * np.fft.ifft(first, axis=0), fermi, min_gap, r)
-    # the row is not read again: freeing it here takes gap_projection's traced
-    # peak at 40 x 40 from 46 to 36 MiB
-    del first
+    B, r, sites = _rotation_blocks(H, p)
+    gap, vecs = _eigh_below(B, fermi, min_gap, r)
+    del B
     R = np.stack([W @ W.T for W in vecs])
     R = 0.5 * (R + R.transpose(0, 2, 1))
     blocks = _quadrant_congruence(R)
@@ -326,7 +347,6 @@ def _block_projection(H, fermi, min_gap, p) -> tuple:
     u = _UNIT_ROUNDOFF
     resid = (float(np.max(np.abs(nodal_blocks(_quadrant_congruence(R @ R - R)))))
              + u * (2.0 * rho + np.sqrt(rho)) + 8.0 * u * (4.0 * rho + np.sqrt(rho)))
-    sites = np.stack(orbit, axis=1).ravel()
     return HermitianProjection.with_residuals(blocks, 1e-8, 16.0 * u * np.sqrt(rho),
                                               resid, sites), gap
 
@@ -396,15 +416,11 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     the real form Re H - (Im H)[:, r] when r is a real-form permutation,
     else of H.  P is dense and site-ordered, the stack of one block.
 
-    P = V V*, symmetrized, with V of m columns from the eigh output X (V = X
-    on the complex route, V = S X on the real one).  Its idempotency
-    residual is carried.  With e = ||X* X - I||_F from the Gram matrix,
-    f = ||V||_F, rho the largest squared row norm of V and
-    g = e + 2uf sqrt(1 + e) + u^2 f^2 (S X is formed with an entrywise
-    rounding of u), ||V* V - I|| <= g.  The product and the symmetrization
-    err by at most eta ||V_i|| ||V_j|| per entry, eta = 2(m + 3)u, so
-    P^2 - P = V (V* V - I) V* + AE + EA + E^2 - E (A = V V*) is bounded
-    entrywise by rho (g + eta (2f sqrt(1 + g) + 1) + eta^2 f^2).
+    P = V V* (_outer_projection), with V of m columns from the eigh output
+    X (V = X on the complex route, V = S X on the real one).  With
+    e = ||X* X - I||_F from the Gram matrix and f = ||V||_F,
+    ||V* V - I|| <= g = e + 2uf sqrt(1 + e) + u^2 f^2, as S X is formed with
+    an entrywise rounding of u.
     """
     gap, (X,) = _eigh_below(H[None], fermi, min_gap, r)
     m = X.shape[1]
@@ -414,12 +430,26 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     # (1 - i)/2 = exp(-i pi/4)/sqrt(2) exactly; for the identity r the
     # imaginary part cancels exactly and P comes out real
     V = X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j)
+    f = float(np.linalg.norm(V))
+    u = _UNIT_ROUNDOFF
+    return _outer_projection(V, e + 2.0 * u * f * np.sqrt(1.0 + e) + (u * f) ** 2), gap
+
+
+def _outer_projection(V: np.ndarray, g: float) -> HermitianProjection:
+    """P = V V*, symmetrized, dense and site-ordered, for the N x m V with
+    ||V* V - I|| <= g; P carries its idempotency residual.
+
+    The product and the symmetrization err by at most eta ||V_i|| ||V_j||
+    per entry, eta = 2(m + 3)u, so with f = ||V||_F and rho the largest
+    squared row norm of V, P^2 - P = V (V* V - I) V* + AE + EA + E^2 - E
+    (A = V V*) is bounded entrywise by
+    rho (g + eta (2f sqrt(1 + g) + 1) + eta^2 f^2).
+    """
+    m = V.shape[1]
     row2 = np.sum(V.real ** 2 + V.imag ** 2, axis=1)
     rho = float(np.max(row2))
     f = float(np.sqrt(np.sum(row2)))
-    u = _UNIT_ROUNDOFF
-    g = e + 2.0 * u * f * np.sqrt(1.0 + e) + (u * f) ** 2
-    eta = 2.0 * (m + 3) * u
+    eta = 2.0 * (m + 3) * _UNIT_ROUNDOFF
     resid = rho * (g + eta * (2.0 * f * np.sqrt(1.0 + g) + 1.0) + (eta * f) ** 2)
     A = V @ V.conj().T
     # 0.5 (A + A*), formed with one N x N temporary.  It is Hermitian bit
@@ -430,7 +460,38 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     P += A
     del A
     P *= 0.5
-    return HermitianProjection.with_residuals(P[None], 1e-8, 0.0, resid), gap
+    return HermitianProjection.with_residuals(P[None], 1e-8, 0.0, resid)
+
+
+def _eigenbasis(H: np.ndarray) -> tuple:
+    """(lam, Q): every eigenvalue of H, ascending, and the site-ordered
+    unitary Q of its eigenvectors, from the eigh that gap_projection runs.
+
+    On the rotation blocks (_rotation_blocks) an eigenvector c of B_q, S W
+    from the real form as in _eigh_below, is the node vector
+    v[(i, a)] = c_i i^(q a) / 2: the length-4 character of mode q, exact in
+    floating point, normalized over the four angles.  Otherwise Q is the
+    eigh output of H, or S X from its real form.
+    """
+    n = H.shape[0]
+    p = _rotation_permutation(H)
+    if p is None:
+        r = _real_form_permutation(H)
+        lam, X = np.linalg.eigh(H if r is None else H.real - H.imag[:, r])
+        return lam, (X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j))
+    B, r, sites = _rotation_blocks(H, p)
+    lam, X = np.linalg.eigh(B.real - B.imag[..., r])
+    del B
+    order = np.argsort(lam, axis=None, kind="stable")
+    k = len(r)
+    # column c of Q is eigenvector order[c] = q k + j of the stack: its block
+    # column (X + i X[r])(1 - i)/2 times the character of its mode
+    cols = X.transpose(0, 2, 1).reshape(n, k)[order]
+    cols = (cols + 1j * cols[:, r]) * (0.5 - 0.5j)
+    chars = np.array([0.5, 0.5j, -0.5, -0.5j])[np.outer(np.arange(4), np.arange(4)) % 4]
+    Q = np.empty((n, n), dtype=complex)
+    Q[sites] = (cols[:, :, None] * chars[order // k][:, None, :]).reshape(n, n).T
+    return lam.ravel()[order], Q
 
 
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
@@ -615,8 +676,87 @@ class DisorderEnsemble:
     seeds: Sequence[int]
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if not 0.0 <= self.amplitude < float("inf"):
+            raise ValueError(
+                f"amplitude must be finite and nonnegative, got {self.amplitude!r}")
+
+
+# the Riccati sweep of _decoupled_projection: the most sweeps it may take,
+# and the largest entry of the Riccati residual it stops at, in units of the
+# clean gap
+_RICCATI_SWEEPS = 30
+_RICCATI_TOL = 1e-14
+
+
+def _riccati_decoupling(lam, Q, m, d, tol) -> tuple:
+    """(Y, sweeps, residual) of H0 + diag(d) in the eigenbasis (lam, Q) of
+    H0, with the m lowest eigenpairs first; Y is None when the sweep misses
+    its cap.
+
+    With A = Q* diag(d) Q and l = lam + diag(A), the span of [I; Y] is
+    invariant when Y solves the Riccati equation
+    (l2_i - l1_j) Y_ij = -(A21 + A22' Y - Y A11' - Y A12 Y)_ij, the primes
+    marking A's blocks with their diagonals folded into l.  The sweep runs
+    that fixed point from Y = 0 and stops once the largest entry of the
+    residual, the left side minus the right, is at most tol.
+    """
+    # A = conj(Q^T conj(D Q)): one N x N temporary beside A, no copy of Q*
+    W = d[:, None] * Q
+    np.conjugate(W, out=W)
+    A = Q.T @ W
+    del W
+    np.conjugate(A, out=A)
+    l = lam + A.diagonal().real
+    A[np.diag_indices(len(lam))] = 0.0
+    A11, A12, A21, A22 = A[:m, :m], A[:m, m:], A[m:, :m], A[m:, m:]
+    gaps = l[m:, None] - l[None, :m]
+    Y = -A21 / gaps
+    for sweep in range(1, _RICCATI_SWEEPS + 1):
+        R = A22 @ Y
+        R -= Y @ (A11 + A12 @ Y)
+        R += A21
+        R += gaps * Y
+        residual = float(np.max(np.abs(R), initial=0.0))
+        if residual <= tol:
+            return Y, sweep, residual
+        Y -= R / gaps
+    return None, _RICCATI_SWEEPS, residual
+
+
+def _decoupled_projection(lam, Q, m, d, gap) -> tuple:
+    """(P, sweeps, residual): the Fermi projection of H0 + diag(d), from the
+    eigenbasis (lam, Q) of H0, whose m lowest eigenvalues lie below the
+    Fermi energy and whose nearest one lies gap from it, by the Riccati
+    sweep (_riccati_decoupling).  P is None when the draw is not certified:
+    when w = max |d| is not below gap/2, when the sweep misses its cap, or
+    when w (1 + ||Y||_F) is not below gap.
+
+    For w < gap/2, Stewart's theorem (SIAM Rev. 15, 727 (1973)) applies in
+    the clean eigenbasis, where the eigenvalues below and above the Fermi
+    energy lie at least 2 gap apart and every block of A = Q* diag(d) Q has
+    norm at most w: H0 + diag(d) has an invariant subspace [I; Y] with
+    ||Y|| <= w/(gap - w) < 1.  The m eigenvalues on the span of [I; Y] are
+    those of lam1 + A11 + A12 Y, within w (1 + ||Y||) of lam1 (Bauer-Fike),
+    so when that is below gap they lie below the Fermi energy, and by
+    Weyl's inequality (||diag(d)||_2 = w) the draw has exactly m there: the
+    span is the Fermi subspace, whatever fixed point the sweep found.
+
+    P = V V* (_outer_projection) with V = Q [I; Y] C, for any C with
+    C C* = (I + Y*Y)^-1; C = L^-* from the Cholesky factor L of I + Y*Y
+    is the cheapest.  V's Gram residual ||V* V - I||_F is measured.
+    """
+    w = float(np.max(np.abs(d)))
+    if not w < 0.5 * gap:
+        return None, 0, math.nan
+    # A lives only inside the sweep, so it is freed before V and P are formed
+    Y, sweeps, residual = _riccati_decoupling(lam, Q, m, d, _RICCATI_TOL * gap)
+    if Y is None or not w * (1.0 + np.linalg.norm(Y)) < gap:
+        return None, sweeps, residual
+    C = np.linalg.inv(np.linalg.cholesky(Y.conj().T @ Y + np.eye(m))).conj().T
+    V = (Q[:, :m] + Q[:, m:] @ Y) @ C
+    gram = V.conj().T @ V
+    gram[np.diag_indices(m)] -= 1.0
+    return _outer_projection(V, float(np.linalg.norm(gram))), sweeps, residual
 
 
 def disorder_constancy(ens: DisorderEnsemble, fermi: float,
@@ -628,23 +768,44 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
     shrinks below a fifth of the clean gap, or whose Fermi projection
     changes rank (an eigenvalue crossed the Fermi energy), has closed the
     gap and is rejected: the index is only defined on the gapped set.
+
+    The clean box's eigenbasis (lam, Q) comes once per call from the eigh
+    gap_projection runs on it (_eigenbasis).  An on-site draw D = diag(d)
+    has ||D||_2 = w = max |d_i|, so by Weyl's inequality every eigenvalue
+    moves by at most w: for w below the clean gap g0 the rank is kept and
+    the gap stays at least g0 - w, the Weyl margin.  For w < g0/2 the draw
+    is decoupled from the clean eigenbasis by a Riccati sweep, with no
+    eigh, and Stewart's theorem certifies that the subspace it finds is
+    the Fermi one (_decoupled_projection); such a draw keeps its rank and
+    a gap above g0/2, past the refusal line of g0/5.  Any other draw, or
+    one the sweep does not certify, takes gap_projection, the oracle of
+    the sweep, with its refusals.
     """
-    H0 = build_hamiltonian(ens.base_model)
-    clean = gap_projection(H0, fermi)
-    clean_rank = clean.projection.rank()
-    n_sites = H0.shape[0]
+    lam, Q = _eigenbasis(build_hamiltonian(ens.base_model))
+    gap0 = _gap_width(lam, fermi, 1e-9)
+    clean_rank = int(np.count_nonzero(lam < fermi))
     reports = []
     for seed in ens.seeds:
         rng = np.random.default_rng(seed)
-        draw = (rng.random(n_sites) - 0.5) * 2.0 * ens.amplitude
-        gp = gap_projection(H0 + np.diag(draw), fermi,
-                            min_gap=0.2 * clean.gap_width)
-        if gp.projection.rank() != clean_rank:
-            raise ValueError(
-                f"disorder draw (seed {seed}) closed the spectral gap: "
-                f"projection rank {gp.projection.rank()} != clean rank {clean_rank}"
-            )
-        reports.append(lattice_index(gp, U))
+        draw = (rng.random(len(lam)) - 0.5) * 2.0 * ens.amplitude
+        P, sweeps, residual = _decoupled_projection(lam, Q, clean_rank, draw, gap0)
+        margin = gap0 - float(np.max(np.abs(draw)))
+        logger.debug("disorder_constancy: seed %d, %s, Weyl margin %.3e of gap %.3e, "
+                     "%d Riccati sweeps, residual %.1e", seed,
+                     "Riccati decoupling" if P is not None else "eigh", margin, gap0,
+                     sweeps, residual)
+        if P is None:
+            # the clean H is rebuilt here, not kept through every draw
+            P = gap_projection(build_hamiltonian(ens.base_model) + np.diag(draw), fermi,
+                               min_gap=0.2 * gap0).projection
+            if P.rank() != clean_rank:
+                raise ValueError(
+                    f"disorder draw (seed {seed}) closed the spectral gap: "
+                    f"projection rank {P.rank()} != clean rank {clean_rank}"
+                )
+        reports.append(lattice_index(P, U))
+        # this draw's P is freed before the next draw builds its own
+        del P
     return reports
 
 

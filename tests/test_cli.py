@@ -5,6 +5,7 @@ import inspect
 import json
 import logging
 import re
+import time
 
 import pytest
 
@@ -367,11 +368,17 @@ def test_wedge_command(tmp_path):
 
 
 def test_disorder_command_constancy(tmp_path):
+    start = time.perf_counter()
     code, out = run(tmp_path, "disorder", "--n-seeds", "3")
+    elapsed = time.perf_counter() - start
     assert code == 0
     doc = read_json(out)
     assert len(doc["rows"]) == 4
     assert doc["rows"][-1]["experiment"] == "disorder/constancy"
+    # each seed row carries its own share of the ensemble's time, not all of it
+    seeds = [row["wall_time_s"] for row in doc["rows"][:-1]]
+    assert min(seeds) > 0.0
+    assert sum(seeds) <= elapsed
 
 
 def test_decay_fit_command(tmp_path):

@@ -1,15 +1,17 @@
 """Magnetic tight-binding models, gap projections, windowed lattice index."""
 
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fluxlab import lattice
 from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
-                             _dense_projection, _real_form_permutation,
-                             _rotation_permutation,
+                             _decoupled_projection, _dense_projection, _eigenbasis,
+                             _real_form_permutation, _rotation_permutation,
                              build_hamiltonian,
                              decay_fit, disorder_constancy, gap_projection,
                              lattice_flux_unitary, lattice_index,
@@ -537,6 +539,23 @@ def test_rotation_rejects_a_real_or_broken_box():
     assert _rotation_permutation(H) is None
 
 
+def test_rotation_check_reads_the_bond_pattern():
+    # an entry off the nearest-neighbour pattern fails the nonzero count, even
+    # a next-nearest hopping that the rotation and the reflection both keep;
+    # such an H takes a dense route, which still gives its projection
+    H = build_hamiltonian(bench(12))
+    H[0, 50] = H[50, 0] = 0.1
+    assert _rotation_permutation(H) is None
+    H = build_hamiltonian(bench(12))
+    site = np.arange(144).reshape(12, 12)
+    for i, j in ((site[:-1, :-1], site[1:, 1:]), (site[1:, :-1], site[:-1, 1:])):
+        H[i, j] = H[j, i] = -0.1
+    assert _rotation_permutation(H) is None
+    gp = gap_projection(H, FERMI)
+    assert gp.modes == 1
+    assert np.max(np.abs(gp.projection.matrix - _complex_oracle(H, FERMI)[0])) <= 1e-12
+
+
 def _peak(fn):
     tracemalloc.start()
     try:
@@ -912,9 +931,120 @@ def test_disorder_validation(lattice_benchmark):
     model = lattice_benchmark[0]
     with pytest.raises(ValueError, match="amplitude"):
         DisorderEnsemble(base_model=model, amplitude=-1.0, seeds=[0])
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match=f"amplitude must be finite and "
+                                             f"nonnegative, got {bad}"):
+            DisorderEnsemble(base_model=model, amplitude=float(bad), seeds=[0])
     with pytest.raises(TypeError, match="distribution"):
         DisorderEnsemble(base_model=model, amplitude=0.1, seeds=[0],
                          distribution="levy")
+
+
+@pytest.mark.parametrize("model, gauge_name", [
+    (bench(24), "symmetric"), (bench(24), "landau"),
+    (MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5)), "symmetric"),
+], ids=["blocks", "real-form", "complex"])
+def test_eigenbasis_diagonalizes_on_every_route(model, gauge_name):
+    H = build_hamiltonian(model, gauge=gauge_name)
+    lam, Q = _eigenbasis(H)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.max(np.abs(H @ Q - Q * lam)) <= 1e-13
+    assert np.max(np.abs(Q.conj().T @ Q - np.eye(len(lam)))) <= 1e-13
+
+
+# the clean eigenbasis from the blocks (24 and 32, symmetric gauge), from the
+# dense real form (the Landau-gauge box) and from a masked box, each at
+# max|d| of 0, 0.2 and 0.45 of the clean gap
+@pytest.mark.parametrize("model, gauge_name, center", [
+    (bench(24), "symmetric", (11.5, 11.5)),
+    (bench(24), "landau", (11.5, 11.5)),
+    (bench(32), "symmetric", (15.5, 15.5)),
+    (MagneticLatticeModel(24, 24, FLUX, domain_mask=_mask(slice(3, None), slice(None))),
+     "symmetric", (13.5, 11.5)),
+], ids=["L24", "L24-landau", "L32", "half-plane"])
+def test_decoupled_projection_matches_eigh_oracle(model, gauge_name, center):
+    H0 = build_hamiltonian(model, gauge=gauge_name)
+    lam, Q = _eigenbasis(H0)
+    gap = float(np.min(np.abs(lam - FERMI)))
+    m = int(np.count_nonzero(lam < FERMI))
+    U = lattice_flux_unitary(model, center)
+    shape = np.random.default_rng(11).uniform(-1.0, 1.0, len(lam))
+    for frac in (0.0, 0.2, 0.45):
+        d = frac * gap * shape / np.max(np.abs(shape))
+        P, sweeps, residual = _decoupled_projection(lam, Q, m, d, gap)
+        assert 1 <= sweeps <= lattice._RICCATI_SWEEPS
+        assert residual <= lattice._RICCATI_TOL * gap
+        oracle = gap_projection(H0 + np.diag(d), FERMI).projection
+        assert np.max(np.abs(P.matrix - oracle.matrix)) <= 1e-12
+        assert P.rank() == oracle.rank() == m
+        assert abs(lattice_index(P, U).value - lattice_index(oracle, U).value) <= 1e-12
+    # the carried residual bounds the measured one, here on the strongest draw
+    measured = HermitianProjection(P.matrix, idempotency_tol=1e-8)
+    assert measured.idempotency_residual <= P.idempotency_residual <= 1e-10
+
+
+_ROUTE = re.compile(r"seed (\d+), (Riccati decoupling|eigh), Weyl margin (\S+) "
+                    r"of gap (\S+), (\d+) Riccati sweeps, residual (\S+)")
+
+
+def _disorder_routes(caplog, ens, U):
+    with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
+        reports = disorder_constancy(ens, FERMI, U)
+    return reports, [m.groups() for m in _ROUTE.finditer(caplog.text)]
+
+
+def _eigh_route(ens, U):
+    # the route of every draw before the Riccati sweep: one gap_projection each
+    H0 = build_hamiltonian(ens.base_model)
+    reports = []
+    for seed in ens.seeds:
+        d = (np.random.default_rng(seed).random(H0.shape[0]) - 0.5) * 2.0 * ens.amplitude
+        reports.append(lattice_index(gap_projection(H0 + np.diag(d), FERMI), U))
+    return reports
+
+
+def test_disorder_route_line_gives_the_weyl_margin(lattice_benchmark, caplog):
+    model, _, gp, U = lattice_benchmark
+    ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[3])
+    reports, routes = _disorder_routes(caplog, ens, U)
+    [(seed, route, margin, gap, sweeps, residual)] = routes
+    assert (seed, route) == ("3", "Riccati decoupling")
+    d = (np.random.default_rng(3).random(576) - 0.5) * 2.0 * ens.amplitude
+    assert float(margin) == pytest.approx(gp.gap_width - np.max(np.abs(d)), rel=1e-3)
+    assert float(gap) == pytest.approx(gp.gap_width, rel=1e-3)
+    assert 1 <= int(sweeps) <= lattice._RICCATI_SWEEPS
+    assert float(residual) <= lattice._RICCATI_TOL * gp.gap_width
+    assert abs(reports[0].value - _eigh_route(ens, U)[0].value) <= 1e-12
+
+
+def test_disorder_past_the_margin_takes_the_eigh(lattice_benchmark, caplog):
+    # max|d| above half the clean gap: Weyl no longer certifies the sweep
+    model, _, gp, U = lattice_benchmark
+    ens = DisorderEnsemble(base_model=model, amplitude=0.6 * gp.gap_width, seeds=[5])
+    reports, routes = _disorder_routes(caplog, ens, U)
+    assert [(r[1], r[4]) for r in routes] == [("eigh", "0")]
+    assert float(routes[0][2]) < 0.5 * gp.gap_width
+    assert reports[0].value == _eigh_route(ens, U)[0].value
+
+
+def test_disorder_past_the_sweep_cap_takes_the_eigh(lattice_benchmark, caplog, monkeypatch):
+    model, _, gp, U = lattice_benchmark
+    monkeypatch.setattr(lattice, "_RICCATI_SWEEPS", 1)
+    ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[5])
+    reports, routes = _disorder_routes(caplog, ens, U)
+    assert [(r[1], r[4]) for r in routes] == [("eigh", "1")]
+    assert float(routes[0][5]) > lattice._RICCATI_TOL * gp.gap_width
+    assert reports[0].value == _eigh_route(ens, U)[0].value
+
+
+def test_disorder_memory_peak(lattice_benchmark):
+    # the clean eigenbasis, one draw's P and the index's pair and difference,
+    # about 4.4 N x N complex matrices; keeping the clean H through the draws
+    # and each complex eigh's P into the next draw peaked at 29 MiB
+    model, _, gp, U = lattice_benchmark
+    ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[0, 1])
+    _, peak = _peak(lambda: disorder_constancy(ens, FERMI, U))
+    assert peak <= 24 * 2**20
 
 
 def test_decay_fit_benchmark(lattice_benchmark):
