@@ -42,15 +42,21 @@ Gram matrix or the blocks' measured residual, instead of measuring it with
 the N^3 product P @ P.
 
 disorder_constancy takes the clean box's whole eigenbasis once from those
-routes and decouples each on-site draw in it by a Riccati sweep, with no
-eigh, when the clean gap certifies the draw (Weyl's inequality and
-Stewart's theorem); any other draw takes gap_projection.
+routes, as its mode blocks (four on the clean square box, else one), and
+decouples each on-site draw in it by a Riccati sweep, with no eigh, when
+the clean gap certifies the draw (Weyl's inequality and Stewart's
+theorem).  The draw's operator in that basis is formed block by block, as
+the length-4 transform of the draw over each rotation orbit couples mode q
+to mode q' only through its component q' - q, and the index is read from
+the frame V of the draw's Fermi subspace, with no N x N P = V V*.  Any
+other draw takes gap_projection.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -230,16 +236,17 @@ def _rotation_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     the real form, whose P is exactly real).  The candidates are the
     rotation about the centre of the L x L box in x-major order,
     p(x, y) = (L-1-y, x), which with L even fixes no site, and the
-    reflection t(x, y) = (y, x).  Both relations are compared on the box's
-    pattern only: its nearest-neighbour bonds, in both directions, and the
-    diagonal.  One count of H's nonzero entries that matches the count on
-    the pattern proves that H has no other nonzero entry, and p and t map
-    the pattern onto itself, so each check is exact for the whole matrix,
-    in O(N) gathers after that one count, without an N x N temporary.
+    reflection t(x, y) = (y, x).  Both relations, and whether H is complex,
+    are read on the box's pattern only: its nearest-neighbour bonds, in
+    both directions, and the diagonal.  One count of H's nonzero entries
+    that matches the count on the pattern proves that H has no other
+    nonzero entry, and p and t map the pattern onto itself, so each check
+    is exact for the whole matrix, in O(N) gathers after that one count,
+    without an N x N temporary.
     """
     n = H.shape[0]
     side = math.isqrt(n)
-    if side * side != n or side % 2 or not H.imag.any():
+    if side * side != n or side % 2:
         return None
     x, y = np.divmod(np.arange(n), side)
     p, t = (side - 1 - y) * side + x, y * side + x
@@ -251,11 +258,12 @@ def _rotation_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     xb, yb, s = np.arange(n - side), np.flatnonzero(y < side - 1), np.arange(n)
     i = np.concatenate([xb, xb + side, yb, yb + 1, s])
     j = np.concatenate([xb + side, xb, yb + 1, yb, s])
-    if np.count_nonzero(H) != np.count_nonzero(H[i, j]):
+    pattern = H[i, j]
+    if np.count_nonzero(H) != np.count_nonzero(pattern) or not pattern.imag.any():
         return None
-    if not np.array_equal(H[p[i], p[j]], H[i, j]):
+    if not np.array_equal(H[p[i], p[j]], pattern):
         return None
-    if not np.array_equal(H[t[i], t[j]], np.conj(H[i, j])):
+    if not np.array_equal(H[t[i], t[j]], np.conj(pattern)):
         logger.debug("gap_projection: rotation blocks break the diagonal reflection")
         return None
     return p
@@ -345,7 +353,15 @@ def _block_projection(H, fermi, min_gap, p) -> tuple:
     blocks = _quadrant_congruence(R)
     rho = float(np.max(np.sum(np.abs(blocks) ** 2, axis=(0, 2)))) / 4.0
     u = _UNIT_ROUNDOFF
-    resid = (float(np.max(np.abs(nodal_blocks(_quadrant_congruence(R @ R - R)))))
+    # P^2 - P on the nodes, max |fft(E)| / 4 as in nodal_blocks: R is freed
+    # before E is formed and E is transformed in place, so that no more than
+    # P, E and one real stack are alive at once (the traced peak at 40 x 40
+    # fell from 36.0 to 26.3 MiB)
+    E = R @ R - R
+    del R
+    E = _quadrant_congruence(E)
+    np.fft.fft(E, axis=0, out=E)
+    resid = (float(np.max(np.abs(E))) / 4.0
              + u * (2.0 * rho + np.sqrt(rho)) + 8.0 * u * (4.0 * rho + np.sqrt(rho)))
     return HermitianProjection.with_residuals(blocks, 1e-8, 16.0 * u * np.sqrt(rho),
                                               resid, sites), gap
@@ -435,14 +451,14 @@ def _dense_projection(H, fermi, min_gap, r) -> tuple:
     return _outer_projection(V, e + 2.0 * u * f * np.sqrt(1.0 + e) + (u * f) ** 2), gap
 
 
-def _outer_projection(V: np.ndarray, g: float) -> HermitianProjection:
-    """P = V V*, symmetrized, dense and site-ordered, for the N x m V with
-    ||V* V - I|| <= g; P carries its idempotency residual.
+def _outer_residual(V: np.ndarray, g: float) -> float:
+    """The idempotency residual that P = V V* carries, for the N x m V with
+    ||V* V - I|| <= g, refused above 1e-8 like any projection's.
 
-    The product and the symmetrization err by at most eta ||V_i|| ||V_j||
-    per entry, eta = 2(m + 3)u, so with f = ||V||_F and rho the largest
-    squared row norm of V, P^2 - P = V (V* V - I) V* + AE + EA + E^2 - E
-    (A = V V*) is bounded entrywise by
+    Forming P, its product and its symmetrization, errs by at most
+    eta ||V_i|| ||V_j|| per entry, eta = 2(m + 3)u, so with f = ||V||_F and
+    rho the largest squared row norm of V, P^2 - P = V (V* V - I) V* + AE +
+    EA + E^2 - E (A = V V*) is bounded entrywise by
     rho (g + eta (2f sqrt(1 + g) + 1) + eta^2 f^2).
     """
     m = V.shape[1]
@@ -451,6 +467,17 @@ def _outer_projection(V: np.ndarray, g: float) -> HermitianProjection:
     f = float(np.sqrt(np.sum(row2)))
     eta = 2.0 * (m + 3) * _UNIT_ROUNDOFF
     resid = rho * (g + eta * (2.0 * f * np.sqrt(1.0 + g) + 1.0) + (eta * f) ** 2)
+    if not resid <= 1e-8:
+        raise ValueError(f"V V* is not idempotent within 1.0e-08: max |P^2 - P| "
+                         f"is bounded by {resid:.3e}")
+    return resid
+
+
+def _outer_projection(V: np.ndarray, g: float) -> HermitianProjection:
+    """P = V V*, symmetrized, dense and site-ordered, for the N x m V with
+    ||V* V - I|| <= g; P carries its idempotency residual (_outer_residual).
+    """
+    resid = _outer_residual(V, g)
     A = V @ V.conj().T
     # 0.5 (A + A*), formed with one N x N temporary.  It is Hermitian bit
     # for bit: P[j, i] = conj(A[i, j]) + A[j, i] rounds to the conjugate of
@@ -464,34 +491,28 @@ def _outer_projection(V: np.ndarray, g: float) -> HermitianProjection:
 
 
 def _eigenbasis(H: np.ndarray) -> tuple:
-    """(lam, Q): every eigenvalue of H, ascending, and the site-ordered
-    unitary Q of its eigenvectors, from the eigh that gap_projection runs.
+    """(lam, C, sites): every eigenpair of H, from the eigh that
+    gap_projection runs, as k mode blocks.  lam (k, N/k) holds each block's
+    eigenvalues, ascending, and C (k, N/k, N/k) the block eigenvectors, the
+    columns of C_q; node (i, a) sits at site sites[i*k + a].
 
-    On the rotation blocks (_rotation_blocks) an eigenvector c of B_q, S W
-    from the real form as in _eigh_below, is the node vector
-    v[(i, a)] = c_i i^(q a) / 2: the length-4 character of mode q, exact in
-    floating point, normalized over the four angles.  Otherwise Q is the
-    eigh output of H, or S X from its real form.
+    On the rotation blocks (k = 4, _rotation_blocks) C_q = S W from the real
+    form of B_q, as in _eigh_below, and column c of C_q is the eigenvector
+    of H with v[(i, a)] = c_i i^(q a) / 2: the length-4 character of mode
+    q, exact in floating point, normalized over the four angles.  Otherwise
+    (k = 1) C_0 is the eigh output of H, or S X from its real form, and
+    sites is the identity.
     """
-    n = H.shape[0]
     p = _rotation_permutation(H)
     if p is None:
         r = _real_form_permutation(H)
         lam, X = np.linalg.eigh(H if r is None else H.real - H.imag[:, r])
-        return lam, (X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j))
+        C = X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j)
+        return lam[None], C[None], np.arange(H.shape[0])
     B, r, sites = _rotation_blocks(H, p)
     lam, X = np.linalg.eigh(B.real - B.imag[..., r])
     del B
-    order = np.argsort(lam, axis=None, kind="stable")
-    k = len(r)
-    # column c of Q is eigenvector order[c] = q k + j of the stack: its block
-    # column (X + i X[r])(1 - i)/2 times the character of its mode
-    cols = X.transpose(0, 2, 1).reshape(n, k)[order]
-    cols = (cols + 1j * cols[:, r]) * (0.5 - 0.5j)
-    chars = np.array([0.5, 0.5j, -0.5, -0.5j])[np.outer(np.arange(4), np.arange(4)) % 4]
-    Q = np.empty((n, n), dtype=complex)
-    Q[sites] = (cols[:, :, None] * chars[order // k][:, None, :]).reshape(n, n).T
-    return lam.ravel()[order], Q
+    return lam, (X + 1j * X[:, r]) * (0.5 - 0.5j), sites
 
 
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
@@ -574,8 +595,12 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnit
     return LatticeFluxUnitary(diagonal=z / dist, center=(cx, cy), site_array=pos)
 
 
+# the window radius of lattice_index, which disorder_constancy reads with
+_WINDOW_RADIUS = 6.0
+
+
 def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
-                  window_radius: float = 6.0) -> IndexReport:
+                  window_radius: float = _WINDOW_RADIUS) -> IndexReport:
     """Windowed odd-power trace of P - UPU* around the flux center.
 
     Accepts either a GapProjection or a bare HermitianProjection.
@@ -588,7 +613,9 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     M = P - UPU* (UPU* from projpair.conjugated) is Hermitian, that sum is
     vdot(Y, Y M) for the rows Y = M[W] M^(n-1) of M^n: |W| N^2 work per
     power, no N x N product.  A residual above 0.1 from the nearest integer
-    is flagged as finite-size unreliable.
+    is flagged as finite-size unreliable.  A window_radius that is not
+    positive and finite, or a window that holds no site, is refused
+    (_window), as its sum would read as an index of 0.
 
     M is the difference of the pair that projpair.conjugated forms on one
     layout, on P's nodes, which a site map places on the sites.  P's
@@ -600,6 +627,35 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     the stack of one; off the centre, conjugated builds P's node matrix
     once.
     """
+    if n < 1:
+        raise ValueError(f"trace power n must be at least 1, got {n}")
+    window = _window(U, window_radius)
+    P, Q = conjugated(getattr(P, "projection", P), U.diagonal)
+    M = difference(P, Q)
+    if P.sites is not None:
+        window = window[P.sites]
+    orbits = window.reshape(-1, len(M))
+    if not np.all(orbits == orbits[:, :1]):
+        M, orbits = nodal_matrix(M)[None], window[:, None]
+    rows = orbits[:, 0]
+    count = np.count_nonzero(rows)
+    route = (f"on {len(M)} rotation blocks of {len(rows)}, {count} rows per block"
+             if len(M) > 1 else f"dense, N = {len(rows)}, {count} rows")
+    logger.debug("lattice_index: window trace %s", route)
+    t = 0j
+    for B in M:
+        Y = B[rows]
+        for _ in range(n - 1):
+            Y = Y @ B
+        t += np.vdot(Y, Y @ B)
+    return _window_report(t, n)
+
+
+def _window(U: LatticeFluxUnitary, window_radius: float) -> np.ndarray:
+    """The sites within window_radius of U's flux centre, as a mask, after
+    warning when that centre lies outside the domain or near its boundary;
+    a radius that is not positive and finite, or a window that holds no
+    site, is refused."""
     if getattr(U, "site_array", None) is None:
         raise ValueError(
             "unitary carries no site geometry; build it with lattice_flux_unitary"
@@ -619,27 +675,18 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
             "flux center (%.1f, %.1f) is %.1f sites from the domain boundary; "
             "finite-size effects may dominate", cx, cy, margin,
         )
-    if n < 1:
-        raise ValueError(f"trace power n must be at least 1, got {n}")
-    P, Q = conjugated(getattr(P, "projection", P), U.diagonal)
-    M = difference(P, Q)
+    if not 0.0 < window_radius < math.inf:
+        raise ValueError(f"window radius must be positive and finite, got {window_radius!r}")
     window = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy) <= window_radius
-    if P.sites is not None:
-        window = window[P.sites]
-    orbits = window.reshape(-1, len(M))
-    if not np.all(orbits == orbits[:, :1]):
-        M, orbits = nodal_matrix(M)[None], window[:, None]
-    rows = orbits[:, 0]
-    count = np.count_nonzero(rows)
-    route = (f"on {len(M)} rotation blocks of {len(rows)}, {count} rows per block"
-             if len(M) > 1 else f"dense, N = {len(rows)}, {count} rows")
-    logger.debug("lattice_index: window trace %s", route)
-    t = 0j
-    for B in M:
-        Y = B[rows]
-        for _ in range(n - 1):
-            Y = Y @ B
-        t += np.vdot(Y, Y @ B)
+    if not window.any():
+        raise ValueError(f"window of radius {window_radius!r} about the flux center "
+                         f"({cx:.1f}, {cy:.1f}) holds no site")
+    return window
+
+
+def _window_report(t: complex, n: int) -> IndexReport:
+    """The report of the windowed trace t of power 2n+1, with a warning when
+    it lies more than 0.1 from the nearest integer."""
     rep = trace_report(complex(t), "windowed odd trace", 2 * n + 1)
     if rep.residual > 0.1:
         logger.warning(
@@ -681,31 +728,70 @@ class DisorderEnsemble:
                 f"amplitude must be finite and nonnegative, got {self.amplitude!r}")
 
 
-# the Riccati sweep of _decoupled_projection: the most sweeps it may take,
-# and the largest entry of the Riccati residual it stops at, in units of the
+# the Riccati sweep of _decoupled_frame: the most sweeps it may take, and
+# the largest entry of the Riccati residual it stops at, in units of the
 # clean gap
 _RICCATI_SWEEPS = 30
 _RICCATI_TOL = 1e-14
 
 
-def _riccati_decoupling(lam, Q, m, d, tol) -> tuple:
-    """(Y, sweeps, residual) of H0 + diag(d) in the eigenbasis (lam, Q) of
-    H0, with the m lowest eigenpairs first; Y is None when the sweep misses
-    its cap.
+def _mode_slices(occupied: np.ndarray) -> list:
+    """For each mode q, the pairs (cols, place) of its occupied and then its
+    empty eigenpairs: cols the columns of C_q, place the same pairs in the
+    occupied-first, mode-major order of the whole basis.  occupied (k, n)
+    marks the eigenvalues below the Fermi energy, a leading run of each
+    ascending row of _eigenbasis's lam."""
+    k, n = occupied.shape
+    counts = np.count_nonzero(occupied, axis=1)
+    sizes = np.concatenate([counts, n - counts])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    return [[(slice(0, c), slice(starts[q], ends[q])),
+             (slice(c, n), slice(starts[k + q], ends[k + q]))]
+            for q, c in enumerate(counts)]
 
-    With A = Q* diag(d) Q and l = lam + diag(A), the span of [I; Y] is
-    invariant when Y solves the Riccati equation
+
+def _basis_operator(C: np.ndarray, sites: np.ndarray, parts: list,
+                    d: np.ndarray) -> np.ndarray:
+    """A = Q* diag(d) Q, N x N, in the clean eigenbasis Q of the mode blocks
+    C (_eigenbasis), its columns in the order of parts (_mode_slices).
+
+    With v[(i, a)] = c_i w^(q a) / sqrt k for the eigenvector c of mode q
+    (w = exp(2 pi i / k)), the block (q, q') of A is
+    A^(q,q') = C_q* diag(dh_{q'-q}) C_{q'}, with dh = ifft(d[sites] as
+    (n, k), axis=1) the length-k transform of the draw over each orbit: k^2
+    products of N/k.  Only q <= q' is formed; for the real d,
+    dh_{-s} = conj(dh_s), so A^(q',q) = (A^(q,q'))*.  Each block is placed
+    by slices; one block (k = 1) is the dense product.
+    """
+    k, n, _ = C.shape
+    dh = np.fft.ifft(d[sites].reshape(n, k), axis=1)
+    A = np.empty((k * n, k * n), dtype=complex)
+    for q in range(k):
+        CH = C[q].conj().T
+        for s in range(k - q):
+            block = CH @ (dh[:, s, None] * C[q + s])
+            for rows, place_r in parts[q]:
+                for cols, place_c in parts[q + s]:
+                    A[place_r, place_c] = block[rows, cols]
+                    if s:
+                        A[place_c, place_r] = block[rows, cols].conj().T
+    return A
+
+
+def _riccati_decoupling(lam, A, m, tol) -> tuple:
+    """(Y, sweeps, residual) of H0 + diag(d) in the eigenbasis of H0, with
+    eigenvalues lam and A = Q* diag(d) Q (_basis_operator), the m lowest
+    eigenpairs first; Y is None when the sweep misses its cap.  A's
+    diagonal is overwritten.
+
+    With l = lam + diag(A), the span of [I; Y] is invariant when Y solves
+    the Riccati equation
     (l2_i - l1_j) Y_ij = -(A21 + A22' Y - Y A11' - Y A12 Y)_ij, the primes
     marking A's blocks with their diagonals folded into l.  The sweep runs
     that fixed point from Y = 0 and stops once the largest entry of the
     residual, the left side minus the right, is at most tol.
     """
-    # A = conj(Q^T conj(D Q)): one N x N temporary beside A, no copy of Q*
-    W = d[:, None] * Q
-    np.conjugate(W, out=W)
-    A = Q.T @ W
-    del W
-    np.conjugate(A, out=A)
     l = lam + A.diagonal().real
     A[np.diag_indices(len(lam))] = 0.0
     A11, A12, A21, A22 = A[:m, :m], A[:m, m:], A[m:, :m], A[m:, m:]
@@ -723,13 +809,33 @@ def _riccati_decoupling(lam, Q, m, d, tol) -> tuple:
     return None, _RICCATI_SWEEPS, residual
 
 
-def _decoupled_projection(lam, Q, m, d, gap) -> tuple:
-    """(P, sweeps, residual): the Fermi projection of H0 + diag(d), from the
-    eigenbasis (lam, Q) of H0, whose m lowest eigenvalues lie below the
-    Fermi energy and whose nearest one lies gap from it, by the Riccati
-    sweep (_riccati_decoupling).  P is None when the draw is not certified:
-    when w = max |d| is not below gap/2, when the sweep misses its cap, or
-    when w (1 + ||Y||_F) is not below gap.
+def _frame(C: np.ndarray, sites: np.ndarray, parts: list, Y: np.ndarray) -> np.ndarray:
+    """Q [I; Y], N x m and site-ordered, from the mode blocks C: the rows of
+    [I; Y] in the order of parts (_mode_slices) pick, for each mode q,
+    X_q = C_q [I; Y]_q, and node (i, a) sums sum_q X_q[i] w^(q a) / sqrt k,
+    sqrt k times the inverse transform over q."""
+    k, n, _ = C.shape
+    m = Y.shape[1]
+    X = np.empty((k, n, m), dtype=complex)
+    for q, ((occ, place_occ), (emp, place_emp)) in enumerate(parts):
+        np.matmul(C[q][:, emp], Y[place_emp.start - m:place_emp.stop - m], out=X[q])
+        X[q][:, place_occ] += C[q][:, occ]
+    V = np.empty((k * n, m), dtype=complex)
+    V[sites] = (np.fft.ifft(X, axis=0) * math.sqrt(k)).transpose(1, 0, 2).reshape(k * n, m)
+    return V
+
+
+def _decoupled_frame(basis: tuple, occupied: np.ndarray, d: np.ndarray,
+                     gap: float) -> tuple:
+    """(V, G, sweeps, residual, stages): an orthonormal frame V of the Fermi
+    subspace of H0 + diag(d), with its Gram matrix G = V* V, from the clean
+    eigenbasis basis = (lam, C, sites) of H0 (_eigenbasis), whose
+    eigenvalues below the Fermi energy occupied marks and whose nearest one
+    lies gap from it, by the Riccati sweep (_riccati_decoupling).  V is None
+    when the draw is not certified: when w = max |d| is not below gap/2,
+    when the sweep misses its cap, or when w (1 + ||Y||_F) is not below gap.
+    stages holds the number of blocks of A formed and the seconds of
+    forming A, of the sweep and of forming V.
 
     For w < gap/2, Stewart's theorem (SIAM Rev. 15, 727 (1973)) applies in
     the clean eigenbasis, where the eigenvalues below and above the Fermi
@@ -741,22 +847,53 @@ def _decoupled_projection(lam, Q, m, d, gap) -> tuple:
     Weyl's inequality (||diag(d)||_2 = w) the draw has exactly m there: the
     span is the Fermi subspace, whatever fixed point the sweep found.
 
-    P = V V* (_outer_projection) with V = Q [I; Y] C, for any C with
-    C C* = (I + Y*Y)^-1; C = L^-* from the Cholesky factor L of I + Y*Y
-    is the cheapest.  V's Gram residual ||V* V - I||_F is measured.
+    V = Q [I; Y] L^-* (_frame), with L the Cholesky factor of I + Y*Y, so
+    that V V* is the Fermi projection; the idempotency residual that V V*
+    would carry (_outer_residual) is bounded from V and its measured Gram
+    residual ||G - I||_F, and refused above 1e-8.
     """
+    lam, C, sites = basis
+    k = len(C)
     w = float(np.max(np.abs(d)))
     if not w < 0.5 * gap:
-        return None, 0, math.nan
-    # A lives only inside the sweep, so it is freed before V and P are formed
-    Y, sweeps, residual = _riccati_decoupling(lam, Q, m, d, _RICCATI_TOL * gap)
+        return None, None, 0, math.nan, (0, 0.0, 0.0, 0.0)
+    start = time.perf_counter()
+    parts = _mode_slices(occupied)
+    order = np.argsort(~occupied, axis=None, kind="stable")
+    A = _basis_operator(C, sites, parts, d)
+    formed = time.perf_counter()
+    # A lives only through the sweep, so it is freed before V is formed
+    m = int(np.count_nonzero(occupied))
+    Y, sweeps, residual = _riccati_decoupling(lam.ravel()[order], A, m, _RICCATI_TOL * gap)
+    del A
+    swept = time.perf_counter()
+    stages = (k * (k + 1) // 2, formed - start, swept - formed)
     if Y is None or not w * (1.0 + np.linalg.norm(Y)) < gap:
-        return None, sweeps, residual
-    C = np.linalg.inv(np.linalg.cholesky(Y.conj().T @ Y + np.eye(m))).conj().T
-    V = (Q[:, :m] + Q[:, m:] @ Y) @ C
-    gram = V.conj().T @ V
-    gram[np.diag_indices(m)] -= 1.0
-    return _outer_projection(V, float(np.linalg.norm(gram))), sweeps, residual
+        return None, None, sweeps, residual, stages + (0.0,)
+    L = np.linalg.cholesky(Y.conj().T @ Y + np.eye(m))
+    V = _frame(C, sites, parts, Y) @ np.linalg.inv(L).conj().T
+    G = V.conj().T @ V
+    _outer_residual(V, float(np.linalg.norm(G - np.eye(m))))
+    return V, G, sweeps, residual, stages + (time.perf_counter() - swept,)
+
+
+def _factored_index(V: np.ndarray, G: np.ndarray, U: LatticeFluxUnitary) -> IndexReport:
+    """lattice_index at trace power 3 of P = V V*, read from the N x m
+    factor V and its Gram matrix G = V* V, with no N x N matrix.
+
+    With F = [V, uV] and J = diag(I, -I), M = P - uPu* = F J F*, and its
+    cube's diagonal summed over the window W is tr(F_W J Gam J Gam J F_W*)
+    for Gam = F* F = [[G, K], [K*, G_u]], K = V* (uV), G_u = (uV)* (uV):
+    t = ||V_W G - (uV)_W K*||^2 - ||V_W K - (uV)_W G_u||^2, real.
+    """
+    window = _window(U, _WINDOW_RADIUS)
+    uV = U.diagonal[:, None] * V
+    K = V.conj().T @ uV
+    Gu = uV.conj().T @ uV
+    a, b = V[window], uV[window]
+    first = a @ G - b @ K.conj().T
+    second = a @ K - b @ Gu
+    return _window_report(np.vdot(first, first).real - np.vdot(second, second).real, 1)
 
 
 def disorder_constancy(ens: DisorderEnsemble, fermi: float,
@@ -769,32 +906,44 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
     changes rank (an eigenvalue crossed the Fermi energy), has closed the
     gap and is rejected: the index is only defined on the gapped set.
 
-    The clean box's eigenbasis (lam, Q) comes once per call from the eigh
-    gap_projection runs on it (_eigenbasis).  An on-site draw D = diag(d)
-    has ||D||_2 = w = max |d_i|, so by Weyl's inequality every eigenvalue
-    moves by at most w: for w below the clean gap g0 the rank is kept and
-    the gap stays at least g0 - w, the Weyl margin.  For w < g0/2 the draw
-    is decoupled from the clean eigenbasis by a Riccati sweep, with no
-    eigh, and Stewart's theorem certifies that the subspace it finds is
-    the Fermi one (_decoupled_projection); such a draw keeps its rank and
-    a gap above g0/2, past the refusal line of g0/5.  Any other draw, or
-    one the sweep does not certify, takes gap_projection, the oracle of
-    the sweep, with its refusals.
+    The clean box's eigenbasis comes once per call, as its k mode blocks,
+    from the eigh gap_projection runs on it (_eigenbasis): the four
+    rotation blocks of the clean square box, else one dense block.  An
+    on-site draw D = diag(d) has ||D||_2 = w = max |d_i|, so by Weyl's
+    inequality every eigenvalue moves by at most w: for w below the clean
+    gap g0 the rank is kept and the gap stays at least g0 - w, the Weyl
+    margin.  For w < g0/2 the draw is decoupled from the clean eigenbasis
+    by a Riccati sweep, with no eigh, on A = Q* D Q formed block by block,
+    and Stewart's theorem certifies that the subspace it finds is the
+    Fermi one (_decoupled_frame); such a draw keeps its rank and a gap
+    above g0/2, past the refusal line of g0/5.  Its index is read from the
+    frame V of that subspace (_factored_index), with no N x N P.  Any other
+    draw, or one the sweep does not certify, takes gap_projection, the
+    oracle of the sweep, with its refusals, and lattice_index.
+
+    Each draw logs at DEBUG its route, Weyl margin, sweeps and residual,
+    the blocks of A formed, and the seconds of forming A, of the sweep and
+    of the index (everything after the sweep: the frame and its trace, or
+    the eigh and lattice_index).
     """
-    lam, Q = _eigenbasis(build_hamiltonian(ens.base_model))
+    basis = _eigenbasis(build_hamiltonian(ens.base_model))
+    lam = basis[0]
     gap0 = _gap_width(lam, fermi, 1e-9)
-    clean_rank = int(np.count_nonzero(lam < fermi))
+    occupied = lam < fermi
+    clean_rank = int(np.count_nonzero(occupied))
     reports = []
     for seed in ens.seeds:
         rng = np.random.default_rng(seed)
-        draw = (rng.random(len(lam)) - 0.5) * 2.0 * ens.amplitude
-        P, sweeps, residual = _decoupled_projection(lam, Q, clean_rank, draw, gap0)
-        margin = gap0 - float(np.max(np.abs(draw)))
-        logger.debug("disorder_constancy: seed %d, %s, Weyl margin %.3e of gap %.3e, "
-                     "%d Riccati sweeps, residual %.1e", seed,
-                     "Riccati decoupling" if P is not None else "eigh", margin, gap0,
-                     sweeps, residual)
-        if P is None:
+        draw = (rng.random(lam.size) - 0.5) * 2.0 * ens.amplitude
+        V, G, sweeps, residual, (blocks, a_s, sweep_s, frame_s) = _decoupled_frame(
+            basis, occupied, draw, gap0)
+        route = "Riccati decoupling" if V is not None else "eigh"
+        start = time.perf_counter()
+        if V is not None:
+            reports.append(_factored_index(V, G, U))
+            # this draw's frame is freed before the next draw forms its A
+            del V, G
+        else:
             # the clean H is rebuilt here, not kept through every draw
             P = gap_projection(build_hamiltonian(ens.base_model) + np.diag(draw), fermi,
                                min_gap=0.2 * gap0).projection
@@ -803,9 +952,14 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
                     f"disorder draw (seed {seed}) closed the spectral gap: "
                     f"projection rank {P.rank()} != clean rank {clean_rank}"
                 )
-        reports.append(lattice_index(P, U))
-        # this draw's P is freed before the next draw builds its own
-        del P
+            reports.append(lattice_index(P, U))
+            del P
+        logger.debug("disorder_constancy: seed %d, %s, Weyl margin %.3e of gap %.3e, "
+                     "%d Riccati sweeps, residual %.1e, A from %d of %d blocks in "
+                     "%.2e s, sweeps %.2e s, index %.2e s", seed,
+                     route, gap0 - float(np.max(np.abs(draw))), gap0, sweeps, residual,
+                     blocks, len(basis[1]) ** 2, a_s, sweep_s,
+                     frame_s + time.perf_counter() - start)
     return reports
 
 

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from fluxlab import lattice
 from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
-                             _decoupled_projection, _dense_projection, _eigenbasis,
-                             _real_form_permutation, _rotation_permutation,
+                             _basis_operator, _decoupled_frame, _dense_projection,
+                             _eigenbasis, _factored_index, _mode_slices,
+                             _outer_projection, _real_form_permutation,
+                             _rotation_permutation,
                              build_hamiltonian,
                              decay_fit, disorder_constancy, gap_projection,
                              lattice_flux_unitary, lattice_index,
@@ -568,12 +570,13 @@ def _peak(fn):
 def test_block_route_memory_peak():
     # the dense route with its measured P @ P peaked at 150 MiB here;
     # assembling the dense, site-ordered P at 81.9 MiB in gap_projection, and
-    # forming M densely at 78.1 MiB over the two index calls
+    # forming M densely at 78.1 MiB over the two index calls; keeping R and
+    # the residual's transform beside its input at 36.0 MiB (26.3 MiB now)
     model = bench(40)
     H = build_hamiltonian(model)
     gp, peak = _peak(lambda: gap_projection(H, FERMI))
     assert gp.modes == 4 and gp.projection.blocks.shape == (4, 400, 400)
-    assert peak <= 72 * 2**20
+    assert peak <= 28 * 2**20
     U = lattice_flux_unitary(model, (19.5, 19.5))
     _, peak = _peak(lambda: [lattice_index(gp, U, n=n) for n in (1, 2)])
     assert peak <= 48 * 2**20
@@ -819,6 +822,27 @@ def test_lattice_index_rejects_nonpositive_power(lattice_benchmark):
         lattice_index(gp, U, n=0)
 
 
+# each of these read as an index of 0.0 with residual 0.0 on the 24 x 24 box
+# before it was refused; at radius 0.5 the nearest site lies 0.71 away
+@pytest.mark.parametrize("radius, match", [
+    (float("nan"), "positive and finite, got nan"),
+    (-1.0, "positive and finite, got -1.0"),
+    (0.0, "positive and finite, got 0.0"),
+    (float("inf"), "positive and finite, got inf"),
+    (0.5, r"radius 0.5 about the flux center \(11.5, 11.5\) holds no site"),
+], ids=["nan", "negative", "zero", "infinite", "between-sites"])
+def test_lattice_index_refuses_an_invalid_or_empty_window(lattice_benchmark, radius, match,
+                                                          monkeypatch):
+    model, _, gp, U = lattice_benchmark
+    with pytest.raises(ValueError, match=match):
+        lattice_index(gp, U, window_radius=radius)
+    # the index a certified disorder draw reads from its frame shares the check
+    monkeypatch.setattr(lattice, "_WINDOW_RADIUS", radius)
+    ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[0])
+    with pytest.raises(ValueError, match=match):
+        disorder_constancy(ens, FERMI, U)
+
+
 def test_lattice_index_flags_unreliable_window(lattice_benchmark, caplog):
     _, _, gp, U = lattice_benchmark
     with caplog.at_level("WARNING", logger="fluxlab.lattice"):
@@ -946,10 +970,43 @@ def test_disorder_validation(lattice_benchmark):
 ], ids=["blocks", "real-form", "complex"])
 def test_eigenbasis_diagonalizes_on_every_route(model, gauge_name):
     H = build_hamiltonian(model, gauge=gauge_name)
-    lam, Q = _eigenbasis(H)
-    assert np.all(np.diff(lam) >= 0.0)
+    lam, C, sites = _eigenbasis(H)
+    assert np.all(np.diff(lam, axis=1) >= 0.0)
+    order = np.argsort(lam, axis=None, kind="stable")
+    Q = _site_basis(C, sites, order)
+    lam = lam.ravel()[order]
     assert np.max(np.abs(H @ Q - Q * lam)) <= 1e-13
     assert np.max(np.abs(Q.conj().T @ Q - np.eye(len(lam)))) <= 1e-13
+
+
+def _site_basis(C, sites, order):
+    # the dense, site-ordered clean eigenbasis, assembled from the mode
+    # blocks as the oracle of the block-assembled A: column c is eigenvector
+    # order[c] = q n + j of the stack, column j of C_q times the character of
+    # mode q, i^(q a) / 2 on the four rotation blocks and 1 on one block
+    k, n, _ = C.shape
+    cols = C.transpose(0, 2, 1).reshape(k * n, n)[order]
+    chars = np.array([1.0, 1j, -1.0, -1j])[(np.outer(range(k), range(k)) * 4 // k) % 4]
+    chars /= np.sqrt(k)
+    Q = np.empty((k * n, k * n), dtype=complex)
+    Q[sites] = (cols[:, :, None] * chars[order // n][:, None, :]).reshape(k * n, k * n).T
+    return Q
+
+
+@pytest.mark.parametrize("model, gauge_name, modes", [
+    (bench(24), "symmetric", 4), (bench(24), "landau", 1),
+    (MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5)), "symmetric", 1),
+], ids=["blocks", "real-form", "complex"])
+def test_block_assembled_operator_matches_the_dense_product(model, gauge_name, modes):
+    # A = Q* diag(d) Q from the mode blocks against the dense product on the
+    # site-ordered Q, in the occupied-first, mode-major order
+    lam, C, sites = _eigenbasis(build_hamiltonian(model, gauge=gauge_name))
+    assert len(C) == modes
+    occupied = lam < FERMI
+    Q = _site_basis(C, sites, np.argsort(~occupied, axis=None, kind="stable"))
+    d = np.random.default_rng(5).uniform(-0.05, 0.05, lam.size)
+    A = _basis_operator(C, sites, _mode_slices(occupied), d)
+    assert np.max(np.abs(A - Q.conj().T @ (d[:, None] * Q))) <= 1e-15
 
 
 # the clean eigenbasis from the blocks (24 and 32, symmetric gauge), from the
@@ -964,27 +1021,37 @@ def test_eigenbasis_diagonalizes_on_every_route(model, gauge_name):
 ], ids=["L24", "L24-landau", "L32", "half-plane"])
 def test_decoupled_projection_matches_eigh_oracle(model, gauge_name, center):
     H0 = build_hamiltonian(model, gauge=gauge_name)
-    lam, Q = _eigenbasis(H0)
+    basis = _eigenbasis(H0)
+    lam = basis[0]
     gap = float(np.min(np.abs(lam - FERMI)))
-    m = int(np.count_nonzero(lam < FERMI))
+    occupied = lam < FERMI
+    m = int(np.count_nonzero(occupied))
     U = lattice_flux_unitary(model, center)
-    shape = np.random.default_rng(11).uniform(-1.0, 1.0, len(lam))
+    shape = np.random.default_rng(11).uniform(-1.0, 1.0, lam.size)
     for frac in (0.0, 0.2, 0.45):
         d = frac * gap * shape / np.max(np.abs(shape))
-        P, sweeps, residual = _decoupled_projection(lam, Q, m, d, gap)
+        V, G, sweeps, residual, _ = _decoupled_frame(basis, occupied, d, gap)
         assert 1 <= sweeps <= lattice._RICCATI_SWEEPS
         assert residual <= lattice._RICCATI_TOL * gap
+        P = _outer_projection(V, float(np.linalg.norm(G - np.eye(m))))
         oracle = gap_projection(H0 + np.diag(d), FERMI).projection
         assert np.max(np.abs(P.matrix - oracle.matrix)) <= 1e-12
         assert P.rank() == oracle.rank() == m
-        assert abs(lattice_index(P, U).value - lattice_index(oracle, U).value) <= 1e-12
+        index = lattice_index(P, U).value
+        assert abs(index - lattice_index(oracle, U).value) <= 1e-12
+        # the trace read from the factor, with no N x N P
+        factored = _factored_index(V, G, U)
+        assert abs(factored.value - index) <= 1e-14
+        assert factored.trace_power == 3
     # the carried residual bounds the measured one, here on the strongest draw
     measured = HermitianProjection(P.matrix, idempotency_tol=1e-8)
     assert measured.idempotency_residual <= P.idempotency_residual <= 1e-10
 
 
 _ROUTE = re.compile(r"seed (\d+), (Riccati decoupling|eigh), Weyl margin (\S+) "
-                    r"of gap (\S+), (\d+) Riccati sweeps, residual (\S+)")
+                    r"of gap (\S+), (\d+) Riccati sweeps, residual (\S+), "
+                    r"A from (\d+) of (\d+) blocks in (\S+) s, sweeps (\S+) s, "
+                    r"index (\S+) s")
 
 
 def _disorder_routes(caplog, ens, U):
@@ -1007,8 +1074,11 @@ def test_disorder_route_line_gives_the_weyl_margin(lattice_benchmark, caplog):
     model, _, gp, U = lattice_benchmark
     ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[3])
     reports, routes = _disorder_routes(caplog, ens, U)
-    [(seed, route, margin, gap, sweeps, residual)] = routes
+    [(seed, route, margin, gap, sweeps, residual, *stages)] = routes
     assert (seed, route) == ("3", "Riccati decoupling")
+    # ten blocks q <= q' of the sixteen, and the seconds of each stage
+    assert stages[:2] == ["10", "16"]
+    assert all(float(s) > 0.0 for s in stages[2:])
     d = (np.random.default_rng(3).random(576) - 0.5) * 2.0 * ens.amplitude
     assert float(margin) == pytest.approx(gp.gap_width - np.max(np.abs(d)), rel=1e-3)
     assert float(gap) == pytest.approx(gp.gap_width, rel=1e-3)
@@ -1024,6 +1094,8 @@ def test_disorder_past_the_margin_takes_the_eigh(lattice_benchmark, caplog):
     reports, routes = _disorder_routes(caplog, ens, U)
     assert [(r[1], r[4]) for r in routes] == [("eigh", "0")]
     assert float(routes[0][2]) < 0.5 * gp.gap_width
+    # no A is formed and no sweep runs; the index stage is the eigh's
+    assert routes[0][6:10] == ("0", "16", "0.00e+00", "0.00e+00")
     assert reports[0].value == _eigh_route(ens, U)[0].value
 
 
@@ -1033,18 +1105,21 @@ def test_disorder_past_the_sweep_cap_takes_the_eigh(lattice_benchmark, caplog, m
     ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[5])
     reports, routes = _disorder_routes(caplog, ens, U)
     assert [(r[1], r[4]) for r in routes] == [("eigh", "1")]
+    assert routes[0][6:8] == ("10", "16")
     assert float(routes[0][5]) > lattice._RICCATI_TOL * gp.gap_width
     assert reports[0].value == _eigh_route(ens, U)[0].value
 
 
 def test_disorder_memory_peak(lattice_benchmark):
-    # the clean eigenbasis, one draw's P and the index's pair and difference,
-    # about 4.4 N x N complex matrices; keeping the clean H through the draws
-    # and each complex eigh's P into the next draw peaked at 29 MiB
+    # 11.6 MiB: one draw's A (5.1 MiB) beside the sweep's temporaries and
+    # the clean mode blocks; the clean eigenbasis as one N x N Q, one draw's
+    # P and the index's pair and difference peaked at 23 MiB, and keeping
+    # the clean H through the draws and each complex eigh's P into the next
+    # at 29 MiB
     model, _, gp, U = lattice_benchmark
     ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[0, 1])
     _, peak = _peak(lambda: disorder_constancy(ens, FERMI, U))
-    assert peak <= 24 * 2**20
+    assert peak <= 12 * 2**20
 
 
 def test_decay_fit_benchmark(lattice_benchmark):
