@@ -354,14 +354,15 @@ def _block_projection(H, fermi, min_gap, p) -> tuple:
     rho = float(np.max(np.sum(np.abs(blocks) ** 2, axis=(0, 2)))) / 4.0
     u = _UNIT_ROUNDOFF
     # P^2 - P on the nodes, max |fft(E)| / 4 as in nodal_blocks: R is freed
-    # before E is formed and E is transformed in place, so that no more than
-    # P, E and one real stack are alive at once (the traced peak at 40 x 40
-    # fell from 36.0 to 26.3 MiB)
+    # before E is formed and E is transformed a quarter of its rows at a
+    # time, so that no second stack of E's size is alive (the traced peak at
+    # 40 x 40 fell from 36.0 to 26.3 MiB); each transform runs along the
+    # modes alone, so the maximum is the whole transform's bit for bit
     E = R @ R - R
     del R
     E = _quadrant_congruence(E)
-    np.fft.fft(E, axis=0, out=E)
-    resid = (float(np.max(np.abs(E))) / 4.0
+    resid = (max(float(np.max(np.abs(np.fft.fft(rows, axis=0)), initial=0.0))
+                 for rows in np.array_split(E, 4, axis=1)) / 4.0
              + u * (2.0 * rho + np.sqrt(rho)) + 8.0 * u * (4.0 * rho + np.sqrt(rho)))
     return HermitianProjection.with_residuals(blocks, 1e-8, 16.0 * u * np.sqrt(rho),
                                               resid, sites), gap
@@ -595,12 +596,8 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnit
     return LatticeFluxUnitary(diagonal=z / dist, center=(cx, cy), site_array=pos)
 
 
-# the window radius of lattice_index, which disorder_constancy reads with
-_WINDOW_RADIUS = 6.0
-
-
 def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
-                  window_radius: float = _WINDOW_RADIUS) -> IndexReport:
+                  window_radius: float = 6.0) -> IndexReport:
     """Windowed odd-power trace of P - UPU* around the flux center.
 
     Accepts either a GapProjection or a bare HermitianProjection.
@@ -827,15 +824,15 @@ def _frame(C: np.ndarray, sites: np.ndarray, parts: list, Y: np.ndarray) -> np.n
 
 def _decoupled_frame(basis: tuple, occupied: np.ndarray, d: np.ndarray,
                      gap: float) -> tuple:
-    """(V, G, sweeps, residual, stages): an orthonormal frame V of the Fermi
-    subspace of H0 + diag(d), with its Gram matrix G = V* V, from the clean
-    eigenbasis basis = (lam, C, sites) of H0 (_eigenbasis), whose
+    """(V, G, sweeps, residual, a_s, sweep_s): an orthonormal frame V of
+    the Fermi subspace of H0 + diag(d), with its Gram matrix G = V* V, from
+    the clean eigenbasis basis = (lam, C, sites) of H0 (_eigenbasis), whose
     eigenvalues below the Fermi energy occupied marks and whose nearest one
     lies gap from it, by the Riccati sweep (_riccati_decoupling).  V is None
     when the draw is not certified: when w = max |d| is not below gap/2,
     when the sweep misses its cap, or when w (1 + ||Y||_F) is not below gap.
-    stages holds the number of blocks of A formed and the seconds of
-    forming A, of the sweep and of forming V.
+    a_s and sweep_s are the seconds of forming A and of the sweep, both 0.0
+    when no A is formed.
 
     For w < gap/2, Stewart's theorem (SIAM Rev. 15, 727 (1973)) applies in
     the clean eigenbasis, where the eigenvalues below and above the Fermi
@@ -853,10 +850,9 @@ def _decoupled_frame(basis: tuple, occupied: np.ndarray, d: np.ndarray,
     residual ||G - I||_F, and refused above 1e-8.
     """
     lam, C, sites = basis
-    k = len(C)
     w = float(np.max(np.abs(d)))
     if not w < 0.5 * gap:
-        return None, None, 0, math.nan, (0, 0.0, 0.0, 0.0)
+        return None, None, 0, math.nan, 0.0, 0.0
     start = time.perf_counter()
     parts = _mode_slices(occupied)
     order = np.argsort(~occupied, axis=None, kind="stable")
@@ -866,27 +862,28 @@ def _decoupled_frame(basis: tuple, occupied: np.ndarray, d: np.ndarray,
     m = int(np.count_nonzero(occupied))
     Y, sweeps, residual = _riccati_decoupling(lam.ravel()[order], A, m, _RICCATI_TOL * gap)
     del A
-    swept = time.perf_counter()
-    stages = (k * (k + 1) // 2, formed - start, swept - formed)
+    a_s, sweep_s = formed - start, time.perf_counter() - formed
     if Y is None or not w * (1.0 + np.linalg.norm(Y)) < gap:
-        return None, None, sweeps, residual, stages + (0.0,)
+        return None, None, sweeps, residual, a_s, sweep_s
     L = np.linalg.cholesky(Y.conj().T @ Y + np.eye(m))
     V = _frame(C, sites, parts, Y) @ np.linalg.inv(L).conj().T
     G = V.conj().T @ V
     _outer_residual(V, float(np.linalg.norm(G - np.eye(m))))
-    return V, G, sweeps, residual, stages + (time.perf_counter() - swept,)
+    return V, G, sweeps, residual, a_s, sweep_s
 
 
-def _factored_index(V: np.ndarray, G: np.ndarray, U: LatticeFluxUnitary) -> IndexReport:
+def _factored_index(V: np.ndarray, G: np.ndarray, U: LatticeFluxUnitary,
+                    window_radius: float) -> IndexReport:
     """lattice_index at trace power 3 of P = V V*, read from the N x m
-    factor V and its Gram matrix G = V* V, with no N x N matrix.
+    factor V and its Gram matrix G = V* V, with no N x N matrix; the window
+    is refused as lattice_index's is (_window).
 
     With F = [V, uV] and J = diag(I, -I), M = P - uPu* = F J F*, and its
     cube's diagonal summed over the window W is tr(F_W J Gam J Gam J F_W*)
     for Gam = F* F = [[G, K], [K*, G_u]], K = V* (uV), G_u = (uV)* (uV):
     t = ||V_W G - (uV)_W K*||^2 - ||V_W K - (uV)_W G_u||^2, real.
     """
-    window = _window(U, _WINDOW_RADIUS)
+    window = _window(U, window_radius)
     uV = U.diagonal[:, None] * V
     K = V.conj().T @ uV
     Gu = uV.conj().T @ uV
@@ -923,11 +920,11 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
 
     Each draw logs at DEBUG its route, Weyl margin, sweeps and residual,
     the blocks of A formed, and the seconds of forming A, of the sweep and
-    of the index (everything after the sweep: the frame and its trace, or
-    the eigh and lattice_index).
+    of the index (the rest of the draw: the frame and its trace, or the
+    eigh and lattice_index).
     """
     basis = _eigenbasis(build_hamiltonian(ens.base_model))
-    lam = basis[0]
+    lam, k = basis[0], len(basis[1])
     gap0 = _gap_width(lam, fermi, 1e-9)
     occupied = lam < fermi
     clean_rank = int(np.count_nonzero(occupied))
@@ -935,12 +932,12 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
     for seed in ens.seeds:
         rng = np.random.default_rng(seed)
         draw = (rng.random(lam.size) - 0.5) * 2.0 * ens.amplitude
-        V, G, sweeps, residual, (blocks, a_s, sweep_s, frame_s) = _decoupled_frame(
-            basis, occupied, draw, gap0)
-        route = "Riccati decoupling" if V is not None else "eigh"
         start = time.perf_counter()
+        V, G, sweeps, residual, a_s, sweep_s = _decoupled_frame(basis, occupied, draw, gap0)
+        route = "Riccati decoupling" if V is not None else "eigh"
         if V is not None:
-            reports.append(_factored_index(V, G, U))
+            # the window of lattice_index's default radius, as on the eigh route
+            reports.append(_factored_index(V, G, U, 6.0))
             # this draw's frame is freed before the next draw forms its A
             del V, G
         else:
@@ -958,8 +955,8 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
                      "%d Riccati sweeps, residual %.1e, A from %d of %d blocks in "
                      "%.2e s, sweeps %.2e s, index %.2e s", seed,
                      route, gap0 - float(np.max(np.abs(draw))), gap0, sweeps, residual,
-                     blocks, len(basis[1]) ** 2, a_s, sweep_s,
-                     frame_s + time.perf_counter() - start)
+                     k * (k + 1) // 2 if sweeps else 0, k * k, a_s, sweep_s,
+                     time.perf_counter() - start - a_s - sweep_s)
     return reports
 
 

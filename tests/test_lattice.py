@@ -831,16 +831,17 @@ def test_lattice_index_rejects_nonpositive_power(lattice_benchmark):
     (float("inf"), "positive and finite, got inf"),
     (0.5, r"radius 0.5 about the flux center \(11.5, 11.5\) holds no site"),
 ], ids=["nan", "negative", "zero", "infinite", "between-sites"])
-def test_lattice_index_refuses_an_invalid_or_empty_window(lattice_benchmark, radius, match,
-                                                          monkeypatch):
+def test_lattice_index_refuses_an_invalid_or_empty_window(lattice_benchmark, radius, match):
     model, _, gp, U = lattice_benchmark
     with pytest.raises(ValueError, match=match):
         lattice_index(gp, U, window_radius=radius)
-    # the index a certified disorder draw reads from its frame shares the check
-    monkeypatch.setattr(lattice, "_WINDOW_RADIUS", radius)
-    ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[0])
+    # the index a certified disorder draw reads from its frame shares the
+    # check; here the frame of the clean box, a draw of zero
+    basis = _eigenbasis(build_hamiltonian(model))
+    occupied = basis[0] < FERMI
+    V, G, *_ = _decoupled_frame(basis, occupied, np.zeros(occupied.size), gp.gap_width)
     with pytest.raises(ValueError, match=match):
-        disorder_constancy(ens, FERMI, U)
+        _factored_index(V, G, U, window_radius=radius)
 
 
 def test_lattice_index_flags_unreliable_window(lattice_benchmark, caplog):
@@ -1030,7 +1031,7 @@ def test_decoupled_projection_matches_eigh_oracle(model, gauge_name, center):
     shape = np.random.default_rng(11).uniform(-1.0, 1.0, lam.size)
     for frac in (0.0, 0.2, 0.45):
         d = frac * gap * shape / np.max(np.abs(shape))
-        V, G, sweeps, residual, _ = _decoupled_frame(basis, occupied, d, gap)
+        V, G, sweeps, residual, _, _ = _decoupled_frame(basis, occupied, d, gap)
         assert 1 <= sweeps <= lattice._RICCATI_SWEEPS
         assert residual <= lattice._RICCATI_TOL * gap
         P = _outer_projection(V, float(np.linalg.norm(G - np.eye(m))))
@@ -1040,7 +1041,7 @@ def test_decoupled_projection_matches_eigh_oracle(model, gauge_name, center):
         index = lattice_index(P, U).value
         assert abs(index - lattice_index(oracle, U).value) <= 1e-12
         # the trace read from the factor, with no N x N P
-        factored = _factored_index(V, G, U)
+        factored = _factored_index(V, G, U, 6.0)
         assert abs(factored.value - index) <= 1e-14
         assert factored.trace_power == 3
     # the carried residual bounds the measured one, here on the strongest draw
