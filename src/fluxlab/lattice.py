@@ -11,19 +11,21 @@ flux insertion point, compensated by boundary weight far away, and the
 window isolates the bump.
 
 The Fermi projection uses the symmetries of the clean box, each checked
-exactly on the matrix itself, not assumed from the model.  The symmetric
-gauge is centred on the centre c of the active sites' bounding box: the
-bond r -> r + e carries exp(i pi flux (r - c) x e), and (r - c) x e is an
+exactly on the matrix itself, not assumed from the model; one function,
+_eigenbasis, reads them and runs the one eigh of every route, for
+gap_projection and disorder_constancy alike.  The symmetric gauge is
+centred on the centre c of the active sites' bounding box: the bond
+r -> r + e carries exp(i pi flux (r - c) x e), and (r - c) x e is an
 exact half-integer.  A square, even-sided box is then invariant under the
 rotation p by 90 degrees about its centre bit for bit, H[p][:, p] == H,
 and under the diagonal reflection t(x, y) = (y, x) with complex
 conjugation, H[t][:, t] == conj(H): p commutes with H and p^4 = 1, so H
 splits into four rotation-mode blocks of N/4 sites each, as the
-angular-mode Landau engine splits its disk; gap_projection diagonalizes
-the blocks and keeps P as those blocks, each node placed on its site
-(projpair's site map).  The reflection inverts the rotation, so it keeps
-each mode, and each block is diagonalized in real arithmetic on a real
-symmetric form, as below.  A box that breaks the reflection (a
+angular-mode Landau engine splits its disk; _eigenbasis diagonalizes the
+blocks and gap_projection keeps P as those blocks, each node placed on its
+site (projpair's site map).  The reflection inverts the rotation, so it
+keeps each mode, and each block is diagonalized in real arithmetic on a
+real symmetric form, as below.  A box that breaks the reflection (a
 rotation-invariant potential that the reflection does not keep) takes a
 dense route.  The unit flux z/|z| about the box centre is a rotation
 character, so lattice_index keeps the blocks for a flux there (with a
@@ -38,11 +40,11 @@ permutation r with H[r][:, r] == conj(H) makes H unitarily equivalent to a
 real symmetric matrix, which is diagonalized in real arithmetic.  A matrix
 with neither symmetry (a disorder draw) takes the complex eigh.  On every
 route P carries its idempotency residual, bounded from the eigenvectors'
-Gram matrix or the blocks' measured residual, instead of measuring it with
-the N^3 product P @ P.
+Gram matrix or from the blocks' residual on their real form, instead of
+measuring it with the N^3 product P @ P.
 
-disorder_constancy takes the clean box's whole eigenbasis once from those
-routes, as its mode blocks (four on the clean square box, else one), and
+disorder_constancy takes the clean box's whole eigenbasis once from that
+eigh, as its mode blocks (four on the clean square box, else one), and
 decouples each on-site draw in it by a Riccati sweep, with no eigh, when
 the clean gap certifies the draw (Weyl's inequality and Stewart's
 theorem).  The draw's operator in that basis is formed block by block, as
@@ -217,7 +219,6 @@ class GapProjection:
     """
 
     projection: HermitianProjection
-    fermi_energy: float
     gap_width: float
     real_form: bool
     modes: int
@@ -264,7 +265,7 @@ def _rotation_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     if not np.array_equal(H[p[i], p[j]], pattern):
         return None
     if not np.array_equal(H[t[i], t[j]], np.conj(pattern)):
-        logger.debug("gap_projection: rotation blocks break the diagonal reflection")
+        logger.debug("_eigenbasis: rotation blocks break the diagonal reflection")
         return None
     return p
 
@@ -300,7 +301,7 @@ def _rotation_blocks(H, p) -> tuple:
     as the involution r of the representatives, so the row holds
     first[d][r][:, r] == conj(first[-d]), each block
     B_q[r][:, r] == conj(B_q) bit for bit, and each block is diagonalized
-    in real arithmetic on its real form (_eigh_below).
+    in real arithmetic on its real form (_eigenbasis).
     """
     n = H.shape[0]
     side = math.isqrt(n)
@@ -322,20 +323,27 @@ def _rotation_blocks(H, p) -> tuple:
     return 4.0 * np.fft.ifft(first, axis=0), r, np.stack(orbit, axis=1).ravel()
 
 
-def _block_projection(H, fermi, min_gap, p) -> tuple:
-    """(P, gap width) of the Fermi projection of H as its four rotation-mode
-    blocks on their site map (_rotation_blocks), for the rotation p of
-    _rotation_permutation.
+def _block_projection(vecs: list, sites: np.ndarray) -> HermitianProjection:
+    """The Fermi projection P as its four rotation-mode blocks on their
+    site map sites (_rotation_blocks), from the occupied eigenvectors W_q
+    of each block's real form (_eigenbasis).
 
     P_q = S R_q S*, with R_q = W_q W_q^T symmetrized, is formed
-    entrywise (_quadrant_congruence) and is Hermitian bit for bit; its
-    idempotency residual is measured on S (R_q^2 - R_q) S*, which is
-    P_q^2 - P_q in exact arithmetic.  Each entry of P_q carries one
-    rounding, |delta| <= u |P_q[i,j]|, which moves P_q^2 - P_q on the nodes
-    by at most u(2 rho + sqrt(rho)) (rho and s_ij as below), and that is
-    added to the measured value.  P keeps the blocks, with node i*4 + a
-    at site p^a s_i; its .matrix is the site-ordered
-    P[p^a s_i, p^b s_j] = P_f[(i,a),(j,b)].
+    entrywise (_quadrant_congruence) and is Hermitian bit for bit.  P keeps
+    the blocks, with node i*4 + a at site p^a s_i; its .matrix is the
+    site-ordered P[p^a s_i, p^b s_j] = P_f[(i,a),(j,b)].
+
+    The idempotency residual is read on the real form.  In exact
+    arithmetic P_q^2 - P_q = S E_q S*, with E_q = R_q^2 - R_q real, and each
+    entry of S E_q S* is ((E_q + E_q[r][:, r]) + i (E_q[r] - E_q[:, r]))/2
+    (r the involution of the real form), whose real and imaginary parts
+    are at most max |E_q| each.  Each entry
+    of P^2 - P on the nodes, fft over the modes / 4 as in nodal_blocks, is
+    a mean of four such entries, each times a unit phase, so it is at most
+    sqrt 2 max |E|.  Each entry of P_q carries one rounding,
+    |delta| <= u |P_q[i,j]|, which moves P_q^2 - P_q on the nodes by at
+    most u(2 rho + sqrt(rho)) (rho and s_ij as below), and that is added
+    to the bound.
 
     P records the residuals of that matrix as .matrix forms it.  P_f has
     the blocks' residuals h_f = 0, r_f and largest squared row norm rho.
@@ -345,27 +353,18 @@ def _block_projection(H, fermi, min_gap, p) -> tuple:
     <= 16u sqrt(rho), so PE + EP - E adds at most 8u(4 rho + sqrt(rho)) to
     each entry of P^2 - P, to first order in u and with no factor of N.
     """
-    B, r, sites = _rotation_blocks(H, p)
-    gap, vecs = _eigh_below(B, fermi, min_gap, r)
-    del B
     R = np.stack([W @ W.T for W in vecs])
     R = 0.5 * (R + R.transpose(0, 2, 1))
     blocks = _quadrant_congruence(R)
     rho = float(np.max(np.sum(np.abs(blocks) ** 2, axis=(0, 2)))) / 4.0
     u = _UNIT_ROUNDOFF
-    # P^2 - P on the nodes, max |fft(E)| / 4 as in nodal_blocks: R is freed
-    # before E is formed and E is transformed a quarter of its rows at a
-    # time, so that no second stack of E's size is alive (the traced peak at
-    # 40 x 40 fell from 36.0 to 26.3 MiB); each transform runs along the
-    # modes alone, so the maximum is the whole transform's bit for bit
-    E = R @ R - R
+    E = R @ R
+    E -= R
     del R
-    E = _quadrant_congruence(E)
-    resid = (max(float(np.max(np.abs(np.fft.fft(rows, axis=0)), initial=0.0))
-                 for rows in np.array_split(E, 4, axis=1)) / 4.0
+    resid = (math.sqrt(2.0) * float(np.max(np.abs(E)))
              + u * (2.0 * rho + np.sqrt(rho)) + 8.0 * u * (4.0 * rho + np.sqrt(rho)))
     return HermitianProjection.with_residuals(blocks, 1e-8, 16.0 * u * np.sqrt(rho),
-                                              resid, sites), gap
+                                              resid, sites)
 
 
 def _quadrant_congruence(R: np.ndarray) -> np.ndarray:
@@ -386,22 +385,6 @@ def _quadrant_congruence(R: np.ndarray) -> np.ndarray:
     np.subtract(grid.transpose(0, 2, 1, 3, 4), grid.transpose(0, 1, 2, 4, 3), out=cells.imag)
     out *= 0.5
     return out
-
-
-def _eigh_below(H: np.ndarray, fermi: float, min_gap: float, r) -> tuple:
-    """(gap width, X) of the Hermitian stack H, (k, n, n), at fermi: X[k]
-    holds the eigh's eigenvectors below fermi.
-
-    With r None the eigh is that of H.  Otherwise r is an involutive
-    permutation with H[k][r][:, r] == conj(H[k]), and
-    S = exp(-i pi/4)(1 + iR)/sqrt 2 is unitary with S* H S = Re H - (Im H)[:, r]
-    real symmetric: the eigh runs in real arithmetic on that form, X is
-    real, and S X = (X + i X[r])(1 - i)/2 are the eigenvectors of H, whose
-    projection is S (X X^T) S*.
-    """
-    evals, vecs = np.linalg.eigh(H if r is None else H.real - H.imag[..., r])
-    gap = _gap_width(evals, fermi, min_gap)
-    return gap, [v[:, e < fermi] for e, v in zip(evals, vecs)]
 
 
 def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
@@ -428,28 +411,24 @@ def _real_form_permutation(H: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
-def _dense_projection(H, fermi, min_gap, r) -> tuple:
-    """(P, gap width) of the Fermi projection of H from one N x N eigh: of
-    the real form Re H - (Im H)[:, r] when r is a real-form permutation,
-    else of H.  P is dense and site-ordered, the stack of one block.
+def _dense_projection(X: np.ndarray, r) -> HermitianProjection:
+    """The Fermi projection P = V V* (_outer_projection), dense and
+    site-ordered, the stack of one block, from the m occupied eigenvectors X
+    of _eigenbasis's one block: V = X on the complex route, V = S X on the
+    real form (_from_real_form).
 
-    P = V V* (_outer_projection), with V of m columns from the eigh output
-    X (V = X on the complex route, V = S X on the real one).  With
-    e = ||X* X - I||_F from the Gram matrix and f = ||V||_F,
+    With e = ||X* X - I||_F from the Gram matrix and f = ||V||_F,
     ||V* V - I|| <= g = e + 2uf sqrt(1 + e) + u^2 f^2, as S X is formed with
     an entrywise rounding of u.
     """
-    gap, (X,) = _eigh_below(H[None], fermi, min_gap, r)
     m = X.shape[1]
     gram = X.conj().T @ X
     gram[np.diag_indices(m)] -= 1.0
     e = float(np.linalg.norm(gram))
-    # (1 - i)/2 = exp(-i pi/4)/sqrt(2) exactly; for the identity r the
-    # imaginary part cancels exactly and P comes out real
-    V = X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j)
+    V = _from_real_form(X, r)
     f = float(np.linalg.norm(V))
     u = _UNIT_ROUNDOFF
-    return _outer_projection(V, e + 2.0 * u * f * np.sqrt(1.0 + e) + (u * f) ** 2), gap
+    return _outer_projection(V, e + 2.0 * u * f * np.sqrt(1.0 + e) + (u * f) ** 2)
 
 
 def _outer_residual(V: np.ndarray, g: float) -> float:
@@ -492,28 +471,46 @@ def _outer_projection(V: np.ndarray, g: float) -> HermitianProjection:
 
 
 def _eigenbasis(H: np.ndarray) -> tuple:
-    """(lam, C, sites): every eigenpair of H, from the eigh that
-    gap_projection runs, as k mode blocks.  lam (k, N/k) holds each block's
-    eigenvalues, ascending, and C (k, N/k, N/k) the block eigenvectors, the
-    columns of C_q; node (i, a) sits at site sites[i*k + a].
+    """(lam, X, r, sites): every eigenpair of H from its one eigh, as k mode
+    blocks, on the route that a symmetry checked exactly on H chooses.  lam
+    (k, N/k) holds each block's eigenvalues, ascending, and X (k, N/k, N/k)
+    the eigh's eigenvectors; node (i, a) sits at site sites[i*k + a].
 
-    On the rotation blocks (k = 4, _rotation_blocks) C_q = S W from the real
-    form of B_q, as in _eigh_below, and column c of C_q is the eigenvector
-    of H with v[(i, a)] = c_i i^(q a) / 2: the length-4 character of mode
-    q, exact in floating point, normalized over the four angles.  Otherwise
-    (k = 1) C_0 is the eigh output of H, or S X from its real form, and
-    sites is the identity.
+    - When the 90-degree rotation about the box centre keeps H exactly
+      (_rotation_permutation: a square, even-sided box) and the diagonal
+      reflection (x, y) -> (y, x) conjugates it exactly, H splits into
+      k = 4 rotation-mode blocks B_q of N/4 (_rotation_blocks), and r is
+      the involution of the blocks' real form.
+    - Otherwise, when an involutive permutation r with H[r][:, r] == conj(H)
+      holds exactly (_real_form_permutation: r reflects each column about
+      its centre), the one block is B_0 = H, and sites is the identity.
+    - Every other H (a disorder draw) takes the complex eigh of B_0 = H,
+      with r None; this route is also the test oracle of the other two.
+
+    With r, S = exp(-i pi/4)(1 + iR)/sqrt 2 is unitary with
+    S* B S = Re B - (Im B)[:, r] real symmetric: the eigh runs in real
+    arithmetic on that form, X is real, and C_q = S X_q (_from_real_form)
+    holds the eigenvectors of B_q, whose projection is S (X X^T) S*.  On
+    the rotation blocks, column c of C_q is the eigenvector of H with
+    v[(i, a)] = c_i i^(q a) / 2: the length-4 character of mode q, exact in
+    floating point, normalized over the four angles.
     """
     p = _rotation_permutation(H)
     if p is None:
-        r = _real_form_permutation(H)
-        lam, X = np.linalg.eigh(H if r is None else H.real - H.imag[:, r])
-        C = X if r is None else (X + 1j * X[r]) * (0.5 - 0.5j)
-        return lam[None], C[None], np.arange(H.shape[0])
-    B, r, sites = _rotation_blocks(H, p)
-    lam, X = np.linalg.eigh(B.real - B.imag[..., r])
-    del B
-    return lam, (X + 1j * X[:, r]) * (0.5 - 0.5j), sites
+        B, r, sites = H[None], _real_form_permutation(H), np.arange(H.shape[0])
+    else:
+        B, r, sites = _rotation_blocks(H, p)
+    lam, X = np.linalg.eigh(B if r is None else B.real - B.imag[..., r])
+    return lam, X, r, sites
+
+
+def _from_real_form(X: np.ndarray, r) -> np.ndarray:
+    """S X = (X + i X[r])(1 - i)/2, the eigenvectors of H from those X of
+    its real form (_eigenbasis), r permuting the rows of each block; X
+    itself when r is None, the complex eigh.  (1 - i)/2 = exp(-i pi/4)/sqrt 2
+    exactly, and for the identity r (a real H) the imaginary part cancels
+    exactly."""
+    return X if r is None else (X + 1j * X[..., r, :]) * (0.5 - 0.5j)
 
 
 def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapProjection:
@@ -523,41 +520,30 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     gap; an eigenvalue within min_gap of fermi means the projection is not
     stably defined and the call is rejected.
 
-    Three routes give the same P, each chosen by a symmetry checked on H
-    itself:
-    - when the 90-degree rotation about the box centre keeps H exactly
-      (_rotation_permutation: a square, even-sided box) and the diagonal
-      reflection (x, y) -> (y, x) conjugates it exactly, H splits into four
-      N/4 x N/4 rotation-mode blocks, each diagonalized on its own
-      (_block_projection) in real arithmetic on its real form.  P keeps
-      the four blocks on their site map, so lattice_index and decay_fit
-      stay in the blocks; P.matrix, the dense site-ordered P, is assembled
-      only when it is read;
-    - otherwise, when an involutive permutation R with R H R = conj(H)
-      holds exactly (_real_form_permutation), H takes the same real form
-      (_eigh_below) with r the reflection of each column about its centre;
-    - every other H takes the complex eigh, which is also the test oracle
-      of the other two.
-    The two dense routes give the dense, site-ordered P, the stack of one
-    block.  On every route P carries its idempotency residual, bounded from
-    quantities the route already holds (_block_projection,
-    _dense_projection), in place of the N^3 product P @ P; the Hermitian
-    residual is 0.0 on the dense P, which is Hermitian bit for bit, and
-    bounded on the blocks.
+    H is diagonalized once, on the route its symmetries choose
+    (_eigenbasis), and the eigenvectors below fermi give P.  On the four
+    rotation-mode blocks P keeps the blocks on their site map
+    (_block_projection), so lattice_index and decay_fit stay in the
+    blocks; P.matrix, the dense site-ordered P, is assembled only when it
+    is read.  One block gives the dense, site-ordered P, the stack of one
+    block (_dense_projection).  On every route P carries its idempotency
+    residual, bounded from quantities the route already holds, in place of
+    the N^3 product P @ P; the Hermitian residual is 0.0 on the dense P,
+    which is Hermitian bit for bit, and bounded on the blocks.
     """
-    n = H.shape[0]
-    p = _rotation_permutation(H)
-    if p is not None:
-        modes, real_form, route = 4, True, f"4 rotation blocks of {n // 4}, real-form"
-        P, gap = _block_projection(H, fermi, min_gap, p)
+    lam, X, r, sites = _eigenbasis(H)
+    gap = _gap_width(lam, fermi, min_gap)
+    vecs = [x[:, e < fermi] for e, x in zip(lam, X)]
+    del X
+    if len(vecs) == 4:
+        P = _block_projection(vecs, sites)
+        route = f"4 rotation blocks of {len(sites) // 4}, real-form"
     else:
-        r = _real_form_permutation(H)
-        modes, real_form = 1, r is not None
-        route = "real-form" if real_form else "complex"
-        P, gap = _dense_projection(H, fermi, min_gap, r)
-    logger.debug("gap_projection: %s eigh, N = %d", route, n)
-    return GapProjection(projection=P, fermi_energy=float(fermi), gap_width=gap,
-                         real_form=real_form, modes=modes)
+        P = _dense_projection(vecs[0], r)
+        route = "complex" if r is None else "real-form"
+    logger.debug("gap_projection: %s eigh, N = %d", route, len(sites))
+    return GapProjection(projection=P, gap_width=gap, real_form=r is not None,
+                         modes=len(vecs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,10 +566,13 @@ class LatticeFluxUnitary:
 def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnitary:
     """Diagonal of (z - center)/|z - center| over the lattice sites.
 
-    The center must avoid the sites themselves (offset it by half a lattice
-    constant); a site exactly at the center would get an undefined phase.
+    The center must be finite and avoid the sites themselves (offset it by
+    half a lattice constant); a site exactly at the center would get an
+    undefined phase.
     """
     cx, cy = float(center[0]), float(center[1])
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"flux center ({cx}, {cy}) is not finite")
     pos = model.sites().astype(float)
     z = (pos[:, 0] - cx) + 1j * (pos[:, 1] - cy)
     dist = np.abs(z)
@@ -751,7 +740,8 @@ def _mode_slices(occupied: np.ndarray) -> list:
 def _basis_operator(C: np.ndarray, sites: np.ndarray, parts: list,
                     d: np.ndarray) -> np.ndarray:
     """A = Q* diag(d) Q, N x N, in the clean eigenbasis Q of the mode blocks
-    C (_eigenbasis), its columns in the order of parts (_mode_slices).
+    C = S X (_eigenbasis, _from_real_form), its columns in the order of
+    parts (_mode_slices).
 
     With v[(i, a)] = c_i w^(q a) / sqrt k for the eigenvector c of mode q
     (w = exp(2 pi i / k)), the block (q, q') of A is
@@ -826,9 +816,10 @@ def _decoupled_frame(basis: tuple, occupied: np.ndarray, d: np.ndarray,
                      gap: float) -> tuple:
     """(V, G, sweeps, residual, a_s, sweep_s): an orthonormal frame V of
     the Fermi subspace of H0 + diag(d), with its Gram matrix G = V* V, from
-    the clean eigenbasis basis = (lam, C, sites) of H0 (_eigenbasis), whose
-    eigenvalues below the Fermi energy occupied marks and whose nearest one
-    lies gap from it, by the Riccati sweep (_riccati_decoupling).  V is None
+    the clean eigenbasis basis = (lam, C, sites) of H0, C = S X
+    (_eigenbasis, _from_real_form), whose eigenvalues below the Fermi
+    energy occupied marks and whose nearest one lies gap from it, by the
+    Riccati sweep (_riccati_decoupling).  V is None
     when the draw is not certified: when w = max |d| is not below gap/2,
     when the sweep misses its cap, or when w (1 + ||Y||_F) is not below gap.
     a_s and sweep_s are the seconds of forming A and of the sweep, both 0.0
@@ -903,9 +894,9 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
     changes rank (an eigenvalue crossed the Fermi energy), has closed the
     gap and is rejected: the index is only defined on the gapped set.
 
-    The clean box's eigenbasis comes once per call, as its k mode blocks,
-    from the eigh gap_projection runs on it (_eigenbasis): the four
-    rotation blocks of the clean square box, else one dense block.  An
+    The clean box's eigenbasis comes once per call from its one eigh
+    (_eigenbasis), as the k mode blocks C_q = S X_q (_from_real_form): the
+    four rotation blocks of the clean square box, else one dense block.  An
     on-site draw D = diag(d) has ||D||_2 = w = max |d_i|, so by Weyl's
     inequality every eigenvalue moves by at most w: for w below the clean
     gap g0 the rank is kept and the gap stays at least g0 - w, the Weyl
@@ -923,8 +914,10 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
     of the index (the rest of the draw: the frame and its trace, or the
     eigh and lattice_index).
     """
-    basis = _eigenbasis(build_hamiltonian(ens.base_model))
-    lam, k = basis[0], len(basis[1])
+    lam, X, r, sites = _eigenbasis(build_hamiltonian(ens.base_model))
+    basis = (lam, _from_real_form(X, r), sites)
+    del X
+    k = len(lam)
     gap0 = _gap_width(lam, fermi, 1e-9)
     occupied = lam < fermi
     clean_rank = int(np.count_nonzero(occupied))

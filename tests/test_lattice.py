@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from fluxlab import lattice
 from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
                              _basis_operator, _decoupled_frame, _dense_projection,
-                             _eigenbasis, _factored_index, _mode_slices,
-                             _outer_projection, _real_form_permutation,
+                             _eigenbasis, _factored_index, _from_real_form,
+                             _mode_slices, _outer_projection, _real_form_permutation,
                              _rotation_permutation,
                              build_hamiltonian,
                              decay_fit, disorder_constancy, gap_projection,
@@ -212,7 +212,6 @@ def test_gap_projection_rank_counts_states_below_fermi():
     gp = gap_projection(H, FERMI)
     assert gp.projection.rank() == int(np.sum(evals < FERMI))
     assert gp.gap_width > 0.0
-    assert gp.fermi_energy == FERMI
 
 
 def test_gap_projection_refuses_gapless():
@@ -428,8 +427,12 @@ def test_block_route_at_56_matches_the_dense_real_form():
     H = build_hamiltonian(bench(56))
     gp = gap_projection(H, FERMI)
     assert (gp.modes, gp.real_form) == (4, True)
-    dense, gap = _dense_projection(H, FERMI, 1e-9, _real_form_permutation(H))
+    r = _real_form_permutation(H)
+    evals, X = np.linalg.eigh(H.real - H.imag[:, r])
     del H
+    gap = float(np.min(np.abs(evals - FERMI)))
+    dense = _dense_projection(X[:, evals < FERMI], r)
+    del X
     assert abs(gp.gap_width - gap) <= 1e-12
     # node block by node block: node (i, a) sits at site sites[4 i + a]
     sites, D = gp.projection.sites, dense.matrix
@@ -571,12 +574,14 @@ def test_block_route_memory_peak():
     # the dense route with its measured P @ P peaked at 150 MiB here;
     # assembling the dense, site-ordered P at 81.9 MiB in gap_projection, and
     # forming M densely at 78.1 MiB over the two index calls; keeping R and
-    # the residual's transform beside its input at 36.0 MiB (26.3 MiB now)
+    # the residual's transform beside its input at 36.0 MiB; measuring the
+    # residual on the nodes, a quarter of the transform at a time, at
+    # 26.3 MiB (21.2 MiB now, read on the real form)
     model = bench(40)
     H = build_hamiltonian(model)
     gp, peak = _peak(lambda: gap_projection(H, FERMI))
     assert gp.modes == 4 and gp.projection.blocks.shape == (4, 400, 400)
-    assert peak <= 28 * 2**20
+    assert peak <= 23 * 2**20
     U = lattice_flux_unitary(model, (19.5, 19.5))
     _, peak = _peak(lambda: [lattice_index(gp, U, n=n) for n in (1, 2)])
     assert peak <= 48 * 2**20
@@ -607,6 +612,15 @@ def test_flux_unitary_rejects_site_center():
     model = bench(8)
     with pytest.raises(ValueError, match="half a lattice constant"):
         lattice_flux_unitary(model, (3.0, 5.0))
+
+
+# each gave a RuntimeWarning and then "matrix is not unitary: max |UU* - 1|
+# = nan" before it was refused
+@pytest.mark.parametrize("center", [(float("nan"), 3.5), (3.5, float("inf"))],
+                         ids=["nan", "inf"])
+def test_flux_unitary_rejects_a_non_finite_center(center):
+    with pytest.raises(ValueError, match=re.escape(f"flux center {center} is not finite")):
+        lattice_flux_unitary(bench(8), center)
 
 
 def test_flux_unitary_directional_phases():
@@ -837,8 +851,9 @@ def test_lattice_index_refuses_an_invalid_or_empty_window(lattice_benchmark, rad
         lattice_index(gp, U, window_radius=radius)
     # the index a certified disorder draw reads from its frame shares the
     # check; here the frame of the clean box, a draw of zero
-    basis = _eigenbasis(build_hamiltonian(model))
-    occupied = basis[0] < FERMI
+    lam, X, r, sites = _eigenbasis(build_hamiltonian(model))
+    basis = (lam, _from_real_form(X, r), sites)
+    occupied = lam < FERMI
     V, G, *_ = _decoupled_frame(basis, occupied, np.zeros(occupied.size), gp.gap_width)
     with pytest.raises(ValueError, match=match):
         _factored_index(V, G, U, window_radius=radius)
@@ -965,13 +980,48 @@ def test_disorder_validation(lattice_benchmark):
                          distribution="levy")
 
 
+def _count_eigh(monkeypatch):
+    # the shapes of the matrices each np.linalg.eigh call receives
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model, gauge_name, route", [
+    (bench(24), "symmetric", (4, True, (4, 144, 144))),
+    (bench(24), "landau", (1, True, (1, 576, 576))),
+    (MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5)), "symmetric",
+     (1, False, (1, 576, 576))),
+], ids=["blocks", "real-form", "complex"])
+def test_gap_projection_runs_one_eigh(monkeypatch, model, gauge_name, route):
+    H = build_hamiltonian(model, gauge=gauge_name)
+    calls = _count_eigh(monkeypatch)
+    gp = gap_projection(H, FERMI)
+    assert (gp.modes, gp.real_form, *calls) == route
+
+
+def test_certified_disorder_runs_one_eigh(monkeypatch, lattice_benchmark):
+    # the clean box's, once per call; every draw is decoupled without one
+    model, _, gp, U = lattice_benchmark
+    ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[0, 1, 2])
+    calls = _count_eigh(monkeypatch)
+    assert len(disorder_constancy(ens, FERMI, U)) == 3
+    assert calls == [(4, 144, 144)]
+
+
 @pytest.mark.parametrize("model, gauge_name", [
     (bench(24), "symmetric"), (bench(24), "landau"),
     (MagneticLatticeModel(24, 24, FLUX, potential=_c4_potential(24, 5)), "symmetric"),
 ], ids=["blocks", "real-form", "complex"])
 def test_eigenbasis_diagonalizes_on_every_route(model, gauge_name):
     H = build_hamiltonian(model, gauge=gauge_name)
-    lam, C, sites = _eigenbasis(H)
+    lam, X, r, sites = _eigenbasis(H)
+    C = _from_real_form(X, r)
     assert np.all(np.diff(lam, axis=1) >= 0.0)
     order = np.argsort(lam, axis=None, kind="stable")
     Q = _site_basis(C, sites, order)
@@ -1001,7 +1051,8 @@ def _site_basis(C, sites, order):
 def test_block_assembled_operator_matches_the_dense_product(model, gauge_name, modes):
     # A = Q* diag(d) Q from the mode blocks against the dense product on the
     # site-ordered Q, in the occupied-first, mode-major order
-    lam, C, sites = _eigenbasis(build_hamiltonian(model, gauge=gauge_name))
+    lam, X, r, sites = _eigenbasis(build_hamiltonian(model, gauge=gauge_name))
+    C = _from_real_form(X, r)
     assert len(C) == modes
     occupied = lam < FERMI
     Q = _site_basis(C, sites, np.argsort(~occupied, axis=None, kind="stable"))
@@ -1022,8 +1073,8 @@ def test_block_assembled_operator_matches_the_dense_product(model, gauge_name, m
 ], ids=["L24", "L24-landau", "L32", "half-plane"])
 def test_decoupled_projection_matches_eigh_oracle(model, gauge_name, center):
     H0 = build_hamiltonian(model, gauge=gauge_name)
-    basis = _eigenbasis(H0)
-    lam = basis[0]
+    lam, X, r, sites = _eigenbasis(H0)
+    basis = (lam, _from_real_form(X, r), sites)
     gap = float(np.min(np.abs(lam - FERMI)))
     occupied = lam < FERMI
     m = int(np.count_nonzero(occupied))
