@@ -126,7 +126,8 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     Independence of the switch shape is a property of the box limit.  At a
     fixed L the widest switch sets the error: for the level-0 kernel the
     scale-2 error is 1.26e-2, 4.67e-3 and 1.72e-3 at L = 6, 7, 8, shrinking
-    by e^-1 per unit L, while the scale-0.5 error is 8e-9 at L = 6.
+    by e^-1 per unit L, while the scale-0.5 error is 8e-9 at L = 6.  The
+    imaginary residual of each value is checked against 1e-8.
     """
     Ls = [float(L) for L in L_values]
     if not Ls:
@@ -146,6 +147,9 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     for L, (f12, f21) in zip(Ls, forms.reshape(-1, 2)):
         q = 2.0j * np.pi * (f12 - f21)
         logger.debug("box transport L=%.2f: %.8f (imag %.1e)", L, q.real, q.imag)
+        if not abs(q.imag) <= 1e-8:
+            raise ValueError(f"imaginary residual {abs(q.imag):.2e} of the box "
+                             f"transport at L = {L} exceeds 1e-8")
         out.append((L, float(q.real)))
     return out
 
@@ -183,9 +187,12 @@ def kubo_box(p: CovariantKernel, L: float, spec: QuadratureSpec = None) -> float
     integral (triple_wedge on the transport grid, the closed form's core):
     the x-dependent part of the integrand is odd and the box average kills
     it exactly, so L affects the result only through that exact
-    cancellation.
+    cancellation.  The imaginary residual is checked against 1e-8.
     """
     if not L > 0:
         raise ValueError(f"box half side must be positive, got {L}")
     val = 1j * triple_wedge(p, level_square_grid(p.level, "transport", spec))
+    if not abs(val.imag) <= 1e-8:
+        raise ValueError(f"imaginary residual {abs(val.imag):.2e} of the Kubo "
+                         "average exceeds 1e-8")
     return float(val.real)

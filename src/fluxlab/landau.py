@@ -291,11 +291,11 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     angles) P is block-circulant in the angle index and is kept as A blocks
     of size R x R, one per angular mode, computed from the R x N kernel
     entries of the first angular column; on any other grid it is the dense
-    N x N matrix, the stack of one block.  Only P is validated: Q is
-    projpair.conjugated(P, u on the nodes)[1], which carries P's residuals
-    and keeps P's blocks for a centred (z/|z|)^N; a translated flux gives a
-    dense Q, and P stays on the grid's layout.  A u not unimodular on the
-    nodes is an error.
+    N x N matrix, the stack of one block.  Only P's residuals are
+    measured: Q is projpair.conjugated(P, u on the nodes)[1], which carries
+    P's residuals and keeps P's blocks for a centred (z/|z|)^N; a
+    translated flux gives a dense Q, and P stays on the grid's layout.  A u
+    not unimodular on the nodes is an error.
 
     Without a grid the disk is level_disk_grid(m), a larger disk for higher
     levels, since a larger disk, not a finer grid, is what brings the odd
@@ -338,7 +338,7 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     B = np.moveaxis(K, 2, 0)
     B = 0.5 * (B + B.conj().swapaxes(1, 2))
     try:
-        proj_p = HermitianProjection.from_blocks(B, 0.05)
+        proj_p = HermitianProjection(B, 0.05)
     except ValueError as exc:
         raise ValueError(f"truncation too coarse: {exc}") from None
     return proj_p, conjugated(proj_p, uvals)[1]

@@ -212,16 +212,20 @@ class GapProjection:
 
     gap_width is the distance from the Fermi energy to the nearest
     eigenvalue; the projection sums every eigenvector below the Fermi
-    energy.  modes and real_form record the route: modes is 4 when H was
-    diagonalized in its four rotation-mode blocks and 1 for one N x N eigh;
-    real_form is True when each eigh ran on a real symmetric form (always
-    on the blocks), False for the complex eigh.
+    energy.  modes and real_form record the route: modes, the block count
+    of the projection, is 4 when H was diagonalized in its four
+    rotation-mode blocks and 1 for one N x N eigh; real_form is True when
+    each eigh ran on a real symmetric form (always on the blocks), False
+    for the complex eigh.
     """
 
     projection: HermitianProjection
     gap_width: float
     real_form: bool
-    modes: int
+
+    @property
+    def modes(self) -> int:
+        return self.projection.blocks.shape[0]
 
 
 # the rounding of one double, u = eps / 2
@@ -363,8 +367,7 @@ def _block_projection(vecs: list, sites: np.ndarray) -> HermitianProjection:
     del R
     resid = (math.sqrt(2.0) * float(np.max(np.abs(E)))
              + u * (2.0 * rho + np.sqrt(rho)) + 8.0 * u * (4.0 * rho + np.sqrt(rho)))
-    return HermitianProjection.with_residuals(blocks, 1e-8, 16.0 * u * np.sqrt(rho),
-                                              resid, sites)
+    return HermitianProjection(blocks, 1e-8, 16.0 * u * np.sqrt(rho), resid, sites)
 
 
 def _quadrant_congruence(R: np.ndarray) -> np.ndarray:
@@ -467,7 +470,7 @@ def _outer_projection(V: np.ndarray, g: float) -> HermitianProjection:
     P += A
     del A
     P *= 0.5
-    return HermitianProjection.with_residuals(P[None], 1e-8, 0.0, resid)
+    return HermitianProjection(P, 1e-8, 0.0, resid)
 
 
 def _eigenbasis(H: np.ndarray) -> tuple:
@@ -542,8 +545,7 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
         P = _dense_projection(vecs[0], r)
         route = "complex" if r is None else "real-form"
     logger.debug("gap_projection: %s eigh, N = %d", route, len(sites))
-    return GapProjection(projection=P, gap_width=gap, real_form=r is not None,
-                         modes=len(vecs))
+    return GapProjection(projection=P, gap_width=gap, real_form=r is not None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,10 +9,13 @@ converge to the index of the underlying operators while the raw value's
 distance to the nearest integer measures the truncation quality.
 
 A projection is kept as a stack of mode blocks (HermitianProjection.blocks).
-A projection that commutes with the rotations of a polar grid has one block
-per angular mode; any other projection is its dense matrix, the stack of
-one block.  The nodes of the blocks may sit on the sites in another order
-(a site map, HermitianProjection.sites): the square lattice box keeps its
+Its one constructor takes a square matrix as the stack of one block; it
+measures the projection's two residuals, or carries both when the producer
+passes them in, and refuses either above the tolerance.  A projection
+that commutes with the rotations of a polar grid has one block per angular
+mode; any other projection is its dense matrix, the stack of one block.
+The nodes of the blocks may sit on the sites in another order (a site
+map, HermitianProjection.sites): the square lattice box keeps its
 rotation-mode blocks that way, while .matrix stays the site-ordered
 matrix.  Every route reduces a pair of projections with the same block
 layout and site map block by block, and any other pair on its
@@ -26,28 +29,33 @@ instead of measuring them again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 
+@dataclass(frozen=True, eq=False)
 class HermitianProjection:
     """Hermitian idempotent operator, kept as a (k, n, n) stack of mode blocks.
 
-    HermitianProjection(matrix) validates a square matrix, the stack of one
-    block; from_blocks validates a stack of k angular-mode blocks.  On nodes
-    ordered radial-major (index i*k + a for radius i and angle a) a
-    rotation-invariant matrix is block-circulant in the angle index:
-    M[(i,a),(j,b)] depends on i, j and (b - a) mod k only.  The DFT over the
-    angle index turns it into k blocks B_q of size n x n, one per angular
-    mode q, with
+    blocks is a (k, n, n) stack of k angular-mode blocks, or a square
+    matrix, kept as the stack of one block.  On nodes ordered radial-major
+    (index i*k + a for radius i and angle a) a rotation-invariant matrix is
+    block-circulant in the angle index: M[(i,a),(j,b)] depends on i, j and
+    (b - a) mod k only.  The DFT over the angle index turns it into k blocks
+    B_q of size n x n, one per angular mode q, with
 
         M[(i,a),(j,b)] = (1/k) sum_q B_q[i,j] exp(-2 pi i q (b - a) / k).
 
     idempotency_tol bounds the allowed max-entry deviation of both M - M*
-    and M² - M on the nodes, read off the distinct entries of the
-    block-circulant matrices B_q - B_q* and B_q² - B_q.  Truncated continuum
-    projections are not exactly idempotent; they carry a loose tolerance and
-    the residuals are kept in hermitian_residual and idempotency_residual.
+    and M² - M on the nodes, kept in hermitian_residual and
+    idempotency_residual.  Given neither, they are measured, read off the
+    distinct entries of the block-circulant matrices B_q - B_q* and
+    B_q² - B_q.  Given both, they are carried: a producer that has bounded
+    them from quantities it already holds passes them in instead.  Either
+    way a residual above idempotency_tol is refused.  Truncated continuum
+    projections are not exactly idempotent; they carry a loose tolerance.
 
     sites, None by default, places the nodes on the sites: node v is site
     sites[v], so the site-ordered matrix is S[sites[v], sites[w]] = M[v, w].
@@ -58,43 +66,22 @@ class HermitianProjection:
     tolerances, blocks and site maps are.
     """
 
-    # the identity site map, kept on the class so that a projection without a
-    # site map holds no more attributes than its blocks and residuals
-    sites = None
+    blocks: np.ndarray
+    idempotency_tol: float = 1e-10
+    hermitian_residual: Optional[float] = None
+    idempotency_residual: Optional[float] = None
+    sites: Optional[np.ndarray] = None
 
-    def __init__(self, matrix: np.ndarray, idempotency_tol: float = 1e-10):
-        m = np.asarray(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"projection matrix must be square, got {m.shape}")
-        self._validate(m[None], idempotency_tol)
-
-    @classmethod
-    def from_blocks(cls, blocks: np.ndarray, idempotency_tol: float = 1e-10):
-        b = np.asarray(blocks)
+    def __post_init__(self):
+        b = np.asarray(self.blocks)
+        b = b[None] if b.ndim == 2 else b
         if b.ndim != 3 or b.shape[1] != b.shape[2]:
-            raise ValueError(
-                f"mode blocks must have shape (k, n, n), got {b.shape}")
-        proj = cls.__new__(cls)
-        proj._validate(b, idempotency_tol)
-        return proj
-
-    @classmethod
-    def with_residuals(cls, blocks: np.ndarray, idempotency_tol: float,
-                       hermitian_residual: float, idempotency_residual: float,
-                       sites=None):
-        """The (k, n, n) stack blocks, on the site map sites when given, with
-        residuals its producer has bounded from quantities it already holds,
-        instead of measuring them; rejected like any projection when a
-        residual exceeds idempotency_tol."""
-        proj = cls.__new__(cls)
-        proj._validate(np.asarray(blocks), idempotency_tol, hermitian_residual,
-                       idempotency_residual)
-        if sites is not None:
-            proj.__dict__["sites"] = np.asarray(sites)
-        return proj
-
-    def _validate(self, b: np.ndarray, tol: float, herm=None, resid=None):
-        """Keep the blocks b with their residuals, measured unless given."""
+            raise ValueError("projection must be a square matrix or a (k, n, n) "
+                             f"stack of square blocks, got {np.shape(self.blocks)}")
+        herm, resid, tol = (self.hermitian_residual, self.idempotency_residual,
+                            self.idempotency_tol)
+        if (herm is None) != (resid is None):
+            raise ValueError("give both residuals to carry them, or neither to measure them")
         if herm is None:
             herm, resid = _nodal_max(b - b.conj().swapaxes(-1, -2)), _nodal_max(b @ b - b)
         if not herm <= tol:
@@ -103,20 +90,19 @@ class HermitianProjection:
             raise ValueError(
                 f"matrix is not idempotent within {tol:.1e}: max |M^2 - M| = {resid:.3e}"
             )
-        self.__dict__.update(blocks=b, idempotency_tol=tol, hermitian_residual=herm,
-                             idempotency_residual=resid, _matrix=None)
+        object.__setattr__(self, "blocks", b)
+        object.__setattr__(self, "hermitian_residual", herm)
+        object.__setattr__(self, "idempotency_residual", resid)
+        if self.sites is not None:
+            object.__setattr__(self, "sites", np.asarray(self.sites))
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self.sites is None and self.blocks.shape[0] == 1:
-            return self.blocks[0]
-        if self._matrix is None:
-            m = nodal_matrix(self.blocks)
-            if self.sites is not None:
-                node = np.argsort(self.sites)
-                m = m[np.ix_(node, node)]
-            self.__dict__["_matrix"] = m
-        return self._matrix
+        m = nodal_matrix(self.blocks)
+        if self.sites is not None:
+            node = np.argsort(self.sites)
+            m = m[np.ix_(node, node)]
+        return m
 
     def same_sites(self, other) -> bool:
         """Whether other places its nodes on the same sites."""
@@ -144,11 +130,8 @@ class HermitianProjection:
         return (f"HermitianProjection(modes={a_count}, block={r_count}, "
                 f"idempotency_residual={self.idempotency_residual:.3e})")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a projection")
-
     def __getstate__(self):
-        return dict(self.__dict__, _matrix=None)
+        return {k: v for k, v in self.__dict__.items() if k != "matrix"}
 
 
 def nodal_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -220,11 +203,10 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> tuple:
     else:
         # without a site map the node matrix is P's cached .matrix
         nodes = P.matrix if P.sites is None else nodal_matrix(P.blocks)
-        P = HermitianProjection.with_residuals(
-            nodes[None], P.idempotency_tol, P.hermitian_residual,
-            P.idempotency_residual, P.sites)
+        P = HermitianProjection(nodes, P.idempotency_tol, P.hermitian_residual,
+                                P.idempotency_residual, P.sites)
         blocks, c = P.blocks, d
-    return P, HermitianProjection.with_residuals(
+    return P, HermitianProjection(
         blocks * np.outer(c, c.conj()), P.idempotency_tol,
         (1.0 + eps) * P.hermitian_residual,
         (1.0 + eps) * (P.idempotency_residual + eps * rho), P.sites)

@@ -278,6 +278,11 @@ def _flux_matrix_of_nan_states(monkeypatch):
      "square half side must be positive and finite"),
     (lambda mp: index_integral_4d(CovariantKernel(level=0, radial=(NAN,), magnetic=True), 1),
      "imaginary residual"),
+    (lambda mp: kubo_box(CovariantKernel(level=0, radial=(NAN,), magnetic=True), 6.0),
+     "imaginary residual"),
+    (lambda mp: hall_transport_box(
+        CovariantKernel(level=0, radial=(NAN,), magnetic=True), TANH_PAIR, [2.0]),
+     "imaginary residual"),
     (lambda mp: connes_area(flux_unitary(1),
                             Triangle((NAN, 0.0), (1.0, 0.0), (0.0, 1.0))),
      "puncture radius"),
@@ -287,8 +292,8 @@ def _flux_matrix_of_nan_states(monkeypatch):
     (_flux_matrix_of_nan_states, "off-pattern residual nan"),
 ], ids=["box-L-nan", "box-L-last-nan", "box-L-empty", "kubo-L-nan", "switch-scale-nan",
         "switch-tail-nan", "box-switch-center-nan", "closed-form-nan", "index-4d-radius-nan",
-        "index-4d-kernel-nan", "connes-vertex-nan", "connes-lipschitz-nan",
-        "flux-matrix-nan"])
+        "index-4d-kernel-nan", "kubo-kernel-nan", "box-kernel-nan", "connes-vertex-nan",
+        "connes-lipschitz-nan", "flux-matrix-nan"])
 def test_nan_inputs_are_refused(monkeypatch, call, message):
     # each guard is written "not value <= bound", so a NaN, which compares
     # False with everything, is refused instead of returned as a value

@@ -588,17 +588,17 @@ def test_block_route_memory_peak():
     P = gp.projection
     assert P.dim == 1600 and P.rank() > 0
     decay_fit(gp, model)
-    assert P.__dict__["_matrix"] is None  # the dense P was never built
+    assert "matrix" not in vars(P)  # the dense P was never built
 
 
 def test_site_map_is_part_of_the_projection():
     gp = gap_projection(build_hamiltonian(bench(12)), FERMI)
     P = gp.projection
     assert P.sites is not None and sorted(P.sites) == list(range(144))
-    elsewhere = HermitianProjection.with_residuals(
+    elsewhere = HermitianProjection(
         P.blocks, P.idempotency_tol, P.hermitian_residual, P.idempotency_residual,
         P.sites[::-1])
-    bare = HermitianProjection.from_blocks(P.blocks, P.idempotency_tol)
+    bare = HermitianProjection(P.blocks, P.idempotency_tol)
     for other in (elsewhere, bare):
         assert (P == other) is False and (P != other) is True
     back = pickle.loads(pickle.dumps(P))
@@ -606,6 +606,18 @@ def test_site_map_is_part_of_the_projection():
     assert np.array_equal(back.matrix, P.matrix)
     assert (gp == gap_projection(build_hamiltonian(bench(12)), FERMI)) is True
     assert (gp == gap_projection(build_hamiltonian(bench(12)), -1.2)) is False
+
+
+def test_site_mapped_pair_pickles_without_its_matrix():
+    model = bench(12)
+    P = gap_projection(build_hamiltonian(model), FERMI).projection
+    Q = conjugated(P, lattice_flux_unitary(model, (5.5, 5.5)).diagonal)[1]
+    assert Q.blocks.shape == (4, 36, 36) and Q.same_sites(P)
+    dense = (P.matrix, Q.matrix)  # build and cache both site-ordered matrices
+    for X, M in zip(pickle.loads(pickle.dumps((P, Q))), dense):
+        assert "matrix" not in vars(X)
+        assert X.sites is not None and X.same_sites(P)
+        assert np.array_equal(X.matrix, M)
 
 
 def test_flux_unitary_rejects_site_center():

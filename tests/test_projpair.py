@@ -141,11 +141,43 @@ def test_dense_projection_is_one_block():
     assert P != diag_projection([1, 0, 1])
     assert P != HermitianProjection(P.matrix, idempotency_tol=1e-8)
     assert pickle.loads(pickle.dumps(P)) == P
-    two = HermitianProjection.from_blocks(np.stack([np.diag([1.0, 0.0])] * 2))
+    two = HermitianProjection(np.stack([np.diag([1.0, 0.0])] * 2))
     assert two.dim == 4 and two.rank() == 2
     assert two != HermitianProjection(two.matrix)  # another block layout
     with pytest.raises(AttributeError):
         P.blocks = two.blocks
+
+
+def test_matrix_is_the_stack_of_one_block():
+    m = np.diag([1.0, 0.0, 1.0]) + 1e-12
+    P, stacked = HermitianProjection(m), HermitianProjection(m[None])
+    assert P == stacked and P.blocks.shape == (1, 3, 3)
+    assert (P.hermitian_residual, P.idempotency_residual) == (
+        stacked.hermitian_residual, stacked.idempotency_residual)
+    assert P.idempotency_residual > 0.0
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 2, 2)],
+                         ids=["vector", "rectangle", "4-d"])
+def test_constructor_refuses_other_shapes(shape):
+    with pytest.raises(ValueError, match="square matrix or a \\(k, n, n\\) stack"):
+        HermitianProjection(np.zeros(shape))
+
+
+@pytest.mark.parametrize("given", [{"hermitian_residual": 0.0},
+                                   {"idempotency_residual": 0.0}],
+                         ids=["hermitian-only", "idempotency-only"])
+def test_constructor_refuses_one_residual(given):
+    with pytest.raises(ValueError, match="give both residuals"):
+        HermitianProjection(np.eye(2), **given)
+
+
+@pytest.mark.parametrize("name", ["blocks", "idempotency_tol", "hermitian_residual",
+                                  "idempotency_residual", "sites", "matrix"])
+def test_every_field_is_frozen(name):
+    P = diag_projection([1, 0])
+    with pytest.raises(AttributeError):
+        setattr(P, name, getattr(P, name))
 
 
 def test_unitary_validation():
@@ -257,7 +289,7 @@ NAN_PAIR = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
 @pytest.mark.parametrize("build, message", [
     (lambda: HermitianProjection(NAN_PAIR), "not Hermitian"),
-    (lambda: HermitianProjection.from_blocks(np.stack([NAN_PAIR, NAN_PAIR])),
+    (lambda: HermitianProjection(np.stack([NAN_PAIR, NAN_PAIR])),
      "not Hermitian"),
     (lambda: UnitaryMatrix(np.diag([np.nan, 1.0])), "not unitary"),
 ], ids=["hermitian", "angular-block", "unitary"])
