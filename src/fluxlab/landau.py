@@ -22,7 +22,7 @@ import numpy as np
 from fluxlab.gauge import GaugeUnitary
 from fluxlab.grids import (DiskGrid, gauss_legendre, level_disk_grid,  # noqa: F401
                            level_disk_radius, polar_disk_grid, polar_nodes)
-from fluxlab.projpair import HermitianProjection, check_unitary, conjugated
+from fluxlab.projpair import HermitianProjection, UnitaryMatrix, conjugated
 
 
 def _laguerre(k: int, alpha: int) -> tuple:
@@ -292,10 +292,11 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     of size R x R, one per angular mode, computed from the R x N kernel
     entries of the first angular column; on any other grid it is the dense
     N x N matrix, the stack of one block.  Only P's residuals are
-    measured: Q is projpair.conjugated(P, u on the nodes)[1], which carries
-    P's residuals and keeps P's blocks for a centred (z/|z|)^N; a
-    translated flux gives a dense Q, and P stays on the grid's layout.  A u
-    not unimodular on the nodes is an error.
+    measured: Q is projpair.conjugated(P, U)[1], for the diagonal unitary U
+    of u on the nodes, built and validated once.  Q carries P's residuals
+    and keeps P's blocks for a centred (z/|z|)^N; a translated flux gives a
+    dense Q, and P stays on the grid's layout.  A u not unimodular on the
+    nodes is an error.
 
     Without a grid the disk is level_disk_grid(m), a larger disk for higher
     levels, since a larger disk, not a finer grid, is what brings the odd
@@ -321,13 +322,13 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     if np.any(~np.isfinite(uvals)):
         raise ValueError("gauge unitary is singular on a grid node")
     try:
-        check_unitary(uvals, 1e-10)
+        U = UnitaryMatrix(uvals)
     except ValueError as exc:
         raise ValueError(f"gauge unitary is not unimodular on the grid: {exc}") from None
     if grid.has_polar_layout():
         R, A = grid.radial_nodes, grid.angular_nodes
     else:
-        R, A = len(uvals), 1
+        R, A = U.dim, 1
     sw = np.sqrt(grid.weights[::A])
     # K[i, j, d] = p(x_{i,0}, x_{j,d}), the entry P[(i,a),(j,a+d)] before weighting
     K = landau_kernel(m).pair_matrix(grid.nodes[::A], grid.nodes).reshape(R, R, A)
@@ -341,4 +342,4 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
         proj_p = HermitianProjection(B, 0.05)
     except ValueError as exc:
         raise ValueError(f"truncation too coarse: {exc}") from None
-    return proj_p, conjugated(proj_p, uvals)[1]
+    return proj_p, conjugated(proj_p, U)[1]

@@ -31,8 +31,10 @@ dense route.  The unit flux z/|z| about the box centre is a rotation
 character, so lattice_index keeps the blocks for a flux there (with a
 window that is a disk about it), and decay_fit reads them whenever P has
 them; any other flux centre makes lattice_index run the same sum on the
-dense matrix on the nodes.  The dense, site-ordered P.matrix is assembled
-only when it is read.  Any other box whose columns share one centre has an
+dense matrix on the nodes.  The flux unitary is projpair's diagonal
+UnitaryMatrix, which carries the flux centre and the site positions that
+the window reads.  The dense, site-ordered P.matrix is assembled only when
+it is read.  Any other box whose columns share one centre has an
 antiunitary symmetry: the reflection of each column about the centre flips
 the field and complex conjugation flips it back (in the Landau gauge,
 whose y-bond phases exp(2 pi i flux x) depend only on x, as well).  A
@@ -65,7 +67,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fluxlab.projpair import (HermitianProjection, IndexReport, check_unitary,
+from fluxlab.gauge import flux_unitary, translate_unitary
+from fluxlab.projpair import (HermitianProjection, IndexReport, UnitaryMatrix,
                               conjugated, difference,
                               nodal_blocks, nodal_matrix, trace_report)
 
@@ -187,23 +190,6 @@ def build_hamiltonian(model: MagneticLatticeModel, gauge: str = "symmetric") -> 
     H[i, j] = -phase
     H[j, i] = -np.conj(phase)
     return H
-
-
-def plaquette_phase(model: MagneticLatticeModel, H: np.ndarray, x: int, y: int) -> complex:
-    """Product of the four bond terms around the plaquette at (x, y),
-    normalized by the hopping magnitude; equals exp(2 pi i flux) for interior
-    plaquettes."""
-    index = model.site_index()
-    loop = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
-    # a corner off the box counts as off the domain; a negative one must not wrap
-    ids = [index[s] if 0 <= s[0] < model.width and 0 <= s[1] < model.height else -1
-           for s in loop]
-    if min(ids) < 0:
-        raise ValueError(f"plaquette at ({x}, {y}) is not fully inside the domain")
-    prod = 1.0 + 0.0j
-    for a, b in zip(ids, ids[1:] + ids[:1]):
-        prod *= -H[a, b]
-    return complex(prod)
 
 
 @dataclass(frozen=True)
@@ -548,25 +534,11 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
     return GapProjection(projection=P, gap_width=gap, real_form=r is not None)
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeFluxUnitary:
-    """Diagonal flux-insertion unitary that remembers its site geometry.
-
-    Only the diagonal is stored, validated to 1e-10.  The windowed index
-    needs the flux center and the site coordinates, so the lattice
-    constructor returns this carrier instead of a bare matrix.
-    """
-
-    diagonal: np.ndarray
-    center: tuple
-    site_array: np.ndarray
-
-    def __post_init__(self):
-        check_unitary(self.diagonal, 1e-10)
-
-
-def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnitary:
-    """Diagonal of (z - center)/|z - center| over the lattice sites.
+def lattice_flux_unitary(model: MagneticLatticeModel, center) -> UnitaryMatrix:
+    """The unit flux z/|z| about center, gauge.flux_unitary(1) translated
+    there, sampled on the lattice sites: a diagonal UnitaryMatrix that
+    carries the flux centre and the site positions, which the windowed
+    index reads.
 
     The center must be finite and avoid the sites themselves (offset it by
     half a lattice constant); a site exactly at the center would get an
@@ -576,18 +548,18 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> LatticeFluxUnit
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError(f"flux center ({cx}, {cy}) is not finite")
     pos = model.sites().astype(float)
-    z = (pos[:, 0] - cx) + 1j * (pos[:, 1] - cy)
-    dist = np.abs(z)
+    dist = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy)
     if np.min(dist) < 1e-9:
         bad = pos[int(np.argmin(dist))]
         raise ValueError(
             f"flux center ({cx}, {cy}) coincides with site ({bad[0]:.0f}, "
             f"{bad[1]:.0f}); offset it by half a lattice constant"
         )
-    return LatticeFluxUnitary(diagonal=z / dist, center=(cx, cy), site_array=pos)
+    d = translate_unitary(flux_unitary(1), (cx, cy)).evaluate(pos)
+    return UnitaryMatrix(d, center=(cx, cy), site_array=pos)
 
 
-def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
+def lattice_index(P, U: UnitaryMatrix, n: int = 1,
                   window_radius: float = 6.0) -> IndexReport:
     """Windowed odd-power trace of P - UPU* around the flux center.
 
@@ -618,7 +590,7 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     if n < 1:
         raise ValueError(f"trace power n must be at least 1, got {n}")
     window = _window(U, window_radius)
-    P, Q = conjugated(getattr(P, "projection", P), U.diagonal)
+    P, Q = conjugated(getattr(P, "projection", P), U)
     M = difference(P, Q)
     if P.sites is not None:
         window = window[P.sites]
@@ -639,12 +611,12 @@ def lattice_index(P, U: LatticeFluxUnitary, n: int = 1,
     return _window_report(t, n)
 
 
-def _window(U: LatticeFluxUnitary, window_radius: float) -> np.ndarray:
+def _window(U: UnitaryMatrix, window_radius: float) -> np.ndarray:
     """The sites within window_radius of U's flux centre, as a mask, after
     warning when that centre lies outside the domain or near its boundary;
     a radius that is not positive and finite, or a window that holds no
     site, is refused."""
-    if getattr(U, "site_array", None) is None:
+    if U.site_array is None:
         raise ValueError(
             "unitary carries no site geometry; build it with lattice_flux_unitary"
         )
@@ -865,7 +837,7 @@ def _decoupled_frame(basis: tuple, occupied: np.ndarray, d: np.ndarray,
     return V, G, sweeps, residual, a_s, sweep_s
 
 
-def _factored_index(V: np.ndarray, G: np.ndarray, U: LatticeFluxUnitary,
+def _factored_index(V: np.ndarray, G: np.ndarray, U: UnitaryMatrix,
                     window_radius: float) -> IndexReport:
     """lattice_index at trace power 3 of P = V V*, read from the N x m
     factor V and its Gram matrix G = V* V, with no N x N matrix; the window
@@ -887,7 +859,7 @@ def _factored_index(V: np.ndarray, G: np.ndarray, U: LatticeFluxUnitary,
 
 
 def disorder_constancy(ens: DisorderEnsemble, fermi: float,
-                       U: LatticeFluxUnitary) -> list:
+                       U: UnitaryMatrix) -> list:
     """Windowed index, trace power 3, for each disorder seed; constancy is
     the point.
 
@@ -980,9 +952,12 @@ def decay_fit(P, model: MagneticLatticeModel) -> tuple:
         )
     d_max = min(model.width, model.height) / 2.0
     P = getattr(P, "projection", P)
+    pos = model.sites().astype(float)
+    if P.dim != len(pos):
+        raise ValueError(f"projection of dimension {P.dim} does not act on the "
+                         f"{len(pos)} sites of the model")
     nodal = nodal_blocks(P.blocks)
     k = len(nodal)
-    pos = model.sites().astype(float)
     if P.sites is not None:
         pos = pos[P.sites]
     bins = np.arange(3.0, d_max + 1.0)

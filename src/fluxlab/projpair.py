@@ -19,11 +19,13 @@ map, HermitianProjection.sites): the square lattice box keeps its
 rotation-mode blocks that way, while .matrix stays the site-ordered
 matrix.  Every route reduces a pair of projections with the same block
 layout and site map block by block, and any other pair on its
-site-ordered matrices.  Every flux-inserted pair (P, D P D*), for a
-diagonal unitary D, is formed by conjugated on one layout: P's blocks when
-D shifts the angular mode, else P's matrix on the nodes, built once.  Q
-carries P's residuals, widened by D's distance from the unit circle,
-instead of measuring them again.
+site-ordered matrices.  UnitaryMatrix is the one validated unitary,
+checked once, when it is built; a diagonal one keeps only its diagonal,
+never an N x N array.  Every flux-inserted pair (P, D P D*), for a
+diagonal UnitaryMatrix D, is formed by conjugated on one layout: P's
+blocks when D shifts the angular mode, else P's matrix on the nodes,
+built once.  Q carries P's residuals, widened by the residual D measured
+when it was built, instead of measuring them again.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class HermitianProjection:
     projections are not exactly idempotent; they carry a loose tolerance.
 
     sites, None by default, places the nodes on the sites: node v is site
-    sites[v], so the site-ordered matrix is S[sites[v], sites[w]] = M[v, w].
+    sites[v], so the site-ordered matrix is S[sites[v], sites[w]] = M[v, w];
+    a sites that is not a permutation of range(dim) is refused.
     The residuals a producer records for such a projection are those of S.
     .matrix is the site-ordered matrix: the block itself for one block
     without a site map, else built on first access and cached.  Pickling
@@ -94,7 +97,12 @@ class HermitianProjection:
         object.__setattr__(self, "hermitian_residual", herm)
         object.__setattr__(self, "idempotency_residual", resid)
         if self.sites is not None:
-            object.__setattr__(self, "sites", np.asarray(self.sites))
+            s, n = np.asarray(self.sites), b.shape[0] * b.shape[1]
+            # in range, then each site once: O(N)
+            if not (s.shape == (n,) and s.dtype.kind in "iu" and np.all((0 <= s) & (s < n))
+                    and np.bincount(s.astype(np.intp), minlength=n).all()):
+                raise ValueError(f"site map must be a permutation of range({n})")
+            object.__setattr__(self, "sites", s)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -165,9 +173,9 @@ def _nodal_max(blocks: np.ndarray) -> float:
     return float(np.max(np.abs(np.fft.fft(blocks, axis=0)))) / blocks.shape[0]
 
 
-def conjugated(P: HermitianProjection, d: np.ndarray) -> tuple:
+def conjugated(P: HermitianProjection, U: UnitaryMatrix) -> tuple:
     """The pair (P, D P D*) on one block layout, for the diagonal unitary
-    D = diag(d): the one place that forms it.
+    U = D = diag(d), d = U.diagonal: the one place that forms it.
 
     d is given on the sites and read on P's nodes, d[P.sites] under a site
     map; both keep P's site map.  On P's k mode blocks (node i*k + a) a
@@ -175,21 +183,25 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> tuple:
     mode by N: the pair is P itself and Q on the blocks C B_{q-N} C*.  On one
     block every d is one.  Any other d builds P's matrix on the nodes once,
     and the pair is that matrix, with P's residuals, and Q formed from it,
-    each the stack of one.
+    each the stack of one.  A U that is not diagonal is refused.
 
-    The residuals are carried, not measured: d passes check_unitary at 1e-10,
-    eps = max_i ||d_i|^2 - 1| gives |d_i d_j| <= 1 + eps, and with E = D*D - 1,
-    Q - Q* = D (P - P*) D* and Q^2 - Q = D (P^2 - P + P E P) D*.  So Q records
-    (1 + eps) h_P and (1 + eps)(r_P + eps rho_P), for P's residuals h_P, r_P
-    and largest squared row norm rho_P = max_i sum_{q,j} |B_q[i,j]|^2 / k
-    (Parseval); it keeps P's tolerance and is rejected above it.
+    The residuals are carried, not measured: U carries its validated
+    eps = max_i ||d_i|^2 - 1|, which gives |d_i d_j| <= 1 + eps, and with
+    E = D*D - 1, Q - Q* = D (P - P*) D* and Q^2 - Q = D (P^2 - P + P E P) D*.
+    So Q records (1 + eps) h_P and (1 + eps)(r_P + eps rho_P), for P's
+    residuals h_P, r_P and largest squared row norm
+    rho_P = max_i sum_{q,j} |B_q[i,j]|^2 / k (Parseval); it keeps P's
+    tolerance and is rejected above it.
     """
-    k, n, _ = P.blocks.shape
-    d = np.asarray(d)
-    if d.shape != (k * n,):
-        raise ValueError(f"dimension mismatch: diagonal {d.shape}, projection {k * n}")
-    check_unitary(d, 1e-10)
-    eps = float(np.max(np.abs(np.abs(d) ** 2 - 1.0)))
+    if U.diagonal is None:
+        raise ValueError("conjugated needs a diagonal unitary")
+    _check_same_dim(P, U)
+    return _conjugated(P, U.diagonal, U.residual)
+
+
+def _conjugated(P: HermitianProjection, d: np.ndarray, eps: float) -> tuple:
+    """conjugated for the validated diagonal d with residual eps."""
+    k = P.blocks.shape[0]
     rho = float(np.max(np.sum(np.abs(P.blocks) ** 2, axis=(0, 2)))) / k
     if P.sites is not None:
         d = d[P.sites]
@@ -214,56 +226,63 @@ def conjugated(P: HermitianProjection, d: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
-    """Square complex matrix validated to be unitary.
+    """Unitary U, validated once, when it is built; a diagonal U is kept as
+    its diagonal.
 
-    The residual is the max-entry deviation of UU* from the identity.  A
-    diagonal U gives it as max_i ||d_i|^2 - 1| without a matrix product and
-    keeps its diagonal in .diagonal (None for any other U).  Two unitaries
-    are equal when their tolerances and matrices are.
+    matrix is a square matrix or, for a diagonal U, its diagonal d.  A
+    square matrix with nothing off its diagonal is diagonal too; only a
+    copy of its diagonal is kept.  A diagonal U keeps d in .diagonal, and
+    its .matrix is None: no N x N array is held.  Any other U keeps .matrix,
+    and its .diagonal is None.  residual is the max-entry deviation of UU*
+    from the identity, read as max_i ||d_i|^2 - 1| on a diagonal U, without
+    a matrix product; a residual above unitarity_tol is refused (so NaN
+    fails).  center and site_array, None unless given, place the diagonal
+    on a lattice: the flux centre and the (N, 2) site positions of
+    lattice.lattice_flux_unitary.  Two unitaries are equal when their
+    tolerances, arrays and geometry are.
     """
 
-    matrix: np.ndarray
+    matrix: Optional[np.ndarray]
     unitarity_tol: float = 1e-10
-    diagonal: np.ndarray = field(init=False, default=None, repr=False)
+    center: Optional[tuple] = None
+    site_array: Optional[np.ndarray] = None
+    diagonal: Optional[np.ndarray] = field(init=False, default=None, repr=False)
+    residual: float = field(init=False, default=None)
 
     def __post_init__(self):
         u = np.asarray(self.matrix)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"unitary matrix must be square, got {u.shape}")
-        object.__setattr__(self, "diagonal", check_unitary(u, self.unitarity_tol))
+        if u.ndim != 1 and (u.ndim != 2 or u.shape[0] != u.shape[1]):
+            raise ValueError(f"unitary must be a square matrix or its diagonal, got {u.shape}")
+        d = u if u.ndim == 1 else _diagonal(u)
+        if d is not None:
+            resid = np.max(np.abs(np.abs(d) ** 2 - 1.0))
+            u = None
+        else:
+            resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+        if not resid <= self.unitarity_tol:
+            raise ValueError(f"matrix is not unitary: max |UU* - 1| = {resid:.3e}")
         object.__setattr__(self, "matrix", u)
+        object.__setattr__(self, "diagonal", d)
+        object.__setattr__(self, "residual", float(resid))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.diagonal) if self.matrix is None else self.matrix.shape[0]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.unitarity_tol == other.unitarity_tol
-                and bool(np.array_equal(self.matrix, other.matrix)))
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in (
+            "unitarity_tol", "center", "matrix", "diagonal", "site_array"))
 
     __hash__ = None
 
 
-def check_unitary(u: np.ndarray, tol: float):
-    """Reject U, the square matrix u or diag(u) for a vector u, unless the
-    residual of UnitaryMatrix is <= tol (so NaN fails).  Returns the
-    diagonal of a diagonal U, else None."""
-    d = u if np.ndim(u) == 1 else _diagonal(u)
-    if d is not None:
-        resid = np.max(np.abs(np.abs(d) ** 2 - 1.0))
-    else:
-        resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if not resid <= tol:
-        raise ValueError(f"matrix is not unitary: max |UU* - 1| = {resid:.3e}")
-    return d
-
-
 def _diagonal(u: np.ndarray):
-    """The diagonal of u when every off-diagonal entry is zero, else None."""
+    """A copy of the diagonal of u when every off-diagonal entry is zero,
+    else None."""
     d = np.diagonal(u)
-    return d if np.count_nonzero(u) == np.count_nonzero(d) else None
+    return d.copy() if np.count_nonzero(u) == np.count_nonzero(d) else None
 
 
 @dataclass(frozen=True)
@@ -382,18 +401,18 @@ def index_by_fedosov(P: HermitianProjection, U: UnitaryMatrix, n: int = 1) -> In
     boundary contribution that does not vanish with the truncation radius, so
     its value on truncated pairs is reported raw, never rounded silently.
 
-    A diagonal U conjugates P through conjugated: the first call puts P and
+    A diagonal U conjugates P as conjugated does: the first call puts P and
     UPU* on one layout, building P's node matrix at most once, and U*PU is
-    formed on that layout.  When it is P's mode blocks, the compressions
-    are reduced block by block.
+    formed on that layout from the same diagonal, not validated again.  When it is P's
+    mode blocks, the compressions are reduced block by block.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_same_dim(P, U)
     d = U.diagonal
     if d is not None:
-        P, Q = conjugated(P, d)
-        p, upu, u_pu = P.blocks, Q.blocks, conjugated(P, d.conj())[1].blocks
+        P, Q = _conjugated(P, d, U.residual)
+        p, upu, u_pu = P.blocks, Q.blocks, _conjugated(P, d.conj(), U.residual)[1].blocks
     else:
         u = U.matrix
         upu = (u @ P.matrix @ u.conj().T)[None]

@@ -336,7 +336,7 @@ def test_block_pair_matches_dense_oracle(m, winding, angular):
         assert abs(projpair.index_by_odd_trace(Q, Pd, n=n).value - want) <= 1e-12
     assert (projpair.index_by_spectral_count(Q, P).value
             == projpair.index_by_spectral_count(Qd, Pd).value)
-    U = projpair.UnitaryMatrix(np.diag(u(grid.nodes)))
+    U = projpair.UnitaryMatrix(u(grid.nodes))
     for n in (1, 2):
         assert abs(projpair.index_by_fedosov(P, U, n=n).value
                    - projpair.index_by_fedosov(Pd, U, n=n).value) <= 1e-10
@@ -364,7 +364,7 @@ def test_symmetry_breaking_inputs_take_dense_path():
     assert odd == pytest.approx(CENTRED_ODD, abs=1e-12)
     # a diagonal unitary that is no rotation character on the block layout
     Pb, _ = truncated_projection_pair(0, gauge.flux_unitary(1), grid)
-    U = projpair.UnitaryMatrix(np.diag(shifted(grid.nodes)))
+    U = projpair.UnitaryMatrix(shifted(grid.nodes))
     fed = projpair.index_by_fedosov(Pb, U).value
     assert fed == pytest.approx(SHIFTED_FEDOSOV, abs=1e-10)
 
@@ -420,7 +420,7 @@ def test_fedosov_agrees_with_odd_trace_on_truncated_pair(
     evals, vecs = np.linalg.eigh(P.blocks)
     kept = vecs * (evals >= 0.5)[:, None, :]
     exact = projpair.HermitianProjection(kept @ kept.conj().swapaxes(1, 2))
-    conj = projpair.conjugated(exact, grid_flux_unitary.diagonal)[1]
+    conj = projpair.conjugated(exact, grid_flux_unitary)[1]
     assert conj.blocks.shape == exact.blocks.shape
     assert exact.rank() == 64
     fed = projpair.index_by_fedosov(exact, grid_flux_unitary, n=1)

@@ -17,7 +17,7 @@ from fluxlab.lattice import (DisorderEnsemble, MagneticLatticeModel,
                              build_hamiltonian,
                              decay_fit, disorder_constancy, gap_projection,
                              lattice_flux_unitary, lattice_index,
-                             plaquette_phase, wedge_experiment)
+                             wedge_experiment)
 from fluxlab import projpair
 from fluxlab.projpair import HermitianProjection, UnitaryMatrix, conjugated
 
@@ -27,6 +27,23 @@ FERMI = -1.29
 
 def bench(size=24, flux=FLUX):
     return MagneticLatticeModel(size, size, flux)
+
+
+def plaquette_phase(model, H, x, y):
+    # the oracle of the field: the product of the four bond terms around the
+    # plaquette at (x, y), normalized by the hopping magnitude, equals
+    # exp(2 pi i flux) for an interior plaquette
+    index = model.site_index()
+    loop = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
+    # a corner off the box counts as off the domain; a negative one must not wrap
+    ids = [index[s] if 0 <= s[0] < model.width and 0 <= s[1] < model.height else -1
+           for s in loop]
+    if min(ids) < 0:
+        raise ValueError(f"plaquette at ({x}, {y}) is not fully inside the domain")
+    prod = 1.0 + 0.0j
+    for a, b in zip(ids, ids[1:] + ids[:1]):
+        prod *= -H[a, b]
+    return complex(prod)
 
 
 def test_two_by_two_free_spectrum():
@@ -611,7 +628,7 @@ def test_site_map_is_part_of_the_projection():
 def test_site_mapped_pair_pickles_without_its_matrix():
     model = bench(12)
     P = gap_projection(build_hamiltonian(model), FERMI).projection
-    Q = conjugated(P, lattice_flux_unitary(model, (5.5, 5.5)).diagonal)[1]
+    Q = conjugated(P, lattice_flux_unitary(model, (5.5, 5.5)))[1]
     assert Q.blocks.shape == (4, 36, 36) and Q.same_sites(P)
     dense = (P.matrix, Q.matrix)  # build and cache both site-ordered matrices
     for X, M in zip(pickle.loads(pickle.dumps((P, Q))), dense):
@@ -702,11 +719,45 @@ def test_window_rows_match_dense_diagonal_sum(n, mask, center, window_radius):
         assert abs(want) <= 1e-9  # the full trace vanishes by similarity
 
 
+def _dense_difference(P, U):
+    # the site-ordered M = P - UPU*, formed densely
+    D = np.diag(U.diagonal)
+    return P.matrix - D @ P.matrix @ D.conj().T
+
+
 def _dense_diagonal(P, U, n):
     # the diagonal of the full power (P - UPU*)^(2n+1), for several windows
-    D = np.diag(U.diagonal)
-    M = P.matrix - D @ P.matrix @ D.conj().T
+    M = _dense_difference(P, U)
     return np.einsum("ij,ji->i", np.linalg.matrix_power(M, 2 * n), M)
+
+
+@pytest.fixture(scope="module")
+def window_boxes():
+    # one box at a time, shared across n: its projection, flux unitary,
+    # dense M = P - UPU* and M^2, and the last even power M^(2n) built
+    boxes = {}
+    yield boxes
+    boxes.clear()
+
+
+def _box_diagonal(boxes, size, gauge_name, n):
+    # the box's projection and flux unitary, and the diagonal of the full
+    # power M^(2n+1), with M^(2n) = M^(2n-2) M^2 built from the last one
+    key = (size, gauge_name)
+    if key not in boxes:
+        boxes.clear()
+        model = bench(size)
+        gp = gap_projection(build_hamiltonian(model, gauge=gauge_name), FERMI)
+        U = lattice_flux_unitary(model, (size / 2 - 0.5,) * 2)
+        M = _dense_difference(gp.projection, U)
+        boxes[key] = {"gp": gp, "U": U, "M": M, "M2": M @ M, "n": 0}
+    box = boxes[key]
+    if box["n"] > n:
+        box["n"] = 0
+    while box["n"] < n:
+        box["power"] = box["M2"] if box["n"] == 0 else box["power"] @ box["M2"]
+        box["n"] += 1
+    return box["gp"], box["U"], np.einsum("ij,ji->i", box["power"], box["M"])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -714,17 +765,14 @@ def _dense_diagonal(P, U, n):
     (24, "landau"), (32, "landau"), (40, "landau"),
     (24, "symmetric"), (32, "symmetric"), (40, "symmetric"),
 ], ids=["L24", "L32", "L40", "S24", "S32", "S40"])
-def test_block_window_trace_matches_dense_oracle(size, gauge_name, n, caplog):
+def test_block_window_trace_matches_dense_oracle(size, gauge_name, n, window_boxes, caplog):
     # the symmetric box sums the window on its rotation blocks; the Landau
     # box, whose rotation holds only up to a gauge, takes the dense real form
     # and sums it on the dense matrix
-    model = bench(size)
-    gp = gap_projection(build_hamiltonian(model, gauge=gauge_name), FERMI)
+    gp, U, diag = _box_diagonal(window_boxes, size, gauge_name, n)
     assert gp.modes == (4 if gauge_name == "symmetric" else 1)
     route = (f"on 4 rotation blocks of {size * size // 4}" if gp.modes == 4
              else f"dense, N = {size * size}")
-    U = lattice_flux_unitary(model, (size / 2 - 0.5,) * 2)
-    diag = _dense_diagonal(gp.projection, U, n)
     r = np.hypot(*(U.site_array - U.center).T)
     for window_radius in (6.0, 1e6):
         with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
@@ -742,7 +790,7 @@ def test_window_splitting_an_orbit_takes_the_dense_sum(caplog):
     model = bench()
     gp = gap_projection(build_hamiltonian(model), FERMI)
     U = lattice_flux_unitary(model, (11.5 + 1e-13, 11.5))
-    assert conjugated(gp.projection, U.diagonal)[1].blocks.shape[0] == 4
+    assert conjugated(gp.projection, U)[1].blocks.shape[0] == 4
     radius = float(np.hypot(17 - U.center[0], 11 - U.center[1]))
     with caplog.at_level("DEBUG", logger="fluxlab.lattice"):
         rep = lattice_index(gp, U, window_radius=radius)
@@ -752,7 +800,7 @@ def test_window_splitting_an_orbit_takes_the_dense_sum(caplog):
 
 def _site_window_rows(P, U, n, window_radius=6.0):
     # the window rows of the site-ordered M = P - UPU*, as the dense path forms them
-    M = P.matrix - conjugated(P, U.diagonal)[1].matrix
+    M = P.matrix - conjugated(P, U)[1].matrix
     Y = M[np.hypot(*(U.site_array - U.center).T) <= window_radius]
     for _ in range(n - 1):
         Y = Y @ M
@@ -809,15 +857,15 @@ def test_off_centre_flux_builds_the_node_matrix_once(monkeypatch, n):
     P = gp.projection
     assert P.blocks.shape == (4, 144, 144)
     nodal_matrix = projpair.nodal_matrix
-    Q = conjugated(P, U.diagonal)[1]
+    Q = conjugated(P, U)[1]
     M = nodal_matrix(P.blocks) - nodal_matrix(Q.blocks)
     Y = M[(np.hypot(*(U.site_array - U.center).T) <= 6.0)[P.sites]]
     for _ in range(n - 1):
         Y = Y @ M
     want = complex(np.vdot(Y, Y @ M))
-    D = UnitaryMatrix(np.diag(U.diagonal))
+    D = UnitaryMatrix(U.diagonal)
     p, upu, u_pu = (nodal_matrix(P.blocks)[None], Q.blocks,
-                    conjugated(P, D.diagonal.conj())[1].blocks)
+                    conjugated(P, UnitaryMatrix(U.diagonal.conj()))[1].blocks)
     X, Z = p - p @ upu @ p, p - p @ u_pu @ p
     fedosov = complex(np.trace(np.linalg.matrix_power(X[0], n + 1))
                       - np.trace(np.linalg.matrix_power(Z[0], n + 1)))
@@ -840,6 +888,17 @@ def test_lattice_index_requires_geometry(lattice_benchmark):
     bare = UnitaryMatrix(np.eye(gp.projection.dim, dtype=complex))
     with pytest.raises(ValueError, match="site geometry"):
         lattice_index(gp, bare)
+
+
+@pytest.mark.parametrize("center", [(11.5, 11.5), (12.5, 11.5)], ids=["centre", "off-centre"])
+def test_fedosov_takes_the_lattice_flux_unitary(lattice_benchmark, center):
+    # the lattice flux unitary is a diagonal UnitaryMatrix with no square array
+    model, _, gp, _ = lattice_benchmark
+    U = lattice_flux_unitary(model, center)
+    assert U.matrix is None and U.dim == 576
+    got = projpair.index_by_fedosov(gp.projection, U)
+    want = projpair.index_by_fedosov(gp.projection, UnitaryMatrix(np.diag(U.diagonal)))
+    assert got.value == want.value and got.imag_part == want.imag_part
 
 
 def test_lattice_index_rejects_nonpositive_power(lattice_benchmark):
@@ -1184,6 +1243,15 @@ def test_disorder_memory_peak(lattice_benchmark):
     ens = DisorderEnsemble(base_model=model, amplitude=0.2 * gp.gap_width, seeds=[0, 1])
     _, peak = _peak(lambda: disorder_constancy(ens, FERMI, U))
     assert peak <= 12 * 2**20
+
+
+# against the 40 x 40 model the 24 x 24 projection read (0.0069, 0.0021),
+# and against the 20 x 20 one it raised IndexError
+@pytest.mark.parametrize("size", [40, 20])
+def test_decay_fit_refuses_a_projection_of_another_model(lattice_benchmark, size):
+    _, _, gp, _ = lattice_benchmark
+    with pytest.raises(ValueError, match=f"dimension 576 does not act on the {size * size} "):
+        decay_fit(gp, bench(size))
 
 
 def test_decay_fit_benchmark(lattice_benchmark):

@@ -1,6 +1,7 @@
 """Finite-dimensional identities of the relative index."""
 
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -185,6 +186,31 @@ def test_unitary_validation():
         UnitaryMatrix(2.0 * np.eye(4))
     U = UnitaryMatrix(np.diag(np.exp(1j * np.arange(4))))
     assert U.dim == 4
+    with pytest.raises(ValueError, match="square matrix or its diagonal"):
+        UnitaryMatrix(np.ones((2, 3)))
+
+
+def test_diagonal_unitary_keeps_no_square_array():
+    d = np.exp(1j * np.arange(6)) * np.array([1.0, 1.0, 1.0 + 1e-12, 1.0, 1.0, 1.0])
+    square = np.diag(d)
+    caller = weakref.ref(square)
+    U = UnitaryMatrix(square)
+    del square
+    assert caller() is None  # only a copy of the diagonal is kept
+    assert U.matrix is None and U.dim == 6 and np.array_equal(U.diagonal, d)
+    assert U == UnitaryMatrix(d)
+    assert U.residual == np.max(np.abs(np.abs(d) ** 2 - 1.0)) > 0.0
+    W = random_unitary(np.random.default_rng(1), 6)
+    assert W.diagonal is None and W.matrix.shape == (6, 6) and W.dim == 6
+    assert W.residual <= W.unitarity_tol
+
+
+@pytest.mark.parametrize("sites", [[1, 0], [0, 0, 1, 1]], ids=["short", "repeated"])
+def test_site_map_must_be_a_permutation(sites):
+    # each was kept: [1, 0] gave a 2 x 2 .matrix of a dimension-4 projection
+    with pytest.raises(ValueError, match=r"permutation of range\(4\)"):
+        HermitianProjection(np.diag([1.0, 0.0, 1.0, 0.0]), sites=sites)
+    assert HermitianProjection(np.diag([1.0, 0.0, 1.0, 0.0]), sites=[3, 2, 1, 0]).matrix[0, 0] == 0
 
 
 @pytest.mark.parametrize("build, other", [
@@ -209,26 +235,26 @@ def _disk_pair(case):
         grid = DiskGrid(nodes=grid.nodes, weights=grid.weights, radius=grid.radius)
     if case == "translated":
         u = gauge.translate_unitary(u, (0.5, -0.25))
-    return (*landau.truncated_projection_pair(0, u, grid), u.evaluate(grid.nodes))
+    return (*landau.truncated_projection_pair(0, u, grid), UnitaryMatrix(u.evaluate(grid.nodes)))
 
 
 def _lattice_pair():
     model = lattice.MagneticLatticeModel(12, 12, 1.0 / 3.0)
     P = lattice.gap_projection(lattice.build_hamiltonian(model), -1.29).projection
     U = lattice.lattice_flux_unitary(model, (5.5, 5.5))
-    return P, conjugated(P, U.diagonal)[1], U.diagonal
+    return P, conjugated(P, U)[1], U
 
 
 @pytest.mark.parametrize("case", ["block", "dense", "translated", "lattice"])
 def test_conjugated_residuals_bound_fresh_ones(case):
-    P, Q, d = _lattice_pair() if case == "lattice" else _disk_pair(case)
+    P, Q, U = _lattice_pair() if case == "lattice" else _disk_pair(case)
     # the 12 x 12 lattice box keeps its four rotation-mode blocks, and the flux
     # at its centre keeps them in Q
     layouts = {"block": (25, 25), "translated": (25, 1),
                "lattice": (4, 4)}.get(case, (1, 1))
     assert (P.blocks.shape[0], Q.blocks.shape[0]) == layouts
     # conjugated puts P on Q's layout and site map, P itself on a rotation character
-    Pc, Qc = conjugated(P, d)
+    Pc, Qc = conjugated(P, U)
     assert Qc == Q and Pc.blocks.shape == Q.blocks.shape
     assert Pc.same_sites(Q) and (Pc is P) == (case != "translated")
     fresh = HermitianProjection(Q.matrix, Q.idempotency_tol)
@@ -251,35 +277,36 @@ def test_routes_reduce_a_site_mapped_pair_like_its_matrices(center, modes):
     # them for the flux at the centre and is dense on the nodes off it
     model = lattice.MagneticLatticeModel(12, 12, 1.0 / 3.0)
     P = lattice.gap_projection(lattice.build_hamiltonian(model), -1.29).projection
-    d = lattice.lattice_flux_unitary(model, center).diagonal
-    Pc, Q = conjugated(P, d)
+    U = lattice.lattice_flux_unitary(model, center)
+    Pc, Q = conjugated(P, U)
     assert (P.blocks.shape[0], Q.blocks.shape[0]) == (4, modes)
     assert Pc.blocks.shape == Q.blocks.shape and Pc.same_sites(Q)
     assert (Pc is P) == (modes == 4)
     assert np.array_equal(Q.sites, P.sites)
     dense_p = HermitianProjection(P.matrix, 1e-8)
     dense_q = HermitianProjection(Q.matrix, 1e-8)
-    assert np.max(np.abs(Q.matrix - conjugated(dense_p, d)[1].matrix)) <= 1e-14
+    assert np.max(np.abs(Q.matrix - conjugated(dense_p, U)[1].matrix)) <= 1e-14
     for pair in ((P, Q), (Pc, Q), (dense_p, Q)):
         assert index_by_spectral_count(*pair).value == index_by_spectral_count(
             dense_p, dense_q).value
         assert abs(index_by_odd_trace(*pair, n=2).value
                    - index_by_odd_trace(dense_p, dense_q, n=2).value) <= 1e-12
-    U = UnitaryMatrix(np.diag(d))
     assert abs(index_by_fedosov(P, U).value - index_by_fedosov(dense_p, U).value) <= 1e-12
 
 
 def test_conjugated_rejects_what_its_bounds_exclude():
     half = HermitianProjection(0.5 * np.eye(3), idempotency_tol=0.25)
     with pytest.raises(ValueError, match="not unitary"):
-        conjugated(half, np.array([1.0, 1.0, 1.1]))
+        conjugated(half, UnitaryMatrix(np.array([1.0, 1.0, 1.1])))
     with pytest.raises(ValueError, match="dimension"):
-        conjugated(half, np.ones(4))
+        conjugated(half, UnitaryMatrix(np.ones(4)))
+    with pytest.raises(ValueError, match="diagonal unitary"):
+        conjugated(half, random_unitary(np.random.default_rng(0), 3))
     # |d|^2 = 1 + 1e-11 passes the unitary check, but widens the residual
     # 0.25 of P past its tolerance 0.25
     with pytest.raises(ValueError, match="not idempotent"):
-        conjugated(half, np.sqrt(1.0 + 1e-11) * np.ones(3))
-    same_p, same = conjugated(half, np.ones(3))
+        conjugated(half, UnitaryMatrix(np.sqrt(1.0 + 1e-11) * np.ones(3)))
+    same_p, same = conjugated(half, UnitaryMatrix(np.ones(3)))
     assert same_p is half
     assert same == half and same.hermitian_residual == 0.0
 
