@@ -1,14 +1,18 @@
 """Gauge unitaries (flux tubes), switch profiles, and winding numbers.
 
-A flux unitary is a unimodular function on the punctured plane with integer
-winding around its singularity; multiplying a projection kernel by it models
-threading flux quanta through one point.  Switches are monotone profiles
-rising from 0 to 1 across a wall; they enter the Hall-transport module as the
-voltage-drop gauge functions.  Windings are read on a fluxlab.grids ring.
+A flux tube of N quanta at a point c is the singular gauge transformation
+u(x) = ((z - c)/|z - c|)^N, z the complex position of x: unimodular on the
+punctured plane, with winding N around c.  Multiplying a projection kernel
+by it models threading N flux quanta through c.  The tube is its winding
+and its centre; every value is computed from those two numbers.  Switches
+are monotone profiles rising from 0 to 1 across a wall; they enter the
+Hall-transport module as the voltage-drop gauge functions.  Windings are
+read on a fluxlab.grids ring.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,97 +23,61 @@ from fluxlab.grids import ring
 
 @dataclass(frozen=True)
 class GaugeUnitary:
-    """Unimodular function with an integer winding around one singularity.
+    """The flux tube ((z - c)/|z - c|)^winding about c = singularity.
 
-    evaluate maps an (..., 2) array of points to unit-modulus complex values;
-    it is undefined (nan) at the singularity itself.  lipschitz_c1 is the
-    constant c1 of the ratio bound |u(x+y) - u(y)| <= c1 |x| / |y|, valid
-    for |x| <= |y| / 2, that sizes the connes_area far field; it must be
-    finite and nonnegative.
-
-    flux_power is set for the pure power form (z/|z|)^alpha and lets
-    downstream code evaluate phase differences of u by stable planar
-    geometry instead of complex arithmetic; it is None for general unitaries.
+    The winding must be a whole number of flux quanta: the index integrals
+    this unitary feeds diverge for fractional flux.  The centre must be
+    finite.  Both are checked once, here.  For a nonzero winding the value
+    is undefined (nan) at the centre itself; it is exactly 1 on the ray
+    from c along +x (branch convention).
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
     winding: int
     singularity: tuple = (0.0, 0.0)
-    lipschitz_c1: float = 2.0
-    flux_power: Optional[int] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.lipschitz_c1 < float("inf"):
+        if not float(self.winding).is_integer():
             raise ValueError(
-                f"lipschitz_c1 must be finite and nonnegative, got {self.lipschitz_c1!r}")
+                f"winding must be an integer number of flux quanta, got {self.winding}; "
+                "the index integrals diverge for fractional flux"
+            )
+        cx, cy = (float(t) for t in self.singularity)
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise ValueError(f"flux center ({cx}, {cy}) is not finite")
+        object.__setattr__(self, "winding", int(self.winding))
+        object.__setattr__(self, "singularity", (cx, cy))
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate(points)
+    def at(self, z: np.ndarray) -> np.ndarray:
+        """u at the complex positions z."""
+        w = z - complex(*self.singularity)
+        # 0/0 at the centre is nan, and so is any nonzero power of it
+        with np.errstate(invalid="ignore"):
+            return (w / np.abs(w)) ** self.winding
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """u at an (..., 2) array of planar points."""
+        pts = np.asarray(points, dtype=float)
+        return self.at(pts[..., 0] + 1j * pts[..., 1])
+
+    __call__ = evaluate
 
 
 def flux_unitary(alpha: int) -> GaugeUnitary:
-    """The power flux unitary (z/|z|)^alpha with singularity at the origin.
-
-    Fractional alpha is rejected: the index integrals this unitary feeds
-    diverge for non-integer winding, so only whole flux quanta are modeled.
-    On the positive real axis the value is exactly 1 (branch convention).
-    """
-    if not float(alpha).is_integer():
-        raise ValueError(
-            f"winding must be an integer number of flux quanta, got {alpha}; "
-            "the index integrals diverge for fractional flux"
-        )
-    alpha = int(alpha)
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        z = pts[..., 0] + 1j * pts[..., 1]
-        # 0/0 at the singularity is nan, and so is any power of it
-        with np.errstate(invalid="ignore"):
-            return (z / np.abs(z)) ** alpha
-
-    return GaugeUnitary(
-        evaluate=evaluate,
-        winding=alpha,
-        singularity=(0.0, 0.0),
-        lipschitz_c1=2.0 * abs(alpha),
-        flux_power=alpha,
-    )
+    """The power flux unitary (z/|z|)^alpha with singularity at the origin."""
+    return GaugeUnitary(alpha)
 
 
 def translate_unitary(u: GaugeUnitary, t) -> GaugeUnitary:
     """x -> u(x - t): same winding, singularity shifted by t."""
-    t = np.asarray(t, dtype=float)
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        return u.evaluate(np.asarray(points, dtype=float) - t)
-
-    sx, sy = u.singularity
-    return GaugeUnitary(
-        evaluate=evaluate,
-        winding=u.winding,
-        singularity=(sx + float(t[0]), sy + float(t[1])),
-        lipschitz_c1=u.lipschitz_c1,
-        flux_power=u.flux_power,
-    )
+    return GaugeUnitary(u.winding, (u.singularity[0] + t[0], u.singularity[1] + t[1]))
 
 
 def product_unitary(u: GaugeUnitary, v: GaugeUnitary) -> GaugeUnitary:
-    """Pointwise product; windings add.  Requires a common singularity."""
-    if not np.allclose(u.singularity, v.singularity):
-        raise ValueError("product supported only for unitaries sharing a singularity")
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        return u.evaluate(points) * v.evaluate(points)
-
-    same_power_form = u.flux_power is not None and v.flux_power is not None
-    return GaugeUnitary(
-        evaluate=evaluate,
-        winding=u.winding + v.winding,
-        singularity=u.singularity,
-        lipschitz_c1=u.lipschitz_c1 + v.lipschitz_c1,
-        flux_power=(u.flux_power + v.flux_power) if same_power_form else None,
-    )
+    """Pointwise product; windings add.  Requires the same singularity."""
+    if u.singularity != v.singularity:
+        raise ValueError("product supported only for unitaries sharing a singularity, "
+                         f"got {u.singularity} and {v.singularity}")
+    return GaugeUnitary(u.winding + v.winding, u.singularity)
 
 
 def numerical_winding(u: GaugeUnitary) -> float:

@@ -295,8 +295,8 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     measured: Q is projpair.conjugated(P, U)[1], for the diagonal unitary U
     of u on the nodes, built and validated once.  Q carries P's residuals
     and keeps P's blocks for a centred (z/|z|)^N; a translated flux gives a
-    dense Q, and P stays on the grid's layout.  A u not unimodular on the
-    nodes is an error.
+    dense Q, and P stays on the grid's layout.  A grid node at the flux
+    centre is an error.
 
     Without a grid the disk is level_disk_grid(m), a larger disk for higher
     levels, since a larger disk, not a finer grid, is what brings the odd
@@ -321,10 +321,7 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     uvals = u.evaluate(grid.nodes)
     if np.any(~np.isfinite(uvals)):
         raise ValueError("gauge unitary is singular on a grid node")
-    try:
-        U = UnitaryMatrix(uvals)
-    except ValueError as exc:
-        raise ValueError(f"gauge unitary is not unimodular on the grid: {exc}") from None
+    U = UnitaryMatrix(uvals)
     if grid.has_polar_layout():
         R, A = grid.radial_nodes, grid.angular_nodes
     else:

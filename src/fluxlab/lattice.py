@@ -67,7 +67,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fluxlab.gauge import flux_unitary, translate_unitary
+from fluxlab.gauge import GaugeUnitary
 from fluxlab.projpair import (HermitianProjection, IndexReport, UnitaryMatrix,
                               conjugated, difference,
                               nodal_blocks, nodal_matrix, trace_report)
@@ -535,8 +535,8 @@ def gap_projection(H: np.ndarray, fermi: float, min_gap: float = 1e-9) -> GapPro
 
 
 def lattice_flux_unitary(model: MagneticLatticeModel, center) -> UnitaryMatrix:
-    """The unit flux z/|z| about center, gauge.flux_unitary(1) translated
-    there, sampled on the lattice sites: a diagonal UnitaryMatrix that
+    """The unit flux tube GaugeUnitary(1, center), (z - c)/|z - c| about
+    c = center, sampled on the lattice sites: a diagonal UnitaryMatrix that
     carries the flux centre and the site positions, which the windowed
     index reads.
 
@@ -544,9 +544,8 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> UnitaryMatrix:
     half a lattice constant); a site exactly at the center would get an
     undefined phase.
     """
-    cx, cy = float(center[0]), float(center[1])
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise ValueError(f"flux center ({cx}, {cy}) is not finite")
+    u = GaugeUnitary(1, center)
+    cx, cy = u.singularity
     pos = model.sites().astype(float)
     dist = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy)
     if np.min(dist) < 1e-9:
@@ -555,8 +554,7 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> UnitaryMatrix:
             f"flux center ({cx}, {cy}) coincides with site ({bad[0]:.0f}, "
             f"{bad[1]:.0f}); offset it by half a lattice constant"
         )
-    d = translate_unitary(flux_unitary(1), (cx, cy)).evaluate(pos)
-    return UnitaryMatrix(d, center=(cx, cy), site_array=pos)
+    return UnitaryMatrix(u.evaluate(pos), center=u.singularity, site_array=pos)
 
 
 def lattice_index(P, U: UnitaryMatrix, n: int = 1,

@@ -36,6 +36,9 @@ from typing import Optional
 
 import numpy as np
 
+# max-entry deviation of UU* from the identity that a UnitaryMatrix accepts
+_UNITARITY_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class HermitianProjection:
@@ -235,15 +238,14 @@ class UnitaryMatrix:
     its .matrix is None: no N x N array is held.  Any other U keeps .matrix,
     and its .diagonal is None.  residual is the max-entry deviation of UU*
     from the identity, read as max_i ||d_i|^2 - 1| on a diagonal U, without
-    a matrix product; a residual above unitarity_tol is refused (so NaN
+    a matrix product; a residual above _UNITARITY_TOL is refused (so NaN
     fails).  center and site_array, None unless given, place the diagonal
     on a lattice: the flux centre and the (N, 2) site positions of
     lattice.lattice_flux_unitary.  Two unitaries are equal when their
-    tolerances, arrays and geometry are.
+    arrays and geometry are.
     """
 
     matrix: Optional[np.ndarray]
-    unitarity_tol: float = 1e-10
     center: Optional[tuple] = None
     site_array: Optional[np.ndarray] = None
     diagonal: Optional[np.ndarray] = field(init=False, default=None, repr=False)
@@ -259,7 +261,7 @@ class UnitaryMatrix:
             u = None
         else:
             resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-        if not resid <= self.unitarity_tol:
+        if not resid <= _UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: max |UU* - 1| = {resid:.3e}")
         object.__setattr__(self, "matrix", u)
         object.__setattr__(self, "diagonal", d)
@@ -273,7 +275,7 @@ class UnitaryMatrix:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in (
-            "unitarity_tol", "center", "matrix", "diagonal", "site_array"))
+            "center", "matrix", "diagonal", "site_array"))
 
     __hash__ = None
 
@@ -444,7 +446,7 @@ def random_projection(rng: np.random.Generator, dim: int, rank: int) -> Hermitia
     v = q[:, :rank]
     p = v @ v.conj().T
     p = 0.5 * (p + p.conj().T)
-    return HermitianProjection(p, idempotency_tol=1e-10)
+    return HermitianProjection(p)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryMatrix:
@@ -453,4 +455,4 @@ def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryMatrix:
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))[None, :]
-    return UnitaryMatrix(q, unitarity_tol=1e-10)
+    return UnitaryMatrix(q)

@@ -158,10 +158,6 @@ def _wedge(x, y):
     return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
 
 
-def _points(z: np.ndarray) -> np.ndarray:
-    return np.stack([np.real(z), np.imag(z)], axis=-1)
-
-
 def _smooth_step(r, r1, r2):
     """C-infinity transition: 1 for r <= r1, 0 for r >= r2."""
     t = np.clip((r - r1) / (r2 - r1), 0.0, 1.0)
@@ -177,9 +173,9 @@ def _smooth_step(r, r1, r2):
 
 def _triple_ratio_integrand(u: GaugeUnitary, z: np.ndarray, a: complex,
                             b: complex, c: complex) -> np.ndarray:
-    ua = u.evaluate(_points(z - a))
-    ub = u.evaluate(_points(z - b))
-    uc = u.evaluate(_points(z - c))
+    ua = u.at(z - a)
+    ub = u.at(z - b)
+    uc = u.at(z - c)
     return (1.0 - ua / ub) * (1.0 - ub / uc) * (1.0 - uc / ua)
 
 
@@ -221,7 +217,9 @@ def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     c0 = punct.mean()
     R0 = max(abs(punct - c0)) + rho + 4.0
     pmax = float(max(abs(punct)))
-    C1 = u.lipschitz_c1
+    # |u(x+y) - u(y)| <= |N| |arg(1 + x/y)| <= (pi/3) |N| |x|/|y| for
+    # |x| <= |y|/2: the ratio bound with constant C1
+    C1 = 2.0 * abs(u.winding)
 
     Rfar = max(pmax + 4.0 * np.pi * C1 ** 3 * d12 * d23 * d31 / tol,
                10.0 * pmax, 1.5 * R0)
@@ -449,19 +447,16 @@ def index_integral_6d_mc(p: CovariantKernel, u: GaugeUnitary,
     the unreduced form whose value equals the trace of (P - uPu*)^3.
     A sample is a base point relative to the singularity and two edge
     vectors; by covariance the kernel triple depends on the edge vectors
-    alone, and u, which must record its flux_power, enters through the
-    phase differences of (z/|z|)^alpha.  Antithetic reflection of the base
-    point halves the variance contributed by odd modes; reduction is
-    chunked and ordered, so fixed (seed, mc_samples) reproduce it bitwise.
+    alone, and u enters through the phase differences of its power form
+    (z/|z|)^winding.  Antithetic reflection of the base point halves the
+    variance contributed by odd modes; reduction is chunked and ordered, so
+    fixed (seed, mc_samples) reproduce it bitwise.
     """
     if spec is None:
         spec = QuadratureSpec()
     if spec.mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {spec.mc_samples}")
-    if u.flux_power is None:
-        raise ValueError("the Monte Carlo integral needs a unitary (z/|z|)^alpha "
-                         "that records its flux_power; this one has flux_power None")
-    if u.flux_power == 0:
+    if u.winding == 0:
         # constant unitary: every ratio factor is exactly zero
         return MonteCarloEstimate(value=0j, std_error=0.0, samples=0, max_weight=0.0)
     n_pairs = (spec.mc_samples + 1) // 2
@@ -471,7 +466,7 @@ def index_integral_6d_mc(p: CovariantKernel, u: GaugeUnitary,
     logger.debug("mc: %d chunks of %d pairs on %d workers", len(sizes), sizes[0],
                  _workers())
     sums, sums_re2, max_ws = zip(*_ordered_map([
-        functools.partial(_mc_chunk, p, u.flux_power, n, seed)
+        functools.partial(_mc_chunk, p, u.winding, n, seed)
         for n, seed in zip(sizes, seeds)]))
     mean = sum(sums) / n_pairs
     var = max(sum(sums_re2) / n_pairs - mean.real ** 2, 0.0)

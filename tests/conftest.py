@@ -84,7 +84,7 @@ def truncated_pair_m0(disk_grid):
 @pytest.fixture(scope="session")
 def grid_flux_unitary(disk_grid):
     u = gauge.flux_unitary(1)
-    return projpair.UnitaryMatrix(u(disk_grid.nodes), unitarity_tol=1e-12)
+    return projpair.UnitaryMatrix(u(disk_grid.nodes))
 
 
 @pytest.fixture(scope="session")

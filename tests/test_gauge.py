@@ -1,10 +1,15 @@
 """Flux unitaries, winding numbers, and switch profiles."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 
 from fluxlab.gauge import (GaugeUnitary, flux_unitary, numerical_winding,
                            product_unitary, tanh_switch, translate_unitary)
+from fluxlab.grids import polar_disk_grid
+from fluxlab.lattice import MagneticLatticeModel
 
 
 def test_flux_unitary_is_phase_of_position():
@@ -21,7 +26,6 @@ def test_numerical_winding_matches_flux_power(alpha):
     u = flux_unitary(alpha)
     assert abs(numerical_winding(u) - alpha) <= 1e-9
     assert u.winding == alpha
-    assert u.flux_power == alpha
 
 
 @pytest.mark.parametrize("alpha", [-2, -1, 1, 2])
@@ -67,10 +71,74 @@ def test_product_unitary_adds_windings():
 
 
 def test_product_unitary_requires_common_singularity():
+    # a product is the power form about one centre; centres 1e-9 apart
+    # would be labelled as one tube that the product is not
     u = flux_unitary(1)
-    v = translate_unitary(flux_unitary(1), (2.0, 0.0))
-    with pytest.raises(ValueError, match="singularit"):
-        product_unitary(u, v)
+    for offset in (2.0, 1e-9):
+        v = translate_unitary(flux_unitary(1), (offset, 0.0))
+        with pytest.raises(ValueError, match="singularit"):
+            product_unitary(u, v)
+
+
+def _closure(alpha, points, t=None):
+    """The formula of the closures flux_unitary and translate_unitary built
+    before the tube became a record: the oracle of its bits."""
+    pts = np.asarray(points, dtype=float)
+    if t is not None:
+        pts = pts - np.asarray(t, dtype=float)
+    z = pts[..., 0] + 1j * pts[..., 1]
+    with np.errstate(invalid="ignore"):
+        return (z / np.abs(z)) ** alpha
+
+
+@pytest.mark.parametrize("alpha", [1, 2, -1, 0])
+def test_record_matches_the_closure_bit_for_bit(alpha):
+    # disk nodes and the origin about the origin; lattice sites about
+    # offset centres, with the centre itself among the points
+    disk = np.vstack([polar_disk_grid(8.0).nodes, [0.0, 0.0]])
+    u = flux_unitary(alpha)
+    vals = u(disk)
+    assert vals.tobytes() == _closure(alpha, disk).tobytes()
+    assert np.isnan(vals[-1]) == (alpha != 0)
+    sites = MagneticLatticeModel(40, 40, 1.0 / 3.0).sites().astype(float)
+    for t in [(19.5, 19.5), (2.5, 11.5), (13.5, 11.5), (11.5 + 1e-13, 11.5), (0.5, -0.25)]:
+        pts = np.vstack([sites, t])
+        vals = translate_unitary(u, t)(pts)
+        assert vals.tobytes() == _closure(alpha, pts, t).tobytes()
+        assert np.isnan(vals[-1]) == (alpha != 0)
+
+
+def test_translates_and_products_carry_winding_and_centre():
+    u = translate_unitary(flux_unitary(2), (1.5, -0.5))
+    assert (u.winding, u.singularity) == (2, (1.5, -0.5))
+    moved = translate_unitary(u, np.array([0.5, 1.0]))
+    assert (moved.winding, moved.singularity) == (2, (2.0, 0.5))
+    assert product_unitary(u, translate_unitary(flux_unitary(-3), (1.5, -0.5))) == (
+        GaugeUnitary(-1, (1.5, -0.5)))
+    assert product_unitary(flux_unitary(1), flux_unitary(-1)) == flux_unitary(0)
+
+
+def test_gauge_unitary_is_a_comparable_picklable_record():
+    u = translate_unitary(flux_unitary(2), (0.5, -0.25))
+    assert u == GaugeUnitary(2.0, np.array([0.5, -0.25]))
+    assert u != flux_unitary(2) and u != GaugeUnitary(1, (0.5, -0.25))
+    assert isinstance(u.winding, int) and hash(u) == hash(GaugeUnitary(2, (0.5, -0.25)))
+    copy = pickle.loads(pickle.dumps(u))
+    assert copy == u
+    pts = np.array([[1.0, 2.0], [-0.5, 0.3]])
+    assert copy(pts).tobytes() == u(pts).tobytes()
+
+
+@pytest.mark.parametrize("center", [(float("nan"), 0.0), (0.0, float("inf")),
+                                    (-float("inf"), 1.0)], ids=["nan", "inf", "-inf"])
+def test_gauge_unitary_rejects_a_non_finite_center(center):
+    # a NaN centre built a tube whose numerical_winding read nan, with a
+    # RuntimeWarning
+    message = re.escape(f"flux center {center} is not finite")
+    with pytest.raises(ValueError, match=message):
+        translate_unitary(flux_unitary(1), center)
+    with pytest.raises(ValueError, match=message):
+        GaugeUnitary(1, center)
 
 
 def test_winding_of_inverse_flux():
@@ -119,13 +187,3 @@ def test_switch_no_overflow_far_out():
 def test_tanh_switch_rejects_a_nonfinite_center(center):
     with pytest.raises(ValueError, match=f"center must be finite, got {center}"):
         tanh_switch(1.0, center)
-
-
-@pytest.mark.parametrize("c1", [float("nan"), float("inf"), -1.0])
-def test_gauge_unitary_rejects_a_bad_lipschitz_constant(c1):
-    # a NaN constant reached connes_area's far-field node count, which failed
-    # with "cannot convert float NaN to integer"
-    with pytest.raises(ValueError,
-                       match=f"lipschitz_c1 must be finite and nonnegative, got {c1!r}"):
-        GaugeUnitary(flux_unitary(1).evaluate, 1, lipschitz_c1=c1)
-    assert GaugeUnitary(flux_unitary(0).evaluate, 0, lipschitz_c1=0.0).lipschitz_c1 == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fluxlab import hall, landau
-from fluxlab.gauge import GaugeUnitary, Switch, flux_unitary, tanh_switch
+from fluxlab.gauge import Switch, flux_unitary, tanh_switch
 from fluxlab.hall import (SwitchPair, _box_switch_integrals, curvature_diagonal,
                           hall_transport_box, hall_transport_closed_form,
                           kubo_box, switch_integral_1d, switch_integral_2d)
@@ -286,14 +286,11 @@ def _flux_matrix_of_nan_states(monkeypatch):
     (lambda mp: connes_area(flux_unitary(1),
                             Triangle((NAN, 0.0), (1.0, 0.0), (0.0, 1.0))),
      "puncture radius"),
-    (lambda mp: connes_area(GaugeUnitary(flux_unitary(1).evaluate, 1, lipschitz_c1=NAN),
-                            Triangle((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
-     "lipschitz_c1 must be finite and nonnegative, got nan"),
     (_flux_matrix_of_nan_states, "off-pattern residual nan"),
 ], ids=["box-L-nan", "box-L-last-nan", "box-L-empty", "kubo-L-nan", "switch-scale-nan",
         "switch-tail-nan", "box-switch-center-nan", "closed-form-nan", "index-4d-radius-nan",
         "index-4d-kernel-nan", "kubo-kernel-nan", "box-kernel-nan", "connes-vertex-nan",
-        "connes-lipschitz-nan", "flux-matrix-nan"])
+        "flux-matrix-nan"])
 def test_nan_inputs_are_refused(monkeypatch, call, message):
     # each guard is written "not value <= bound", so a NaN, which compares
     # False with everything, is refused instead of returned as a value

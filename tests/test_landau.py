@@ -470,17 +470,3 @@ def test_negative_winding_singular_on_node_rejected(winding):
                      radius=grid.radius)
     with pytest.raises(ValueError, match="singular on a grid node"):
         truncated_projection_pair(0, gauge.flux_unitary(winding), bad)
-
-
-@pytest.mark.parametrize("layout", ["block", "dense"])
-def test_gauge_off_unit_circle_rejected(layout):
-    # 1.1 z/|z| is a rotation character but not unimodular: its conjugate of
-    # P is no projection, and the pair traced to 0.42 (block) or -0.26
-    # (dense) instead of -1 before the check
-    grid = polar_disk_grid(8.0)
-    if layout == "dense":
-        grid = _without_layout(polar_disk_grid(4.0, radial_nodes=16, angular_nodes=25))
-    unit = gauge.flux_unitary(1)
-    scaled = gauge.GaugeUnitary(evaluate=lambda x: 1.1 * unit(x), winding=1)
-    with pytest.raises(ValueError, match="not unimodular"):
-        truncated_projection_pair(0, scaled, grid)

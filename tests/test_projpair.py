@@ -202,7 +202,7 @@ def test_diagonal_unitary_keeps_no_square_array():
     assert U.residual == np.max(np.abs(np.abs(d) ** 2 - 1.0)) > 0.0
     W = random_unitary(np.random.default_rng(1), 6)
     assert W.diagonal is None and W.matrix.shape == (6, 6) and W.dim == 6
-    assert W.residual <= W.unitarity_tol
+    assert W.residual <= 1e-10
 
 
 @pytest.mark.parametrize("sites", [[1, 0], [0, 0, 1, 1]], ids=["short", "repeated"])
@@ -372,10 +372,15 @@ def test_property_odd_trace_n_independent(seed, dim):
 @pytest.mark.parametrize("offdiag", [0.0, 1e-300])
 def test_unitary_residual_same_on_diagonal_and_dense_paths(offdiag):
     # a zero off-diagonal takes the diagonal path, a tiny one the dense
-    # product; both report the max-entry residual of UU* - 1
-    u = np.diag(np.exp(1j * np.arange(4)) * np.array([1.0, 1.0 + 1e-6, 1.0, 1.0]))
-    u[0, 3] = offdiag
-    want = np.max(np.abs(u @ u.conj().T - np.eye(4)))
+    # product; both report the max-entry residual of UU* - 1, and both
+    # refuse one above 1e-10
+    def unitary(eps):
+        u = np.diag(np.exp(1j * np.arange(4)) * np.array([1.0, 1.0 + eps, 1.0, 1.0]))
+        u[0, 3] = offdiag
+        return u, np.max(np.abs(u @ u.conj().T - np.eye(4)))
+
+    u, want = unitary(1e-6)
     with pytest.raises(ValueError, match=f"{want:.3e}"):
-        UnitaryMatrix(u, unitarity_tol=1e-12)
-    assert UnitaryMatrix(u, unitarity_tol=1e-5).dim == 4
+        UnitaryMatrix(u)
+    u, want = unitary(1e-12)
+    assert f"{UnitaryMatrix(u).residual:.3e}" == f"{want:.3e}"

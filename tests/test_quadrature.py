@@ -376,15 +376,6 @@ def test_import_leaves_the_pool_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_monte_carlo_requires_power_form_unitary():
-    general = gauge.GaugeUnitary(evaluate=gauge.flux_unitary(1).evaluate, winding=1)
-    calls = []
-    with pytest.raises(ValueError, match="flux_power"):
-        index_integral_6d_mc(_counting_kernel(calls), general,
-                             QuadratureSpec(mc_samples=1000, seed=0))
-    assert calls == []
-
-
 def test_trace_from_diagonal_counts_states():
     kern = landau_kernel(0)
     R = 8.0
