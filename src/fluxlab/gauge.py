@@ -4,17 +4,17 @@ A flux tube of N quanta at a point c is the singular gauge transformation
 u(x) = ((z - c)/|z - c|)^N, z the complex position of x: unimodular on the
 punctured plane, with winding N around c.  Multiplying a projection kernel
 by it models threading N flux quanta through c.  The tube is its winding
-and its centre; every value is computed from those two numbers.  Switches
-are monotone profiles rising from 0 to 1 across a wall; they enter the
-Hall-transport module as the voltage-drop gauge functions.  Windings are
-read on a fluxlab.grids ring.
+and its centre; every value is computed from those two numbers.  A switch
+is the tanh profile rising from 0 to 1 across a wall, likewise a record of
+two numbers, its scale and its centre; switches enter the Hall-transport
+module as the voltage-drop gauge functions.  Windings are read on a
+fluxlab.grids ring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,40 +95,42 @@ def numerical_winding(u: GaugeUnitary) -> float:
 
 @dataclass(frozen=True)
 class Switch:
-    """Monotone profile rising from 0 to 1 across a wall at `center`.
+    """The tanh switch (1 + tanh((x - center)/scale)) / 2.
 
-    antiderivative, when provided, is a closed-form primitive of evaluate
-    used by the box-transport engine; otherwise that engine falls back to
-    1D quadrature.
+    It rises monotonically from 0 to 1 across a wall of width `scale` at
+    `center`, and its closed-form primitive feeds the box-transport engine.
+    The scale must be positive and finite and the centre finite; both are
+    checked once, here, and stored as floats, so switches compare, hash and
+    pickle.
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    scale: float
     center: float = 0.0
-    scale: float = 1.0
-    antiderivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)
+    def __post_init__(self):
+        scale, center = float(self.scale), float(self.center)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
+        if not math.isfinite(center):
+            raise ValueError(f"center must be finite, got {center}")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "center", center)
 
+    def evaluate(self, x) -> np.ndarray:
+        """The switch at the positions x."""
+        return 0.5 * (1.0 + np.tanh((np.asarray(x, dtype=float) - self.center) / self.scale))
 
-def tanh_switch(scale: float, center: float = 0.0) -> Switch:
-    """(1 + tanh((x - center)/scale)) / 2 with a closed-form primitive."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if not abs(center) < float("inf"):
-        raise ValueError(f"center must be finite, got {center}")
+    __call__ = evaluate
 
-    def evaluate(x):
-        return 0.5 * (1.0 + np.tanh((np.asarray(x, dtype=float) - center) / scale))
-
-    def antiderivative(x):
-        t = (np.asarray(x, dtype=float) - center) / scale
+    def antiderivative(self, x) -> np.ndarray:
+        """A primitive of the switch at x: (x - c + scale log cosh((x - c)/scale)) / 2,
+        with log cosh written so that it does not overflow."""
+        d = np.asarray(x, dtype=float) - self.center
+        t = d / self.scale
         logcosh = np.abs(t) + np.log1p(np.exp(-2.0 * np.abs(t))) - np.log(2.0)
-        return 0.5 * ((np.asarray(x, dtype=float) - center) + scale * logcosh)
+        return 0.5 * (d + self.scale * logcosh)
 
-    return Switch(
-        evaluate=evaluate,
-        center=center,
-        scale=scale,
-        antiderivative=antiderivative,
-    )
+
+def tanh_switch(scale: float) -> Switch:
+    """The tanh switch of the given scale, centred at the origin."""
+    return Switch(scale)

@@ -1,8 +1,9 @@
 """Quadrature grids: every Gauss-Legendre rule, ring and default grid.
 
 Every continuum route integrates over the plane on one of two grid shapes:
-a polar disk (DiskGrid: a radial rule times the equal-angle ring) or a
-square (TensorGrid: one Gauss-Legendre rule per axis).  The default grids
+a polar disk (DiskGrid: a radial rule times the equal-angle ring, a layout
+every DiskGrid records and checks when it is built) or a square
+(TensorGrid: one Gauss-Legendre rule per axis).  The default grids
 grow with the Landau level m of the kernel they integrate:
 
 - truncation disk (landau.truncated_projection_pair): radius 8 + 3m,
@@ -70,26 +71,25 @@ class _ArrayFields:
 
 @dataclass(frozen=True, eq=False)
 class DiskGrid(_ArrayFields):
-    """Quadrature nodes and weights covering a disk around the origin.
+    """Quadrature nodes and weights covering a disk around the origin, in a
+    polar layout of radial_nodes rings of angular_nodes nodes each.
 
-    radial_nodes and angular_nodes record a polar layout: node i*A + a sits
-    at radius r_i and angle 2 pi a / A (A = angular_nodes), and its weight
-    depends on i alone.  A grid built without them has no layout.
+    Node i*A + a (A = angular_nodes) is node i*A turned by the angle
+    2 pi a / A about the origin and carries its weight; polar_grid puts
+    node i*A on the +x axis.  A grid with no rotation symmetry is the layout
+    (N, 1): N rings of one node each.  The layout is checked once, here.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     radius: float
-    radial_nodes: int = None
-    angular_nodes: int = None
+    radial_nodes: int
+    angular_nodes: int
 
-    def has_polar_layout(self) -> bool:
-        """Whether the grid records a polar layout; a recorded layout that its
-        nodes and weights do not follow is an error."""
-        if self.radial_nodes is None or self.angular_nodes is None:
-            return False
+    def __post_init__(self):
         count = self.radial_nodes * self.angular_nodes
-        bad = self.nodes.shape != (count, 2) or self.weights.shape != (count,)
+        bad = (min(self.radial_nodes, self.angular_nodes) < 1
+               or self.nodes.shape != (count, 2) or self.weights.shape != (count,))
         if not bad:
             z = self.nodes[:, 0] + 1j * self.nodes[:, 1]
             z = z.reshape(-1, self.angular_nodes)
@@ -100,7 +100,6 @@ class DiskGrid(_ArrayFields):
         if bad:
             raise ValueError(
                 "grid nodes or weights do not follow the recorded polar layout")
-        return True
 
 
 def polar_nodes(center: complex, r: np.ndarray, w: np.ndarray, angular_nodes: int):
@@ -197,9 +196,9 @@ _LEVEL_SQUARES = {"index": (7.0, 46), "transport": (7.5, 52)}
 
 def level_square_grid(m: int, route: str, spec=None) -> TensorGrid:
     """Default square of the "index" or "transport" route for level m (see
-    the module docstring).  A quadrature.QuadratureSpec replaces the half
-    side with its outer_radius and the node count with its radial_nodes,
-    each when set."""
+    the module docstring).  A quadrature.QuadratureSpec, which only
+    index_integral_4d passes, replaces the half side with its outer_radius
+    and the node count with its radial_nodes, each when set."""
     side, nodes = _LEVEL_SQUARES[route]
     half_side = getattr(spec, "outer_radius", None)
     n = getattr(spec, "radial_nodes", None)

@@ -7,13 +7,16 @@ against the cyclic triple product of the kernel, computed by the core this
 module shares with the index integrals (quadrature.triple_forms and
 triple_wedge): transport equals charge deficiency, and the code asserts that
 identity across modules rather than assuming it.
-Every route runs on the level-sized transport square of fluxlab.grids, and
-the switch integrals take their Gauss-Legendre rules from the same module.
+Every route runs on the level-sized transport square of fluxlab.grids,
+which no argument changes.  The switches are gauge.Switch records: the box
+route integrates them through their closed-form primitive, and the line
+integral of switch_integral_1d takes its Gauss-Legendre rule from grids.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,8 +25,7 @@ import numpy as np
 from fluxlab.gauge import Switch
 from fluxlab.grids import gauss_legendre, level_square_grid
 from fluxlab.landau import CovariantKernel
-from fluxlab.quadrature import (QuadratureSpec, index_integral_4d, triple_forms,
-                                triple_wedge)
+from fluxlab.quadrature import index_integral_4d, triple_forms, triple_wedge
 
 logger = logging.getLogger(__name__)
 
@@ -83,37 +85,35 @@ def switch_integral_2d(pair: SwitchPair, a, b) -> float:
             * switch_integral_1d(pair.lambda2, float(a[1])))
 
 
-def curvature_diagonal(p: CovariantKernel, pair: SwitchPair, x,
-                       spec: QuadratureSpec = None) -> complex:
+def curvature_diagonal(p: CovariantKernel, pair: SwitchPair, x) -> complex:
     """Diagonal value omega(x, x) of the adiabatic curvature -i [PL1P, PL2P].
 
     Using P^2 = P, each commutator ordering is a double kernel integral
     p(x,y) L(y) p(y,z) L(z) p(z,x): a triple_forms pair.  By covariance the
     kernel triple depends only on y - x and z - x, so the forms run on the
     transport square, which covers the kernel products' gaussian support,
-    with the switches evaluated at the absolute points x + node.
+    with the switches evaluated at the absolute points x + node.  A point x
+    that is not finite is refused.
     """
     x = np.asarray(x, dtype=float).reshape(2)
-    grid = level_square_grid(p.level, "transport", spec)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"curvature point must be finite, got {tuple(x.tolist())}")
+    grid = level_square_grid(p.level, "transport")
     Y = grid.nodes + x
-    l1 = np.asarray(pair.lambda1.evaluate(Y[:, pair.axes[0]]), dtype=float)
-    l2 = np.asarray(pair.lambda2.evaluate(Y[:, pair.axes[1]]), dtype=float)
+    l1 = pair.lambda1.evaluate(Y[:, pair.axes[0]])
+    l2 = pair.lambda2.evaluate(Y[:, pair.axes[1]])
     s12, s21 = triple_forms(p, grid, [l1, l2], [l2, l1])
     return -1j * (s12 - s21)
 
 
 def _box_switch_integrals(s: Switch, coords: np.ndarray, L: float) -> np.ndarray:
-    """A(c) = integral over [-L, L] of s(t + c) dt for each node coordinate c."""
-    if s.antiderivative is not None:
-        F = s.antiderivative
-        return np.asarray(F(coords + L) - F(coords - L), dtype=float)
-    t, w = gauss_legendre(-L, L, 400)
-    return (s.evaluate(coords[:, None] + t[None, :]) @ w).astype(float)
+    """A(c) = integral over [-L, L] of s(t + c) dt for each node coordinate c,
+    from the switch's primitive."""
+    return s.antiderivative(coords + L) - s.antiderivative(coords - L)
 
 
 def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
-                       L_values: Sequence[float] = (2.0, 3.0, 4.5, 6.0),
-                       spec: QuadratureSpec = None) -> list:
+                       L_values: Sequence[float] = (2.0, 3.0, 4.5, 6.0)) -> list:
     """Charge transport from boxed curvature traces, one value per L.
 
     Computes Q(L) = -2 pi * integral over the box [-L, L]^2 of the curvature
@@ -126,15 +126,17 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     Independence of the switch shape is a property of the box limit.  At a
     fixed L the widest switch sets the error: for the level-0 kernel the
     scale-2 error is 1.26e-2, 4.67e-3 and 1.72e-3 at L = 6, 7, 8, shrinking
-    by e^-1 per unit L, while the scale-0.5 error is 8e-9 at L = 6.  The
+    by e^-1 per unit L, while the scale-0.5 error is 8e-9 at L = 6.  The L
+    values must be positive, finite and strictly increasing.  The
     imaginary residual of each value is checked against 1e-8.
     """
     Ls = [float(L) for L in L_values]
     if not Ls:
         raise ValueError("L_values must not be empty")
-    if not all(b > a for a, b in zip([0.0] + Ls, Ls)):
-        raise ValueError(f"L values must be positive and strictly increasing, got {Ls}")
-    grid = level_square_grid(p.level, "transport", spec)
+    if not (all(b > a for a, b in zip([0.0] + Ls, Ls)) and math.isfinite(Ls[-1])):
+        raise ValueError(f"L values must be positive, finite and strictly increasing, "
+                         f"got {Ls}")
+    grid = level_square_grid(p.level, "transport")
     nodes = grid.nodes
     V, W = [], []
     for L in Ls:
@@ -179,7 +181,7 @@ def hall_transport_closed_form(p: CovariantKernel) -> float:
     return float(q.real)
 
 
-def kubo_box(p: CovariantKernel, L: float, spec: QuadratureSpec = None) -> float:
+def kubo_box(p: CovariantKernel, L: float) -> float:
     """Box-averaged Kubo conductance; approaches Q / (2 pi) as L grows.
 
     The antisymmetrized P x1 Pperp x2 P average reduces, for a covariant
@@ -191,7 +193,7 @@ def kubo_box(p: CovariantKernel, L: float, spec: QuadratureSpec = None) -> float
     """
     if not L > 0:
         raise ValueError(f"box half side must be positive, got {L}")
-    val = 1j * triple_wedge(p, level_square_grid(p.level, "transport", spec))
+    val = 1j * triple_wedge(p, level_square_grid(p.level, "transport"))
     if not abs(val.imag) <= 1e-8:
         raise ValueError(f"imaginary residual {abs(val.imag):.2e} of the Kubo "
                          "average exceeds 1e-8")

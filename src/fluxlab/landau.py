@@ -219,19 +219,21 @@ def flux_matrix(m: int, n_max: int) -> np.ndarray:
 
     Angular momentum selection confines the matrix to the single diagonal
     offset column = row - 1; an off-pattern residual above 1e-8 means the
-    quadrature did not converge and is reported as an error.
+    quadrature did not converge and is reported as an error.  The nodes
+    come from grids.polar_nodes, as gram_matrix's do: the radial rule on
+    [0, sqrt(t_max)] times 256 angles, with no DiskGrid built.
     """
     if m < 0 or n_max < 0:
         raise ValueError("level and angular cutoff must be nonnegative")
     t_max = 2.0 * (n_max + 2 * m) + 60.0
-    radial_nodes = max(160, int(1.5 * t_max))
     # the unitary brings odd powers of r into the integrand, so integrate in
     # r itself (entire integrand, spectral convergence) rather than t = r^2
-    grid = polar_disk_grid(np.sqrt(t_max), radial_nodes, 256)
-    z = _as_complex_points(grid.nodes)
+    r, wr = gauss_legendre(0.0, np.sqrt(t_max), max(160, int(1.5 * t_max)))
+    z, w = polar_nodes(0.0, r, wr * r, 256)
+    z, w = z.ravel(), w.ravel()
     u = z / np.abs(z)
     psi = _basis_columns(m, n_max, z)
-    weighted = (grid.weights * u)[:, None] * psi
+    weighted = (w * u)[:, None] * psi
     # conjugated in place: the product keeps its layout and its bits
     mat = np.conj(psi, out=psi).T @ weighted
     # admissible entries sit at (n, n') = (k+1, k)
@@ -286,11 +288,12 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     Q's carried bounds are attached to the returned projections; a residual
     above 0.05 means the truncation is too coarse and is an error.
 
-    P's layout follows the grid alone: the kernel is rotation invariant
-    about the origin, so on a grid that records a polar layout (R radii x A
-    angles) P is block-circulant in the angle index and is kept as A blocks
-    of size R x R, one per angular mode, computed from the R x N kernel
-    entries of the first angular column; on any other grid it is the dense
+    P's layout follows the grid's polar layout alone: the kernel is
+    rotation invariant about the origin, so on R radii x A angles P is
+    block-circulant in the angle index and is kept as A blocks of size
+    R x R, one per angular mode, computed from the R x N kernel entries of
+    the first angular column.  A grid of one angle per ring, the layout
+    (N, 1) of a grid with no rotation symmetry, gives the dense engine: the
     N x N matrix, the stack of one block.  Only P's residuals are
     measured: Q is projpair.conjugated(P, U)[1], for the diagonal unitary U
     of u on the nodes, built and validated once.  Q carries P's residuals
@@ -322,10 +325,7 @@ def truncated_projection_pair(m: int, u: GaugeUnitary, grid: DiskGrid = None):
     if np.any(~np.isfinite(uvals)):
         raise ValueError("gauge unitary is singular on a grid node")
     U = UnitaryMatrix(uvals)
-    if grid.has_polar_layout():
-        R, A = grid.radial_nodes, grid.angular_nodes
-    else:
-        R, A = U.dim, 1
+    R, A = grid.radial_nodes, grid.angular_nodes
     sw = np.sqrt(grid.weights[::A])
     # K[i, j, d] = p(x_{i,0}, x_{j,d}), the entry P[(i,a),(j,a+d)] before weighting
     K = landau_kernel(m).pair_matrix(grid.nodes[::A], grid.nodes).reshape(R, R, A)

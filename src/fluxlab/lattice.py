@@ -79,9 +79,10 @@ logger = logging.getLogger(__name__)
 class MagneticLatticeModel:
     """Rectangular lattice with uniform flux per plaquette and open edges.
 
-    potential is indexed [x, y]; domain_mask selects the active sites (used
-    for wedge and half-plane domains).  flux_per_plaquette is the field in
-    flux quanta through each unit cell, taken in [0, 1).
+    potential is indexed [x, y] and must be real and finite; domain_mask
+    selects the active sites (used for wedge and half-plane domains).
+    flux_per_plaquette is the field in flux quanta through each unit cell,
+    taken in [0, 1).
     """
 
     width: int
@@ -103,6 +104,11 @@ class MagneticLatticeModel:
                     f"{name} must have shape ({self.width}, {self.height}), "
                     f"got {np.shape(arr)}"
                 )
+        if self.potential is not None:
+            v = np.asarray(self.potential)
+            # a complex potential would make H non-Hermitian
+            if np.iscomplexobj(v) or not np.all(np.isfinite(v)):
+                raise ValueError("potential must be real and finite")
 
     def site_index(self) -> np.ndarray:
         """The site table every lattice routine reads: a (width, height) array
@@ -557,8 +563,12 @@ def lattice_flux_unitary(model: MagneticLatticeModel, center) -> UnitaryMatrix:
     return UnitaryMatrix(u.evaluate(pos), center=u.singularity, site_array=pos)
 
 
+# the radius of the window about the flux centre that the lattice index sums
+_WINDOW_RADIUS = 6.0
+
+
 def lattice_index(P, U: UnitaryMatrix, n: int = 1,
-                  window_radius: float = 6.0) -> IndexReport:
+                  window_radius: float = _WINDOW_RADIUS) -> IndexReport:
     """Windowed odd-power trace of P - UPU* around the flux center.
 
     Accepts either a GapProjection or a bare HermitianProjection.
@@ -902,7 +912,7 @@ def disorder_constancy(ens: DisorderEnsemble, fermi: float,
         route = "Riccati decoupling" if V is not None else "eigh"
         if V is not None:
             # the window of lattice_index's default radius, as on the eigh route
-            reports.append(_factored_index(V, G, U, 6.0))
+            reports.append(_factored_index(V, G, U, _WINDOW_RADIUS))
             # this draw's frame is freed before the next draw forms its A
             del V, G
         else:

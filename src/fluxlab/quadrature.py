@@ -106,8 +106,8 @@ class QuadratureSpec:
     """Engine parameters; None means the operation picks its own default.
 
     outer_radius and radial_nodes set the half side and the nodes per axis
-    of the index and transport squares; mc_samples and seed fix the Monte
-    Carlo draw.
+    of index_integral_4d's square (the transport square of the hall routes
+    takes no spec); mc_samples and seed fix the Monte Carlo draw.
     """
 
     outer_radius: Optional[float] = None

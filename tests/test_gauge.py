@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fluxlab.gauge import (GaugeUnitary, flux_unitary, numerical_winding,
+from fluxlab.gauge import (GaugeUnitary, Switch, flux_unitary, numerical_winding,
                            product_unitary, tanh_switch, translate_unitary)
 from fluxlab.grids import polar_disk_grid
 from fluxlab.lattice import MagneticLatticeModel
@@ -157,17 +157,17 @@ def test_tanh_switch_profile():
 
 
 def test_tanh_switch_center_and_scale():
-    s = tanh_switch(2.0, center=1.5)
+    s = Switch(2.0, center=1.5)
     assert s.evaluate(1.5) == pytest.approx(0.5)
     assert s.center == 1.5
     assert s.scale == 2.0
     # monotone rise of an off-centre, narrow switch
-    s = tanh_switch(0.8, center=-0.3)
+    s = Switch(0.8, center=-0.3)
     assert np.all(np.diff(s.evaluate(np.linspace(-3, 3, 13))) > 0)
 
 
 def test_switch_antiderivative_consistent():
-    s = tanh_switch(1.3, center=0.4)
+    s = Switch(1.3, center=0.4)
     F = s.antiderivative
     x = np.linspace(-4, 4, 9)
     h = 1e-5
@@ -186,4 +186,22 @@ def test_switch_no_overflow_far_out():
 @pytest.mark.parametrize("center", [float("nan"), float("inf"), -float("inf")])
 def test_tanh_switch_rejects_a_nonfinite_center(center):
     with pytest.raises(ValueError, match=f"center must be finite, got {center}"):
-        tanh_switch(1.0, center)
+        Switch(1.0, center)
+
+
+def test_switch_record_compares_hashes_and_pickles():
+    s = tanh_switch(1.5)
+    assert s == Switch(1.5, 0.0) == Switch(3 / 2)
+    assert hash(s) == hash(Switch(1.5))
+    assert s != Switch(1.5, center=0.5) and s != Switch(1.0)
+    assert type(s.scale) is float and type(Switch(2, center=1).center) is float
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s
+    assert np.array_equal(back.evaluate(np.linspace(-3, 3, 7)), s(np.linspace(-3, 3, 7)))
+    assert {s, back, Switch(1.5, 0.0)} == {s}
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+def test_switch_rejects_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
+        Switch(scale)

@@ -13,11 +13,11 @@ from numpy.polynomial.legendre import leggauss
 import fluxlab
 from fluxlab import gauge, grids, quadrature
 from fluxlab.cli import _sample_triangle
-from fluxlab.grids import (gauss_legendre, level_square_grid, polar_disk_grid,
-                           polar_grid, ring, square_grid)
+from fluxlab.grids import (DiskGrid, gauss_legendre, level_square_grid,
+                           polar_disk_grid, polar_grid, ring, square_grid)
 from fluxlab.hall import kubo_box
 from fluxlab.landau import landau_kernel, truncated_projection_pair
-from fluxlab.quadrature import QuadratureSpec, index_integral_4d
+from fluxlab.quadrature import QuadratureSpec, index_integral_4d, triple_wedge
 
 SRC = Path(fluxlab.__file__).resolve().parent
 
@@ -109,12 +109,18 @@ def test_polar_builder_measures_disk_and_annulus():
     area = np.pi * (2.5 ** 2 - 1.0)
     assert annulus.weights.sum() == pytest.approx(area, rel=1e-13)
     assert (annulus.radial_nodes, annulus.angular_nodes) == (12, 16)
-    assert annulus.has_polar_layout()
     # a rule in t = r^2 carries the area element dt/2
     t, wt = gauss_legendre(0.0, 9.0, 10)
     disk = polar_grid(np.sqrt(t), 0.5 * wt, 24, 3.0)
     assert disk.weights.sum() == pytest.approx(9.0 * np.pi, rel=1e-13)
     assert np.max(np.hypot(*disk.nodes.T)) <= 3.0
+
+
+@pytest.mark.parametrize("radial, angular", [(0, 4), (3, 0)])
+def test_disk_grid_refuses_a_layout_without_nodes(radial, angular):
+    with pytest.raises(ValueError, match="polar layout"):
+        DiskGrid(nodes=np.zeros((0, 2)), weights=np.zeros(0), radius=1.0,
+                 radial_nodes=radial, angular_nodes=angular)
 
 
 @pytest.mark.parametrize("radius", [0.0, -5.0, float("inf"), float("nan")])
@@ -171,8 +177,7 @@ def test_engines_default_to_level_sized_squares():
     kern = landau_kernel(1)
     assert index_integral_4d(kern, 1) == index_integral_4d(
         kern, 1, QuadratureSpec(outer_radius=8.5, radial_nodes=54))
-    assert kubo_box(kern, 6.0) == kubo_box(
-        kern, 6.0, QuadratureSpec(outer_radius=9.0, radial_nodes=60))
+    assert kubo_box(kern, 6.0) == (1j * triple_wedge(kern, square_grid(9.0, 60))).real
 
 
 # ------------------------------------------------------------ structure guard

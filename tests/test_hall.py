@@ -1,5 +1,7 @@
 """Switch integrals, adiabatic curvature, and transport routes."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,19 @@ from fluxlab.hall import (SwitchPair, _box_switch_integrals, curvature_diagonal,
                           hall_transport_box, hall_transport_closed_form,
                           kubo_box, switch_integral_1d, switch_integral_2d)
 from fluxlab.landau import CovariantKernel, landau_kernel, real_surrogate_kernel
-from fluxlab.grids import square_grid
+from fluxlab.grids import gauss_legendre, square_grid
 from fluxlab.quadrature import (QuadratureSpec, Triangle, connes_area,
                                 index_integral_4d, weighted_triple_kernel)
 
 # a small transport grid with an odd node count keeps the dense oracle cheap
 ORACLE_SPEC = QuadratureSpec(outer_radius=7.0, radial_nodes=31)
+
+
+@pytest.fixture()
+def oracle_square(monkeypatch):
+    """Run the hall routes on ORACLE_SPEC's square instead of the level's."""
+    monkeypatch.setattr(hall, "level_square_grid", lambda m, route: square_grid(
+        ORACLE_SPEC.outer_radius, ORACLE_SPEC.radial_nodes))
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +44,21 @@ def test_switch_integral_1d_equals_shift():
 
 
 def test_switch_integral_1d_center_independent():
-    s = tanh_switch(1.0, center=2.5)
+    s = Switch(1.0, center=2.5)
     assert switch_integral_1d(s, 1.2) == pytest.approx(1.2, abs=1e-8)
+
+
+class _CauchySwitch(Switch):
+    """A profile with the Cauchy tail 1/(pi x): too slow for the window."""
+
+    def evaluate(self, x):
+        return 0.5 + np.arctan((np.asarray(x) - self.center) / self.scale) / np.pi
 
 
 def test_switch_integral_1d_tail_guard():
     # Cauchy-tailed profile decays too slowly for the finite window
-    slow = Switch(evaluate=lambda x: 0.5 + np.arctan(np.asarray(x)) / np.pi)
     with pytest.raises(ValueError, match="tail truncation"):
-        switch_integral_1d(slow, 2.0)
+        switch_integral_1d(_CauchySwitch(1.0), 2.0)
 
 
 def test_switch_integral_2d_wedge(unit_pair):
@@ -86,8 +101,7 @@ def test_curvature_covariance_with_reanchored_switches(kernel_m0):
     base = SwitchPair(tanh_switch(1.0), tanh_switch(1.0))
     w0 = curvature_diagonal(kernel_m0, base, (0.0, 0.0))
     t = (0.7, -0.4)
-    moved = SwitchPair(tanh_switch(1.0, center=t[0]),
-                       tanh_switch(1.0, center=t[1]))
+    moved = SwitchPair(Switch(1.0, center=t[0]), Switch(1.0, center=t[1]))
     wt = curvature_diagonal(kernel_m0, moved, t)
     assert abs(wt - w0) <= 1e-8
 
@@ -127,13 +141,18 @@ def test_box_transport_values_and_monotonicity(kernel_m0, unit_pair):
     assert out[-1][1] == pytest.approx(0.99993320, abs=1e-6)
 
 
-def test_box_transport_without_primitive_takes_quadrature(kernel_m0):
-    # a switch without an antiderivative takes the 400-node rule for its box
-    # integrals; it must agree with the closed primitive
-    bare = Switch(evaluate=tanh_switch(1.0).evaluate)
-    got = hall_transport_box(kernel_m0, SwitchPair(bare, bare), (2.0, 6.0))
-    want = hall_transport_box(kernel_m0, SwitchPair(tanh_switch(1.0), tanh_switch(1.0)),
-                              (2.0, 6.0))
+def test_box_transport_without_primitive_takes_quadrature(kernel_m0, unit_pair,
+                                                        monkeypatch):
+    # the box integrals from the 400-node rule on [-L, L], which need no
+    # primitive, must give the transport the closed primitive gives
+    want = hall_transport_box(kernel_m0, unit_pair, (2.0, 6.0))
+
+    def by_quadrature(s, coords, L):
+        t, w = gauss_legendre(-L, L, 400)
+        return s.evaluate(coords[:, None] + t[None, :]) @ w
+
+    monkeypatch.setattr(hall, "_box_switch_integrals", by_quadrature)
+    got = hall_transport_box(kernel_m0, unit_pair, (2.0, 6.0))
     for (_, q), (_, q_closed) in zip(got, want):
         assert abs(q - q_closed) <= 1e-12
 
@@ -223,20 +242,21 @@ def _oracle_matrix(p, x0=(0.0, 0.0)):
 
 
 @pytest.mark.parametrize("x", [(0.0, 0.0), (0.4, -0.1)], ids=["origin", "shifted"])
-def test_curvature_diagonal_matches_dense_oracle(closed_form_kernel, x, unit_pair):
+def test_curvature_diagonal_matches_dense_oracle(closed_form_kernel, x, unit_pair,
+                                                 oracle_square):
     p = closed_form_kernel
     nodes, T = _oracle_matrix(p, x)
     l1 = unit_pair.lambda1.evaluate(nodes[:, 0])
     l2 = unit_pair.lambda2.evaluate(nodes[:, 1])
     want = -1j * (l1 @ T @ l2 - l2 @ T @ l1)
-    assert abs(curvature_diagonal(p, unit_pair, x, ORACLE_SPEC) - want) <= 1e-13
+    assert abs(curvature_diagonal(p, unit_pair, x) - want) <= 1e-13
 
 
-def test_box_and_kubo_match_dense_oracle(closed_form_kernel, unit_pair):
+def test_box_and_kubo_match_dense_oracle(closed_form_kernel, unit_pair, oracle_square):
     # the box forms run as one batch; kubo runs the wedge form
     p = closed_form_kernel
     nodes, T = _oracle_matrix(p)
-    boxes = hall_transport_box(p, unit_pair, (2.0, 4.5), ORACLE_SPEC)
+    boxes = hall_transport_box(p, unit_pair, (2.0, 4.5))
     for L, q in boxes:
         a1 = _box_switch_integrals(unit_pair.lambda1, nodes[:, 0], L)
         a2 = _box_switch_integrals(unit_pair.lambda2, nodes[:, 1], L)
@@ -244,7 +264,7 @@ def test_box_and_kubo_match_dense_oracle(closed_form_kernel, unit_pair):
         assert abs(q - want.real) <= 1e-13
     x1, x2 = nodes.T
     want = 1j * (x1 @ T @ x2 - x2 @ T @ x1)
-    assert abs(kubo_box(p, 6.0, ORACLE_SPEC) - want.real) <= 1e-13
+    assert abs(kubo_box(p, 6.0) - want.real) <= 1e-13
 
 
 
@@ -267,10 +287,10 @@ def _flux_matrix_of_nan_states(monkeypatch):
      "L_values must not be empty"),
     (lambda mp: kubo_box(landau_kernel(0), NAN), "half side must be positive"),
     (lambda mp: tanh_switch(NAN), "scale must be positive"),
-    (lambda mp: switch_integral_1d(Switch(np.tanh, center=NAN), 1.0),
-     "tail truncation"),
+    (lambda mp: switch_integral_1d(Switch(1.0, center=NAN), 1.0),
+     "center must be finite"),
     (lambda mp: hall_transport_box(
-        landau_kernel(0), SwitchPair(tanh_switch(1.0, NAN), tanh_switch(1.0)), [2.0, 4.0]),
+        landau_kernel(0), SwitchPair(Switch(1.0, NAN), tanh_switch(1.0)), [2.0, 4.0]),
      "center must be finite"),
     (lambda mp: hall_transport_closed_form(
         CovariantKernel(level=0, radial=(NAN,), magnetic=True)), "imaginary residual"),
@@ -296,3 +316,29 @@ def test_nan_inputs_are_refused(monkeypatch, call, message):
     # False with everything, is refused instead of returned as a value
     with pytest.raises(ValueError, match=message):
         call(monkeypatch)
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: curvature_diagonal(landau_kernel(0), TANH_PAIR, (NAN, 0.0)),
+     "curvature point must be finite"),
+    (lambda: curvature_diagonal(landau_kernel(0), TANH_PAIR, (0.0, -INF)),
+     "curvature point must be finite"),
+    (lambda: hall_transport_box(landau_kernel(0), TANH_PAIR, [2.0, INF]),
+     "L values must be positive, finite and strictly increasing"),
+    (lambda: tanh_switch(INF), "scale must be positive and finite"),
+], ids=["curvature-nan", "curvature-inf", "box-L-inf", "switch-scale-inf"])
+def test_hall_routes_refuse_nonfinite_inputs(call, message):
+    # each of these read as a number or as an unrelated residual error
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_switch_pair_of_records_compares_hashes_and_pickles():
+    pair = SwitchPair(tanh_switch(0.5), Switch(2.0, center=1.0))
+    twin = SwitchPair(Switch(0.5), Switch(2, center=1))
+    assert pair == twin and hash(pair) == hash(twin)
+    assert pair != pair.swapped()
+    assert pickle.loads(pickle.dumps(pair)) == pair

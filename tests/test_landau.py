@@ -303,8 +303,9 @@ def test_truncated_pair_odd_trace(truncated_pair_m0):
 
 
 def _without_layout(grid):
-    # the same nodes and weights without a recorded layout: the dense engine
-    return DiskGrid(nodes=grid.nodes, weights=grid.weights, radius=grid.radius)
+    # the same nodes and weights as N rings of one node: the dense engine
+    return DiskGrid(nodes=grid.nodes, weights=grid.weights, radius=grid.radius,
+                    radial_nodes=len(grid.weights), angular_nodes=1)
 
 
 def test_truncation_too_coarse_rejected():
@@ -384,16 +385,15 @@ def test_block_pair_pickle_round_trip():
 
 
 def test_recorded_layout_must_match_nodes():
+    # a grid whose nodes do not follow its layout is refused when it is built
     grid = polar_disk_grid(4.0, radial_nodes=8, angular_nodes=12)
-    bad = DiskGrid(nodes=grid.nodes[::-1], weights=grid.weights, radius=grid.radius,
-                   radial_nodes=8, angular_nodes=12)
     with pytest.raises(ValueError, match="polar layout"):
-        truncated_projection_pair(0, gauge.flux_unitary(1), bad)
+        DiskGrid(nodes=grid.nodes[::-1], weights=grid.weights, radius=grid.radius,
+                 radial_nodes=8, angular_nodes=12)
     # a layout whose node count differs from the grid's
-    short = DiskGrid(nodes=grid.nodes[:-12], weights=grid.weights[:-12],
-                     radius=grid.radius, radial_nodes=8, angular_nodes=12)
     with pytest.raises(ValueError, match="polar layout"):
-        truncated_projection_pair(0, gauge.flux_unitary(1), short)
+        DiskGrid(nodes=grid.nodes[:-12], weights=grid.weights[:-12],
+                 radius=grid.radius, radial_nodes=8, angular_nodes=12)
 
 
 def test_fedosov_boundary_defect(truncated_pair_m0, grid_flux_unitary):
@@ -455,7 +455,7 @@ def test_singular_gauge_on_node_rejected():
     grid = polar_disk_grid(2.0, radial_nodes=6, angular_nodes=8)
     bad = type(grid)(nodes=np.vstack([grid.nodes, [0.0, 0.0]]),
                      weights=np.append(grid.weights, 0.1),
-                     radius=grid.radius)
+                     radius=grid.radius, radial_nodes=49, angular_nodes=1)
     with pytest.raises(ValueError, match="singular on a grid node"):
         truncated_projection_pair(0, u, bad)
 
@@ -467,6 +467,6 @@ def test_negative_winding_singular_on_node_rejected(winding):
     grid = polar_disk_grid(2.0, radial_nodes=6, angular_nodes=8)
     bad = type(grid)(nodes=np.vstack([grid.nodes, [0.0, 0.0]]),
                      weights=np.append(grid.weights, 0.1),
-                     radius=grid.radius)
+                     radius=grid.radius, radial_nodes=49, angular_nodes=1)
     with pytest.raises(ValueError, match="singular on a grid node"):
         truncated_projection_pair(0, gauge.flux_unitary(winding), bad)

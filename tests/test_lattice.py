@@ -83,6 +83,18 @@ def test_model_validation():
         MagneticLatticeModel(4, 4, 0.1, potential=np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("potential", [
+    0.05j * np.ones((24, 24)),
+    np.where(np.eye(24, dtype=bool), np.nan, 0.0),
+    np.full((24, 24), -np.inf),
+], ids=["complex", "nan", "inf"])
+def test_model_refuses_a_potential_that_is_not_real_and_finite(potential):
+    # a complex potential gave a non-Hermitian H and an index of -0.976; a
+    # NaN one was refused only as a closed gap, an inf one after a warning
+    with pytest.raises(ValueError, match="potential must be real and finite"):
+        MagneticLatticeModel(24, 24, 1.0 / 3.0, potential=potential)
+
+
 def test_domain_mask_restricts_sites():
     mask = np.zeros((6, 6), dtype=bool)
     mask[:3, :] = True

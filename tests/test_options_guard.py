@@ -15,14 +15,11 @@ ROOT = Path(__file__).resolve().parents[1]
 KEPT = {
     "CovariantKernel.evaluate": "the dense oracle path",
     "MagneticLatticeModel.potential": "a model input",
+    "Switch.center": "the switch-translation identity",
     "build_hamiltonian.gauge": "the gauge-invariance identity",
-    "curvature_diagonal.spec": "small grids for the dense-oracle tests",
-    "hall_transport_box.spec": "small grids for the dense-oracle tests",
     "index_by_fedosov.n": "the Fedosov power-independence identity",
     "index_by_odd_trace.n": "the odd-power independence identity",
-    "kubo_box.spec": "small grids for the dense-oracle tests",
-    "lattice_index.window_radius": "the ROADMAP item 3 window sweep",
-    "tanh_switch.center": "the switch-translation identity",
+    "lattice_index.window_radius": "the ROADMAP item 5 window sweep",
     "weighted_triple_kernel.x0": "the oracle",
 }
 

@@ -232,7 +232,8 @@ def _disk_pair(case):
     grid = polar_disk_grid(4.0, radial_nodes=16, angular_nodes=25)
     u = gauge.flux_unitary(1)
     if case == "dense":
-        grid = DiskGrid(nodes=grid.nodes, weights=grid.weights, radius=grid.radius)
+        grid = DiskGrid(nodes=grid.nodes, weights=grid.weights, radius=grid.radius,
+                        radial_nodes=len(grid.weights), angular_nodes=1)
     if case == "translated":
         u = gauge.translate_unitary(u, (0.5, -0.25))
     return (*landau.truncated_projection_pair(0, u, grid), UnitaryMatrix(u.evaluate(grid.nodes)))
