@@ -2,11 +2,13 @@
 
 The transported charge is the box limit of -2 pi times the trace of the
 adiabatic curvature omega = -i [P L1 P, P L2 P] built from two switch
-profiles.  For a covariant kernel everything reduces to bilinear forms
-against the cyclic triple product of the kernel, computed by the core this
-module shares with the index integrals (quadrature.triple_forms and
-triple_wedge): transport equals charge deficiency, and the code asserts that
-identity across modules rather than assuming it.
+profiles.  For a covariant kernel every route reduces to antisymmetric
+forms f(a, b) - f(b, a) against the cyclic triple product of the kernel,
+computed by the core this module shares with the index integrals
+(quadrature.antisymmetric_forms and triple_wedge), and every route refuses
+an imaginary residual above 1e-8 through quadrature.real_residual_checked:
+transport equals charge deficiency, and the code asserts that identity
+across modules rather than assuming it.
 Every route runs on the level-sized transport square of fluxlab.grids,
 which no argument changes.  The switches are gauge.Switch records: the box
 route integrates them through their closed-form primitive, and the line
@@ -25,7 +27,8 @@ import numpy as np
 from fluxlab.gauge import Switch
 from fluxlab.grids import gauss_legendre, level_square_grid
 from fluxlab.landau import CovariantKernel
-from fluxlab.quadrature import index_integral_4d, triple_forms, triple_wedge
+from fluxlab.quadrature import (antisymmetric_forms, index_integral_4d,
+                                real_residual_checked, triple_wedge)
 
 logger = logging.getLogger(__name__)
 
@@ -71,25 +74,29 @@ def switch_integral_1d(s: Switch, a: float) -> float:
 
 
 def switch_integral_2d(pair: SwitchPair, a, b) -> float:
-    """Antisymmetrized 2D switch-difference integral; equals a^b.
+    """Antisymmetrized 2D switch-difference integral; equals a^b, or -a^b
+    for a pair whose axes are swapped.
 
-    The integrand is a product of one-variable differences, so the double
-    integral factors exactly into products of 1D integrals, antisymmetrized
-    between the two axes.
+    Each switch varies along its recorded axis, as in curvature_diagonal and
+    hall_transport_box.  The integrand is a product of one-variable
+    differences, so the double integral factors exactly into products of 1D
+    integrals, antisymmetrized between the two switches.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return (switch_integral_1d(pair.lambda1, float(a[0]))
-            * switch_integral_1d(pair.lambda2, float(b[1]))
-            - switch_integral_1d(pair.lambda1, float(b[0]))
-            * switch_integral_1d(pair.lambda2, float(a[1])))
+    i, j = pair.axes
+    return (switch_integral_1d(pair.lambda1, float(a[i]))
+            * switch_integral_1d(pair.lambda2, float(b[j]))
+            - switch_integral_1d(pair.lambda1, float(b[i]))
+            * switch_integral_1d(pair.lambda2, float(a[j])))
 
 
 def curvature_diagonal(p: CovariantKernel, pair: SwitchPair, x) -> complex:
     """Diagonal value omega(x, x) of the adiabatic curvature -i [PL1P, PL2P].
 
     Using P^2 = P, each commutator ordering is a double kernel integral
-    p(x,y) L(y) p(y,z) L(z) p(z,x): a triple_forms pair.  By covariance the
+    p(x,y) L(y) p(y,z) L(z) p(z,x), and the commutator is their
+    antisymmetric form (quadrature.antisymmetric_forms).  By covariance the
     kernel triple depends only on y - x and z - x, so the forms run on the
     transport square, which covers the kernel products' gaussian support,
     with the switches evaluated at the absolute points x + node.  A point x
@@ -102,8 +109,7 @@ def curvature_diagonal(p: CovariantKernel, pair: SwitchPair, x) -> complex:
     Y = grid.nodes + x
     l1 = pair.lambda1.evaluate(Y[:, pair.axes[0]])
     l2 = pair.lambda2.evaluate(Y[:, pair.axes[1]])
-    s12, s21 = triple_forms(p, grid, [l1, l2], [l2, l1])
-    return -1j * (s12 - s21)
+    return -1j * antisymmetric_forms(p, grid, l1, l2)[0]
 
 
 def _box_switch_integrals(s: Switch, coords: np.ndarray, L: float) -> np.ndarray:
@@ -118,9 +124,9 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
 
     Computes Q(L) = -2 pi * integral over the box [-L, L]^2 of the curvature
     diagonal.  Covariance turns the box integral of the recentered node frame
-    into closed switch integrals A(c) = int_box s(t + c) dt, leaving two
-    bilinear forms per L, all computed as one triple_forms batch; the
-    sequence converges to the closed-form transport at the switch tail rate
+    into closed switch integrals A(c) = int_box s(t + c) dt, leaving one
+    antisymmetric form per L, all computed as one batch; the sequence
+    converges to the closed-form transport at the switch tail rate
     exp(-2L/scale).
 
     Independence of the switch shape is a property of the box limit.  At a
@@ -128,7 +134,7 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
     scale-2 error is 1.26e-2, 4.67e-3 and 1.72e-3 at L = 6, 7, 8, shrinking
     by e^-1 per unit L, while the scale-0.5 error is 8e-9 at L = 6.  The L
     values must be positive, finite and strictly increasing.  The
-    imaginary residual of each value is checked against 1e-8.
+    imaginary residual of each value is refused above 1e-8.
     """
     Ls = [float(L) for L in L_values]
     if not Ls:
@@ -138,21 +144,13 @@ def hall_transport_box(p: CovariantKernel, pair: SwitchPair,
                          f"got {Ls}")
     grid = level_square_grid(p.level, "transport")
     nodes = grid.nodes
-    V, W = [], []
-    for L in Ls:
-        a1 = _box_switch_integrals(pair.lambda1, nodes[:, pair.axes[0]], L)
-        a2 = _box_switch_integrals(pair.lambda2, nodes[:, pair.axes[1]], L)
-        V += [a1, a2]
-        W += [a2, a1]
-    forms = triple_forms(p, grid, V, W)
+    A1 = [_box_switch_integrals(pair.lambda1, nodes[:, pair.axes[0]], L) for L in Ls]
+    A2 = [_box_switch_integrals(pair.lambda2, nodes[:, pair.axes[1]], L) for L in Ls]
     out = []
-    for L, (f12, f21) in zip(Ls, forms.reshape(-1, 2)):
-        q = 2.0j * np.pi * (f12 - f21)
+    for L, form in zip(Ls, antisymmetric_forms(p, grid, A1, A2)):
+        q = 2.0j * np.pi * form
         logger.debug("box transport L=%.2f: %.8f (imag %.1e)", L, q.real, q.imag)
-        if not abs(q.imag) <= 1e-8:
-            raise ValueError(f"imaginary residual {abs(q.imag):.2e} of the box "
-                             f"transport at L = {L} exceeds 1e-8")
-        out.append((L, float(q.real)))
+        out.append((L, float(real_residual_checked(q, f"box transport at L = {L}").real)))
     return out
 
 
@@ -163,18 +161,15 @@ def hall_transport_closed_form(p: CovariantKernel) -> float:
     triple_wedge on the transport grid; the same integral with opposite
     prefactor is the charge deficiency, so before returning, the
     transport/deficiency identity Q = -Index is checked to 1e-6 against the
-    index engine on its own (different) grid.  The imaginary residual is
-    checked against 1e-8.
+    index engine on its own (different) grid, and a violation is refused as
+    a ValueError.  The imaginary residual is refused above 1e-8.
     """
-    q = 2.0j * np.pi * triple_wedge(p, level_square_grid(p.level, "transport"))
-    if not abs(q.imag) <= 1e-8:
-        raise ValueError(
-            f"imaginary residual {abs(q.imag):.2e} of the transport integral "
-            "exceeds 1e-8"
-        )
+    q = real_residual_checked(
+        2.0j * np.pi * triple_wedge(p, level_square_grid(p.level, "transport")),
+        "transport integral")
     deficiency = index_integral_4d(p, winding=1)
     if not abs(q.real + deficiency.real) <= 1e-6:
-        raise RuntimeError(
+        raise ValueError(
             "transport/deficiency identity violated: "
             f"Q = {q.real:.9f} but -Index = {-deficiency.real:.9f}"
         )
@@ -189,12 +184,10 @@ def kubo_box(p: CovariantKernel, L: float) -> float:
     integral (triple_wedge on the transport grid, the closed form's core):
     the x-dependent part of the integrand is odd and the box average kills
     it exactly, so L affects the result only through that exact
-    cancellation.  The imaginary residual is checked against 1e-8.
+    cancellation.  L must be positive and finite, as in hall_transport_box.
+    The imaginary residual is refused above 1e-8.
     """
-    if not L > 0:
-        raise ValueError(f"box half side must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"box half side must be positive and finite, got {L}")
     val = 1j * triple_wedge(p, level_square_grid(p.level, "transport"))
-    if not abs(val.imag) <= 1e-8:
-        raise ValueError(f"imaginary residual {abs(val.imag):.2e} of the Kubo "
-                         "average exceeds 1e-8")
-    return float(val.real)
+    return float(real_residual_checked(val, "Kubo average").real)

@@ -82,7 +82,7 @@ class CovariantKernel:
 
     with the magnetic phase exp(-i x^y) only when ``magnetic`` is set.  Such
     a kernel builds evaluate from the record, and axis_factors splits the
-    same record along the two axes of a tensor grid, so the dense and the
+    same record along the two axes of a square grid, so the dense and the
     separable engines read one formula.  A kernel given as a bare evaluate
     callable has no record (radial is None) and is only ever evaluated.
     """
@@ -110,42 +110,38 @@ class CovariantKernel:
         """All-pairs kernel matrix for node sets X (N,2) and Y (K,2)."""
         return self.evaluate(X[:, None, :], Y[None, :, :])
 
-    def axis_factors(self, u: np.ndarray, v: np.ndarray):
-        """The recorded closed form split along the axes of the grid (u, v).
+    def axis_factors(self, x: np.ndarray):
+        """The recorded closed form split along the axes of the square of x.
 
-        For x = (u_a, v_b) and y = (u_c, v_d),
+        For the nodes (x_a, x_b) and (x_c, x_d) of the square,
 
-            p(x, y) = ph_uv[a, d] ph_vu[b, c] sum_i F_i[a, c] G_i[b, d]
+            p = ph_ad[a, d] ph_bc[b, c] sum_i F_i[a, c] G_i[b, d]
 
-        with the phases ph_uv = exp(-i u_a v_d) and ph_vu = exp(i v_b u_c)
+        with the phases ph_ad = exp(-i x_a x_d) and ph_bc = exp(i x_b x_c)
         (ones without the magnetic phase), F_i = s^(2i) exp(-s^2/2) for
-        s = u_a - u_c, and G_i = sum_{k >= i} radial[k] C(k, i) s^(2(k-i))
-        exp(-s^2/2) for s = v_b - v_d: the binomial expansion of
-        t^k = (s_u^2 + s_v^2)^k with the coefficients folded into G.
-        Returns (ph_uv, ph_vu, [(F_0, G_0), ..., (F_m, G_m)]).
+        s = x_a - x_c, and G_i = sum_{k >= i} radial[k] C(k, i) s^(2(k-i))
+        exp(-s^2/2) for s = x_b - x_d: the binomial expansion of
+        t^k = (s_1^2 + s_2^2)^k with the coefficients folded into G.  The
+        differences, gaussians and phases are built once, from the one axis.
+        Returns (ph_ad, ph_bc, [(F_0, G_0), ..., (F_m, G_m)]).
         """
         if self.radial is None:
             raise ValueError("kernel records no closed form")
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        su = (u[:, None] - u[None, :]) ** 2
-        sv = (v[:, None] - v[None, :]) ** 2
-        eu = np.exp(-su / 2.0)
-        ev = np.exp(-sv / 2.0)
+        x = np.asarray(x, dtype=float)
+        s = (x[:, None] - x[None, :]) ** 2
+        e = np.exp(-s / 2.0)
         top = len(self.radial)
         terms = []
         for i in range(top):
-            F = eu * su ** i
-            G = sum(self.radial[k] * math.comb(k, i) * sv ** (k - i)
-                    for k in range(i, top)) * ev
+            F = e * s ** i
+            G = sum(self.radial[k] * math.comb(k, i) * s ** (k - i)
+                    for k in range(i, top)) * e
             terms.append((F, G))
-        if self.magnetic:
-            ph_uv = np.exp(-1j * np.outer(u, v))
-            ph_vu = np.exp(1j * np.outer(v, u))
-        else:
-            ph_uv = np.ones((len(u), len(v)))
-            ph_vu = np.ones((len(v), len(u)))
-        return ph_uv, ph_vu, terms
+        if not self.magnetic:
+            ones = np.ones((len(x), len(x)))
+            return ones, ones, terms
+        xx = np.outer(x, x)
+        return np.exp(-1j * xx), np.exp(1j * xx), terms
 
 
 def _closed_form_evaluate(radial: tuple, magnetic: bool):

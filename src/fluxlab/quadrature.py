@@ -15,10 +15,14 @@ the CPU count, so neither do the bits.  A task's temporaries stay in a
 core's cache.
 
 The index and transport integrals share one core, triple_forms: bilinear
-forms against the weighted cyclic triple product of the kernel on a tensor
-Gauss-Legendre grid.  A kernel that records its closed form is contracted
-axis by axis; any other kernel gets the dense weighted_triple_kernel, which
-is also the oracle the tests compare the separable engine against.
+forms against the weighted cyclic triple product of the kernel on a
+Gauss-Legendre square (one rule along both axes).  A kernel that records
+its closed form is contracted axis by axis; any other kernel gets the dense
+weighted_triple_kernel, which is also the oracle the tests compare the
+separable engine against.  Every index and transport route is an
+antisymmetric form f(a, b) - f(b, a) of that core (antisymmetric_forms),
+and each refuses an imaginary residual above 1e-8 in one guard
+(real_residual_checked).
 Every grid, down to the connes_area radial rules and rings, comes from
 fluxlab.grids; index_integral_4d runs on its level-sized index square.
 """
@@ -192,8 +196,10 @@ def connes_area(u: GaugeUnitary, tri: Triangle) -> complex:
     unity, the mollified remainder of a disk containing all singularities,
     and a log-radial far field out to a radius where the Lipschitz tail
     bound of the integrand (decay like 1/|x|^3) falls below 1e-4.  Disks of
-    radius 1e-3 are removed around the singular points.  The tail bound and
-    the removed-ball bound are checked, not assumed.
+    radius 1e-3 are removed around the singular points.  The tail bound is
+    checked, not assumed.  The removed-ball bound 3 * 8 pi eps^2 = 7.5e-5
+    is a constant below the 1e-4 target, since eps and the target are
+    constants, so it is only logged.
     """
     eps = 1e-3
     tol = 1e-4
@@ -299,11 +305,11 @@ def triple_forms(p: CovariantKernel, grid: TensorGrid, V, W) -> np.ndarray:
     covariance the triple depends only on the edge vectors, so a caller
     with another base point passes nodes relative to it.
     When p records its closed form the kernel is contracted axis by axis
-    (CovariantKernel.axis_factors): for each term, Z[a, b, c] =
-    ph_vu[b, c] F[a, c] and N = Z @ W_k cost n^4 flops and n^3 memory
-    instead of the n^4 kernel entries of T.  Otherwise T is built once.
-    Each form is computed on its own, so its value does not depend on the
-    other rows of the batch.
+    (CovariantKernel.axis_factors on the square's one axis of n nodes): for
+    each term, Z[a, b, c] = ph_bc[b, c] F[a, c] and N = Z @ W_k cost n^4
+    flops and n^3 memory instead of the n^4 kernel entries of T.  Otherwise
+    T is built once.  Each form is computed on its own, so its value does
+    not depend on the other rows of the batch.
     """
     V = np.atleast_2d(V)
     W = np.atleast_2d(W)
@@ -312,29 +318,56 @@ def triple_forms(p: CovariantKernel, grid: TensorGrid, V, W) -> np.ndarray:
         T = weighted_triple_kernel(p, nodes, weights)
         return np.array([v @ (T @ w) for v, w in zip(V, W)])
     t0 = p.pair_matrix(np.zeros((1, 2)), nodes)[0] * weights
-    nu, nv = len(grid.u), len(grid.v)
-    ph_uv, ph_vu, terms = p.axis_factors(grid.u, grid.v)
-    Z = [(ph_vu[None, :, :] * F[:, None, :]).reshape(nu * nv, nu) for F, _ in terms]
+    n = len(grid.x)
+    ph_ad, ph_bc, terms = p.axis_factors(grid.x)
+    Z = [(ph_bc[None, :, :] * F[:, None, :]).reshape(n * n, n) for F, _ in terms]
     out = np.zeros(len(V), dtype=complex)
     for k in range(len(V)):
-        left = (V[k] * t0).reshape(nu, nv)
-        right = (W[k] * np.conj(t0)).reshape(nu, nv)
+        left = (V[k] * t0).reshape(n, n)
+        right = (W[k] * np.conj(t0)).reshape(n, n)
         for Zi, (_, G) in zip(Z, terms):
-            N = (Zi @ right).reshape(nu, nv, nv)
-            out[k] += np.einsum("ab,bd,abd,ad->", left, G, N, ph_uv)
+            N = (Zi @ right).reshape(n, n, n)
+            out[k] += np.einsum("ab,bd,abd,ad->", left, G, N, ph_ad)
     return out
+
+
+def antisymmetric_forms(p: CovariantKernel, grid: TensorGrid, A, B) -> np.ndarray:
+    """The forms f(a_k, b_k) - f(b_k, a_k) of f = triple_forms, one per row.
+
+    Every continuum route to the index or the transport is such a
+    difference: the wedge x1 T x2 - x2 T x1 of triple_wedge and the switch
+    commutators of the hall routes.  All 2K forms run as one triple_forms
+    batch.
+    """
+    A = np.atleast_2d(A)
+    B = np.atleast_2d(B)
+    f = triple_forms(p, grid, np.concatenate([A, B]), np.concatenate([B, A]))
+    return f[:len(A)] - f[len(A):]
+
+
+def real_residual_checked(value: complex, route: str) -> complex:
+    """value, once its imaginary part is at most 1e-8.
+
+    For a Hermitian kernel every index and transport integral is real, so
+    the imaginary part is a pure residual; a larger one, or a NaN, means the
+    quadrature did not converge, and the route is named in the refusal.
+    """
+    resid = abs(value.imag)
+    if not resid <= 1e-8:
+        raise ValueError(f"imaginary residual {resid:.2e} of the {route} exceeds "
+                         "1e-8; quadrature did not converge")
+    return value
 
 
 def triple_wedge(p: CovariantKernel, grid: TensorGrid) -> complex:
     """Sum over node pairs of T_jl (x_j ^ x_l) with base point 0.
 
     The wedge integral of the cyclic triple product: minus the level index
-    up to the factor 2 pi i, and the closed-form transport.  It is the form
-    difference x1 T x2 - x2 T x1.
+    up to the factor 2 pi i, and the closed-form transport.  It is the
+    antisymmetric form x1 T x2 - x2 T x1 of the coordinates.
     """
     x1, x2 = grid.nodes.T
-    f = triple_forms(p, grid, [x1, x2], [x2, x1])
-    return complex(f[0] - f[1])
+    return complex(antisymmetric_forms(p, grid, x1, x2)[0])
 
 
 def index_integral_4d(p: CovariantKernel, winding: int,
@@ -343,11 +376,9 @@ def index_integral_4d(p: CovariantKernel, winding: int,
 
     The covariance of the kernel reduces the index integral to this 4D form;
     winding enters only as the prefactor.  The integral is triple_wedge on
-    the index square of grids.level_square_grid for the kernel level (half
-    side 7 + 1.5 m, 46 + 8 m nodes per axis), which the outer_radius and
-    radial_nodes of spec override.  The exact value is real for a Hermitian
-    kernel, so the imaginary part of the result is a pure residual and is
-    checked against 1e-8.
+    the index square of grids.level_square_grid for the kernel level, which
+    the outer_radius and radial_nodes of spec override.  The imaginary
+    residual is refused above 1e-8 (real_residual_checked).
     """
     if int(winding) != winding:
         raise ValueError(f"winding must be an integer, got {winding}")
@@ -355,14 +386,7 @@ def index_integral_4d(p: CovariantKernel, winding: int,
     if winding == 0:
         return 0.0 + 0.0j
     J = triple_wedge(p, level_square_grid(p.level, "index", spec))
-    value = -2.0j * np.pi * winding * J
-    resid = abs(value.imag)
-    if not resid <= 1e-8:
-        raise ValueError(
-            f"imaginary residual {resid:.2e} of the index integral exceeds "
-            "1e-8; quadrature did not converge"
-        )
-    return complex(value)
+    return complex(real_residual_checked(-2.0j * np.pi * winding * J, "index integral"))
 
 
 # Monte Carlo proposal constants: center-of-mass radius follows the

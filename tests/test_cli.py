@@ -413,6 +413,16 @@ def test_hall_transport_takes_one_box(tmp_path):
     assert [r["value"] for r in mono] == [0.0]
 
 
+def test_hall_transport_above_level_two_writes_its_report(tmp_path):
+    # the closed-form row's identity check raised out of the command at
+    # m = 3 before the level squares took more nodes above level 2
+    code, out = run(tmp_path, "hall-transport", "--m", "3")
+    rows = read_json(out)["rows"]
+    assert code == (1 if any(not r["pass"] for r in rows) else 0)
+    closed = [r for r in rows if r["experiment"] == "hall-transport/closed-form"]
+    assert [r["pass"] for r in closed] == [True]
+
+
 def test_lattice_index_builds_pipeline_once(tmp_path, monkeypatch):
     from fluxlab import lattice
 

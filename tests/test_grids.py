@@ -51,8 +51,7 @@ def test_symmetric_rule_is_scaled_leggauss_and_antisymmetric(n, half_side):
     assert np.array_equal(x, -x[::-1])
     assert np.array_equal(w, w[::-1])
     grid = square_grid(half_side, n)
-    assert np.array_equal(grid.u, x) and np.array_equal(grid.v, x)
-    assert np.array_equal(grid.wu, w) and np.array_equal(grid.wv, w)
+    assert np.array_equal(grid.x, x) and np.array_equal(grid.w, w)
 
 
 def test_gauss_legendre_returns_fresh_arrays_over_a_read_only_rule():
@@ -149,28 +148,30 @@ def test_polar_builder_layout_takes_block_engine():
     assert Q.blocks.shape == (72, 40, 40)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_level_sized_squares(m):
-    # the level-sized disk is checked by test_level_disk_grid_grows_with_level
-    for route, half_side, nodes in (("index", 7.0 + 1.5 * m, 46 + 8 * m),
-                                    ("transport", 7.5 + 1.5 * m, 52 + 8 * m)):
+    # the level-sized disk is checked by test_level_disk_grid_grows_with_level;
+    # above level 2 each level adds 8 more nodes per axis
+    extra = 8 * max(0, m - 2)
+    for route, half_side, nodes in (("index", 7.0 + 1.5 * m, 46 + 8 * m + extra),
+                                    ("transport", 7.5 + 1.5 * m, 52 + 8 * m + extra)):
         grid = level_square_grid(m, route)
-        assert np.array_equal(grid.u, square_grid(half_side, nodes).u)
-        assert np.array_equal(grid.wu, square_grid(half_side, nodes).wu)
-        assert grid.wu.sum() == pytest.approx(2.0 * half_side, rel=1e-13)
-        assert len(grid.u) == len(grid.v) == nodes
+        assert np.array_equal(grid.x, square_grid(half_side, nodes).x)
+        assert np.array_equal(grid.w, square_grid(half_side, nodes).w)
+        assert grid.w.sum() == pytest.approx(2.0 * half_side, rel=1e-13)
+        assert len(grid.x) == nodes
 
 
 def test_square_rule_takes_spec_overrides():
     grid = level_square_grid(1, "index", QuadratureSpec(outer_radius=5.0,
                                                         radial_nodes=11))
-    assert len(grid.u) == 11
-    assert grid.wu.sum() == pytest.approx(10.0, rel=1e-13)
+    assert len(grid.x) == 11
+    assert grid.w.sum() == pytest.approx(10.0, rel=1e-13)
     only_nodes = level_square_grid(1, "transport", QuadratureSpec(radial_nodes=13))
-    assert len(only_nodes.u) == 13
-    assert only_nodes.wu.sum() == pytest.approx(18.0, rel=1e-13)
-    assert np.array_equal(level_square_grid(2, "index", QuadratureSpec()).u,
-                          level_square_grid(2, "index").u)
+    assert len(only_nodes.x) == 13
+    assert only_nodes.w.sum() == pytest.approx(18.0, rel=1e-13)
+    assert np.array_equal(level_square_grid(2, "index", QuadratureSpec()).x,
+                          level_square_grid(2, "index").x)
 
 
 def test_engines_default_to_level_sized_squares():

@@ -77,6 +77,15 @@ def test_switch_integral_2d_mixed_scales():
     assert switch_integral_2d(pair, a, b) == pytest.approx(wedge, abs=1e-6)
 
 
+def test_switch_integral_2d_follows_the_recorded_axes():
+    # each switch varies along its own axis, as in the curvature and the box
+    # transport, so the swapped pair gives minus the value
+    pair = SwitchPair(tanh_switch(0.7), tanh_switch(1.6))
+    for a, b in (((1.0, 0.0), (0.0, 1.0)), ((0.7, -1.1), (2.0, 0.4))):
+        assert switch_integral_2d(pair.swapped(), a, b) == \
+            -switch_integral_2d(pair, a, b)
+
+
 def test_switch_pair_axes_validation():
     with pytest.raises(ValueError, match="permutation"):
         SwitchPair(tanh_switch(1.0), tanh_switch(1.0), axes=(0, 0))
@@ -183,12 +192,21 @@ def test_closed_form_identity_violation_raises(kernel_m0, monkeypatch):
     # Q and -Index agree to about 1e-14 on their two grids; a deficiency
     # 1e-5 off is ten times the 1e-6 the identity is checked to
     monkeypatch.setattr(hall, "index_integral_4d", lambda p, winding: -1.0 + 1e-5 + 0j)
-    with pytest.raises(RuntimeError, match="transport/deficiency identity"):
+    with pytest.raises(ValueError, match="transport/deficiency identity"):
         hall_transport_closed_form(kernel_m0)
 
 
 def test_closed_form_level_one():
     assert hall_transport_closed_form(landau_kernel(1)) == pytest.approx(
+        1.0, abs=2e-2)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_closed_form_identity_holds_above_level_two(m):
+    # the level squares add 8 nodes per axis for each level above 2; with
+    # the plain 8 per level, |Q + Index| read 1.5e-6 at m = 3 and the
+    # identity check refused it
+    assert hall_transport_closed_form(landau_kernel(m)) == pytest.approx(
         1.0, abs=2e-2)
 
 
@@ -237,8 +255,9 @@ def test_switch_shape_independence_documented_level(kernel_m0):
 
 
 def _oracle_matrix(p, x0=(0.0, 0.0)):
-    grid = square_grid(ORACLE_SPEC.outer_radius, ORACLE_SPEC.radial_nodes).shifted(x0)
-    return grid.nodes, weighted_triple_kernel(p, grid.nodes, grid.weights, x0)
+    grid = square_grid(ORACLE_SPEC.outer_radius, ORACLE_SPEC.radial_nodes)
+    nodes = grid.nodes + x0
+    return nodes, weighted_triple_kernel(p, nodes, grid.weights, x0)
 
 
 @pytest.mark.parametrize("x", [(0.0, 0.0), (0.4, -0.1)], ids=["origin", "shifted"])
@@ -329,7 +348,8 @@ INF = float("inf")
     (lambda: hall_transport_box(landau_kernel(0), TANH_PAIR, [2.0, INF]),
      "L values must be positive, finite and strictly increasing"),
     (lambda: tanh_switch(INF), "scale must be positive and finite"),
-], ids=["curvature-nan", "curvature-inf", "box-L-inf", "switch-scale-inf"])
+    (lambda: kubo_box(landau_kernel(0), INF), "half side must be positive and finite"),
+], ids=["curvature-nan", "curvature-inf", "box-L-inf", "switch-scale-inf", "kubo-L-inf"])
 def test_hall_routes_refuse_nonfinite_inputs(call, message):
     # each of these read as a number or as an unrelated residual error
     with pytest.raises(ValueError, match=message):

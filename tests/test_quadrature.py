@@ -402,8 +402,8 @@ def test_trace_from_diagonal_rank_one():
         1.0, rel=1e-8)
 
 
-def _dense_forms(p, grid, V, W, x0=(0.0, 0.0)):
-    T = weighted_triple_kernel(p, grid.nodes, grid.weights, x0)
+def _dense_forms(p, nodes, weights, V, W, x0=(0.0, 0.0)):
+    T = weighted_triple_kernel(p, nodes, weights, x0)
     return np.array([v @ (T @ w) for v, w in zip(V, W)])
 
 
@@ -422,7 +422,7 @@ def test_triple_forms_match_dense_oracle(closed_form_kernel, x0):
     rng = np.random.default_rng(4)
     V, W = _random_vectors(rng, 3, 441), _random_vectors(rng, 3, 441)
     got = triple_forms(p, grid, V, W)
-    want = _dense_forms(p, grid.shifted(x0), V, W, x0)
+    want = _dense_forms(p, grid.nodes + x0, grid.weights, V, W, x0)
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -452,8 +452,9 @@ def test_bare_callable_kernel_takes_dense_path():
     bare = CovariantKernel(level=0, evaluate=landau_kernel(0).evaluate)
     assert bare.radial is None
     with pytest.raises(ValueError, match="no closed form"):
-        bare.axis_factors(np.zeros(2), np.zeros(2))
+        bare.axis_factors(np.zeros(2))
     grid = square_grid(5.0, 15)
     rng = np.random.default_rng(6)
     V, W = _random_vectors(rng, 2, 225), _random_vectors(rng, 2, 225)
-    assert np.array_equal(triple_forms(bare, grid, V, W), _dense_forms(bare, grid, V, W))
+    assert np.array_equal(triple_forms(bare, grid, V, W),
+                          _dense_forms(bare, grid.nodes, grid.weights, V, W))
